@@ -42,7 +42,7 @@ want = oracle_answers(q, db, predicate=p)
 print(f"|D| = {db.size}: drained {len(got)} filtered answers "
       f"(brute force agrees: {set(got) == want})")
 print(f"max steps between consecutive answers: {stream.max_delay}")
-print(f"average steps per answer: {stream.steps / max(1, stream.emitted):.2f}\n")
+print(f"average steps per answer: {stream.avg_delay:.2f}\n")
 
 # ranked enumeration merges one sorted stream per ranking variable
 q2, _, r2 = parse_query(

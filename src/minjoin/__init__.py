@@ -49,18 +49,15 @@ from .structure import (
 from .semiring import (
     COUNTING,
     MAX_MIN,
-    MAX_TROPICAL,
     NEG_INF,
     POS_INF,
     Semiring,
     aggregate_bottom_up,
     check_semiring_laws,
     count_answers,
-    max_cojoined_value,
     thresholds,
 )
 from .reduce import (
-    eliminate_existential_inequality,
     restrict_predicate_to_free,
     restrict_to_free,
     semijoin_reduce,
@@ -88,9 +85,8 @@ from .enumeration import (
     enumerate_full_acyclic,
     enumerate_ranked_min,
     enumerate_with_predicate,
-    regularized,
 )
-from .oracle import oracle_answers, oracle_count, oracle_filter, oracle_sorted
+from .oracle import oracle_answers, oracle_filter, oracle_sorted
 from .instrument import StepCounter
 
 __version__ = "0.1.0"

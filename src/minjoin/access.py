@@ -25,7 +25,7 @@ from .model import (
 )
 from .elim import EliminationResult, eliminate_min_predicate, eliminate_strict_min_tagged
 from .partition import StrictPartialOrder
-from .semiring import COUNTING, NEG_INF, POS_INF, aggregate_bottom_up, count_answers, thresholds
+from .semiring import COUNTING, aggregate_bottom_up, below_threshold, count_answers, thresholds
 from .structure import RootedJoinTree, Task, classify, tree_for_query
 
 
@@ -258,11 +258,6 @@ def build_min_da(
     )
 
 
-def access(ix, k: int, probes: StepCounter | None = None) -> Answer:
-    """Module-level spelling of the access operation."""
-    return ix.access(k, probes)
-
-
 def single_access(q: ConjunctiveQuery, xs, db: Database, k: int) -> Answer:
     """One-shot k-th answer by min over xs (builds the index, accesses once)."""
     return build_min_da(q, xs, db).access(k)
@@ -324,8 +319,9 @@ class UnrankedPredDA:
         )
 
 
-def build_unranked_da_pred(q: ConjunctiveQuery, p: MinPredicate, db: Database) -> UnrankedPredDA:
-    """Direct access (arbitrary order) to the answers of Q AND P."""
+def build_unranked_da_pred(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> UnrankedPredDA:
+    """Direct access (arbitrary order) to the answers of Q AND P, or of Q
+    when p is None."""
     verdict = classify(Task.UNRANKED_DA_PRED, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
@@ -340,8 +336,9 @@ def build_unranked_da_pred(q: ConjunctiveQuery, p: MinPredicate, db: Database) -
     return UnrankedPredDA(res, secondary, running, smaller)
 
 
-def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate, db: Database) -> int:
-    """|(Q AND P)(D)| by summing the disjoint elimination parts."""
+def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> int:
+    """|(Q AND P)(D)| by summing the disjoint elimination parts; |Q(D)|
+    when p is None."""
     verdict = classify(Task.COUNTING, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
@@ -349,33 +346,33 @@ def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate, db: Database) -> 
     return sum(count_answers(part.query, part.database) for part in res.parts)
 
 
-def is_nonempty(q: ConjunctiveQuery, p: MinPredicate, db: Database) -> bool:
-    """Boolean task for Q AND P; needs only acyclicity.
+def is_nonempty(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> bool:
+    """Boolean task for Q AND P (for Q when p is None); needs only acyclicity.
 
     All variables are treated as existential: per tuple of an atom holding
     x0, the max-min threshold says how large min(X) can get among full
     homomorphisms through it, so nonemptiness is one scan of that atom.
+    Without a predicate, X is empty and the threshold is +inf exactly for
+    the tuples that extend to a homomorphism.
     """
     verdict = classify(Task.BOOLEAN, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
-    p.check_vars(q)
+    if p is None:
+        x0, xs, strict = q.variables[0], [], False
+    else:
+        p.check_vars(q)
+        x0, xs, strict = p.x0, [x for x in p.xs if x != p.x0], p.strict
     q1, d1 = remove_self_joins(q, db)
     qf = ConjunctiveQuery(q1.atoms, q1.variables, q1.name)
-    xs = [x for x in p.xs if x != p.x0]
     t = tree_for_query(qf)
     x0_node = min(
-        (n for n in t.nodes() if p.x0 in t.vars_of[n]), key=lambda n: t.atom_of[n]
+        (n for n in t.nodes() if x0 in t.vars_of[n]), key=lambda n: t.atom_of[n]
     )
     t = t.reroot(x0_node)
     ann = thresholds(qf, xs, t, d1)
-    atom = qf.atoms[t.atom_of[x0_node]]
-    xi = atom.vars.index(p.x0)
-    for row, theta in zip(ann.rows_of[x0_node], ann.values_of[x0_node]):
-        if theta is NEG_INF:
-            continue
-        if theta is POS_INF:
-            return True
-        if row[xi] < theta if p.strict else row[xi] <= theta:
-            return True
-    return False
+    xi = qf.atoms[t.atom_of[x0_node]].vars.index(x0)
+    return any(
+        below_threshold(row[xi], theta, strict)
+        for row, theta in zip(ann.rows_of[x0_node], ann.values_of[x0_node])
+    )

@@ -119,7 +119,7 @@ def bench_enum_pred(sizes, seed: int = 0, emissions: int = 20000) -> list[dict]:
                 "size": db.size,
                 "emitted": k,
                 "max_delay": s.max_delay,
-                "avg_delay": (s.steps / k) if k else 0.0,
+                "avg_delay": s.avg_delay,
                 "build_steps": s.build_steps,
                 "seconds": time.perf_counter() - t0,
             }

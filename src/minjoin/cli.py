@@ -12,13 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .access import (
-    LexDA,
-    build_min_da,
-    build_unranked_da_pred,
-    count_with_predicate,
-    is_nonempty,
-)
+from .access import build_min_da, build_unranked_da_pred, count_with_predicate, is_nonempty
 from .bench import bench_enum_pred, bench_min_da, bench_ranked, default_sizes
 from .elim import eliminate_min_predicate
 from .enumeration import (
@@ -34,11 +28,10 @@ from .errors import (
     QuerySyntaxError,
     UnsupportedPredicateError,
 )
-from .model import Answer, ConjunctiveQuery, Database, MinPredicate, TaggedValue, negate_database
+from .model import Answer, ConjunctiveQuery, Database, TaggedValue, negate_database
 from .oracle import oracle_answers, oracle_sorted
 from .parser import load_database_dir, parse_query_file
 from .reduce import restrict_predicate_to_free, restrict_to_free
-from .semiring import count_answers
 from .structure import Task, classify, classify_all
 
 EXIT_OK, EXIT_SYNTAX, EXIT_INTRACTABLE, EXIT_DATA, EXIT_DIVERGENCE = 0, 1, 2, 3, 4
@@ -117,20 +110,10 @@ def cmd_eliminate(args) -> int:
     return EXIT_OK
 
 
-def _count(q, p, db) -> int:
-    if p is not None:
-        return count_with_predicate(q, p, db)
-    verdict = classify(Task.ENUM_PRED, q, MinPredicate(q.variables[0], (q.variables[0],)))
-    if not verdict.tractable:
-        raise IntractableQueryError(verdict)
-    qf, dbf = _restricted_plain(q, db)
-    return count_answers(qf, dbf)
-
-
 def cmd_count(args) -> int:
     q, p, r, db = _load(args)
     try:
-        n = _count(q, p, db)
+        n = count_with_predicate(q, p, db)
     except (IntractableQueryError, UnsupportedPredicateError) as err:
         if not args.force_oracle:
             raise
@@ -142,7 +125,6 @@ def cmd_count(args) -> int:
 
 def cmd_bool(args) -> int:
     q, p, r, db = _load(args)
-    p = p or MinPredicate(q.variables[0], (q.variables[0],))
     try:
         res = is_nonempty(q, p, db)
     except IntractableQueryError:
@@ -166,21 +148,13 @@ def _build_stream(q, p, r, db, ranked: bool):
         work_db = negate_database(db) if r.maximize else db
         qf, dbf = _restricted_plain(q, work_db)
         return enumerate_ranked_min(qf, r.xs, dbf), r.maximize
-    if p is not None:
-        verdict = classify(Task.ENUM_PRED, q, p)
-        if not verdict.tractable:
-            raise IntractableQueryError(verdict)
-        if q.is_full:
-            return enumerate_with_predicate(q, p, db), False
-        qf, residual, dbf = restrict_predicate_to_free(q, p, db)
-        if residual is None:
-            return enumerate_full_acyclic(qf, dbf), False
-        return enumerate_with_predicate(qf, residual, dbf), False
-    verdict = classify(Task.ENUM_PRED, q, MinPredicate(q.variables[0], (q.variables[0],)))
+    verdict = classify(Task.ENUM_PRED, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
-    qf, dbf = _restricted_plain(q, db)
-    return enumerate_full_acyclic(qf, dbf), False
+    qf, residual, dbf = (q, p, db) if q.is_full else restrict_predicate_to_free(q, p, db)
+    if residual is None:
+        return enumerate_full_acyclic(qf, dbf), False
+    return enumerate_with_predicate(qf, residual, dbf), False
 
 
 def cmd_enumerate(args) -> int:
@@ -212,10 +186,9 @@ def cmd_enumerate(args) -> int:
         for line in out:
             print(line)
     if args.stats:
-        avg = stream.steps / max(1, stream.emitted)
         print(
             f"# emitted={stream.emitted} max_delay={stream.max_delay} "
-            f"avg_delay={avg:.2f} skips={stream.skips}",
+            f"avg_delay={stream.avg_delay:.2f} skips={stream.skips}",
             file=sys.stderr,
         )
     return EXIT_OK
@@ -227,37 +200,20 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _build_da(q, p, r, db):
-    """(direct-access structure, negate flag, total)."""
+    """(direct-access structure, negate flag)."""
     if r is not None:
         if p is not None:
             raise EngineError("ranked access with a predicate is not supported")
         work_db = negate_database(db) if r.maximize else db
         qf, dbf = _restricted_plain(q, work_db)
-        ix = build_min_da(qf, r.xs, dbf)
-        return ix, r.maximize, ix.total
-    if p is not None:
-        da = build_unranked_da_pred(q, p, db)
-        return da, False, da.total
-    verdict = classify(Task.UNRANKED_DA_PRED, q, MinPredicate(q.variables[0], (q.variables[0],)))
-    if not verdict.tractable:
-        raise IntractableQueryError(verdict)
-    qf, dbf = _restricted_plain(q, db)
-    lex = LexDA(qf, dbf, qf.free_vars[0])
-
-    class _Plain:
-        total = lex.total
-
-        @staticmethod
-        def access(k, probes=None):
-            m = lex.access(k, probes)
-            return Answer({v: m[v].untagged() for v in qf.free_vars})
-
-    return _Plain, False, lex.total
+        return build_min_da(qf, r.xs, dbf), r.maximize
+    return build_unranked_da_pred(q, p, db), False
 
 
 def cmd_access(args) -> int:
     q, p, r, db = _load(args)
-    da, negate, total = _build_da(q, p, r, db)
+    da, negate = _build_da(q, p, r, db)
+    total = da.total
     ks = list(args.index or [])
     if args.range:
         lo, hi = _parse_range(args.range)
@@ -302,7 +258,7 @@ def cmd_oracle(args) -> int:
         want = len(answers)
         print(json.dumps({"count": want}) if args.json else want)
         try:
-            got = _count(q, p, db)
+            got = count_with_predicate(q, p, db)
         except (IntractableQueryError, UnsupportedPredicateError) as err:
             print(f"# engine refused: {err}", file=sys.stderr)
             return EXIT_OK
@@ -313,7 +269,7 @@ def cmd_oracle(args) -> int:
     if task == "bool":
         want = bool(answers)
         print(json.dumps({"nonempty": want}) if args.json else ("nonempty" if want else "empty"))
-        got = is_nonempty(q, p or MinPredicate(q.variables[0], (q.variables[0],)), db)
+        got = is_nonempty(q, p, db)
         if got != want:
             print(f"DIVERGENCE: engine={got} oracle={want}", file=sys.stderr)
             return EXIT_DIVERGENCE
@@ -344,17 +300,15 @@ def cmd_oracle(args) -> int:
             print(f"[{k}] out of bounds (total {len(ordered)})")
         else:
             print(f"[{k}] {_print_answer(ordered[k])}")
-        da, negate, total = _build_da(q, p, r, db)
-        if total != len(ordered):
-            print(f"DIVERGENCE: engine total={total} oracle={len(ordered)}", file=sys.stderr)
+        da, negate = _build_da(q, p, r, db)
+        if da.total != len(ordered):
+            print(f"DIVERGENCE: engine total={da.total} oracle={len(ordered)}", file=sys.stderr)
             return EXIT_DIVERGENCE
-        if k < total:
+        if k < da.total:
             got = da.access(k)
-            key = lambda a: (max if r.maximize else min)(a[x] for x in r.xs)
-            engine_key = key(got)
             if negate:
-                engine_key = TaggedValue(-engine_key.base, engine_key.rank)
-            if engine_key != key(ordered[k]):
+                got = Answer({v: TaggedValue(-c.base, c.rank) for v, c in got.assignment.items()})
+            if r.key(got) != r.key(ordered[k]):
                 print("DIVERGENCE: rank key mismatch at index", k, file=sys.stderr)
                 return EXIT_DIVERGENCE
         return EXIT_OK

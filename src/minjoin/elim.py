@@ -203,10 +203,12 @@ def eliminate_strict_min_tagged(
 
 
 def eliminate_min_predicate(
-    q: ConjunctiveQuery, p: MinPredicate, db: Database
+    q: ConjunctiveQuery, p: MinPredicate | None, db: Database
 ) -> EliminationResult:
     """Transform (Q AND P, D) into disjoint full acyclic query-database
     parts whose projections onto the free variables tile the answers.
+    With p None the result is the single part (Q, D) restricted to the
+    free variables.
 
     Pipeline: fold existential inequalities into the data and restrict to
     the free variables; remove self-joins; disjointify (x0 gets the

@@ -7,8 +7,6 @@ and a step counter, so delay properties are assertable without clocks.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import EngineError
 from .model import Answer, ConjunctiveQuery, Database, MinPredicate, TaggedValue
 from .reduce import semijoin_reduce
@@ -48,6 +46,13 @@ class AnswerStream:
     @property
     def skips(self) -> int:
         return getattr(self._cursor, "skips", 0)
+
+    @property
+    def avg_delay(self) -> float:
+        """Mean step gap per emission, over the steps up to the last
+        emission: like `max_delay`, it leaves out the prefetch of the next
+        answer and the exhaustion probe, so avg_delay <= max_delay."""
+        return self._last_steps / max(1, self.emitted)
 
     def has_next(self) -> bool:
         return self._buffer is not None
@@ -358,38 +363,3 @@ def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
     cursor = _RankedMergeCursor(subs, xs)
     return AnswerStream(cursor, q.free_vars, sum(s.build_steps for s in subs))
 
-
-class _RegularizedCursor:
-    """Fixed work quantum per emission, buffering surplus answers.
-
-    Evens out the emission cadence of a linear-partial-time stream at the
-    cost of holding back answers; correctness is unchanged.
-    """
-
-    def __init__(self, inner: AnswerStream, quantum: int):
-        self._inner = inner
-        self._quantum = quantum
-        self._buf: deque = deque()
-
-    @property
-    def steps(self) -> int:
-        return self._inner.steps
-
-    @property
-    def skips(self) -> int:
-        return self._inner.skips
-
-    def next_answer(self):
-        start = self._inner.steps
-        while self._inner.has_next() and (
-            not self._buf or self._inner.steps - start < self._quantum
-        ):
-            self._buf.append(self._inner.peek())
-            self._inner.advance()
-        return self._buf.popleft() if self._buf else None
-
-
-def regularized(stream: AnswerStream, quantum: int) -> AnswerStream:
-    """Optional delay-evening wrapper; off by default in every pipeline."""
-    free = stream._free
-    return AnswerStream(_RegularizedCursor(stream, quantum), free, stream.build_steps)

@@ -158,12 +158,6 @@ class ConjunctiveQuery:
         syms = [a.symbol for a in self.atoms]
         return len(syms) == len(set(syms))
 
-    def atom_for_symbol(self, symbol: str) -> Atom:
-        for a in self.atoms:
-            if a.symbol == symbol:
-                return a
-        raise EngineError(f"no atom over {symbol!r}")
-
     def to_text(self) -> str:
         head = f"{self.name}({','.join(self.free_vars)})"
         return f"{head} :- {', '.join(map(str, self.atoms))}."

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import EngineError, OracleGuardError
+from .errors import OracleGuardError
 from .model import Answer, ConjunctiveQuery, Database, MinPredicate, TaggedValue
 
 CROSS_PRODUCT_GUARD = 10**7
@@ -65,23 +65,10 @@ def oracle_answers(
     return answers
 
 
-def oracle_filter(answers: Iterable[Answer], p) -> set[Answer]:
+def oracle_filter(answers: Iterable[Answer], p: MinPredicate) -> set[Answer]:
     """Literal filter over answers; `p` is a MinPredicate over answer
-    variables or an equality pair (var1, var2)."""
-    out = set()
-    if isinstance(p, MinPredicate):
-        for a in answers:
-            if p.holds(a.assignment):
-                out.add(a)
-        return out
-    try:
-        v1, v2 = p
-    except Exception:
-        raise EngineError(f"unsupported filter {p!r}") from None
-    for a in answers:
-        if a[v1] == a[v2]:
-            out.add(a)
-    return out
+    variables."""
+    return {a for a in answers if p.holds(a.assignment)}
 
 
 def oracle_sorted(
@@ -93,11 +80,3 @@ def oracle_sorted(
     if maximize:
         return sorted(answers, key=lambda a: max(a[x] for x in xs), reverse=True)
     return sorted(answers, key=lambda a: min(a[x] for x in xs))
-
-
-def oracle_count(q: ConjunctiveQuery, db: Database, predicate: MinPredicate | None = None) -> int:
-    return len(oracle_answers(q, db, predicate))
-
-
-def oracle_min_key(answer: Answer, xs: Iterable[str]) -> TaggedValue:
-    return min(answer[x] for x in xs)

@@ -11,6 +11,8 @@ with UnsupportedPredicateError instead of being answered incorrectly.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import EngineError, UnsupportedPredicateError
 from .model import (
     Atom,
@@ -20,7 +22,7 @@ from .model import (
     Relation,
     fresh_symbol,
 )
-from .semiring import NEG_INF, POS_INF, max_cojoined_value, min_cojoined_value, thresholds
+from .semiring import MAX_MIN, NEG_INF, below_threshold, thresholds
 from .structure import RootedJoinTree, hypergraph_of, is_free_connex, join_tree, tree_for_query
 
 
@@ -115,165 +117,66 @@ def _interface_groups(q: ConjunctiveQuery):
     """Partition existential variables by the join-tree branch that hosts
     them once a free-variables node is rooted.
 
-    Returns {existential var: branch atom index}, where the branch atom is
-    the unique atom closest to the free-variables node on that variable's
-    side. Every free variable occurring in a branch also occurs in its
-    branch atom, which is what makes per-tuple filtering there sound.
+    Returns (host, branch_vars): host maps each existential variable to
+    its branch atom index, the unique atom closest to the free-variables
+    node on that variable's side; branch_vars maps each branch atom index
+    to the variables of its whole branch. Every free variable occurring in
+    a branch also occurs in its branch atom, which is what makes per-tuple
+    filtering there sound.
     """
-    free = q.free_vars
-    hplus = hypergraph_of(q).with_edge(free)
-    tplus = join_tree(hplus)
+    free = set(q.free_vars)
+    tplus = join_tree(hypergraph_of(q).with_edge(q.free_vars))
     if tplus is None:
         raise EngineError("interface decomposition needs a free-connex query")
     f_id = len(q.atoms)
     tplus = tplus.reroot(f_id)
     host: dict[str, int] = {}
+    branch_vars: dict[int, set[str]] = {}
     for c in tplus.children()[f_id]:
-        ids = tplus.subtree_ids(c)
-        for i in ids:
-            for v in tplus.vars_of[i]:
-                if v not in set(free):
-                    host.setdefault(v, c)
-    return host
+        branch_vars[c] = set().union(*(tplus.vars_of[i] for i in tplus.subtree_ids(c)))
+        for v in branch_vars[c] - free:
+            host[v] = c
+    return host, branch_vars
 
 
-def eliminate_existential_inequality(
-    q: ConjunctiveQuery,
-    x: str,
-    y: str,
-    db: Database,
-    strict: bool = False,
-) -> Database:
-    """Drop tuples so that the inequality x <= y (y existential) always
-    holds: (Q AND x<=y)(D) equals Q(D') over the free variables.
-
-    Filtering sites, in order of preference:
-      * an atom containing both x and y (pure per-tuple check);
-      * y's branch atom, when x occurs in it: compare x against the
-        maximum y value co-joined with each tuple;
-      * y's branch shares no free variable with the rest: compare x
-        against the component-wide maximum, at x's first atom.
-    Anything else has no sound single-relation filter and is refused.
-    """
-    free = set(q.free_vars)
-    if y in free:
-        raise EngineError(f"{y!r} is free; keep the inequality in the residual predicate")
-    if x == y:
-        return db
-
-    for a in q.atoms:
-        if x in a.vars and y in a.vars:
-            xi, yi = a.vars.index(x), a.vars.index(y)
-            rel = db.relation(a.symbol)
-            keep = tuple(
-                r for r in rel.rows if (r[xi] < r[yi] if strict else r[xi] <= r[yi])
-            )
-            return db.replace(Relation(a.symbol, rel.arity, keep))
-
-    if q.is_boolean:
-        branch = next((i for i, a in enumerate(q.atoms) if x in a.vars), None)
-        if branch is None:
-            raise EngineError(f"variable {x!r} not in the query")
-        return _filter_by_cojoined_max(q, x, y, branch, db, strict)
-
-    host = _interface_groups(q)
-    branch = host.get(y)
-    if branch is None:
-        raise EngineError(f"variable {y!r} not existential in the query")
-    batom = q.atoms[branch]
-    if x in batom.vars:
-        return _filter_by_cojoined_max(q, x, y, branch, db, strict)
-
-    branch_vars = set()
-    hplus = hypergraph_of(q).with_edge(q.free_vars)
-    tplus = join_tree(hplus).reroot(len(q.atoms))
-    for i in tplus.subtree_ids(branch):
-        branch_vars |= set(tplus.vars_of[i])
-    if not (branch_vars & free):
-        m = max_cojoined_value(q, y, batom, db)
-        best = NEG_INF
-        for v in m.values():
-            if v is not NEG_INF and (best is NEG_INF or v > best):
-                best = v
-        xa = next(a for a in q.atoms if x in a.vars)
-        xi = xa.vars.index(x)
-        rel = db.relation(xa.symbol)
-        if best is NEG_INF:
-            keep: tuple = ()
-        else:
-            keep = tuple(
-                r for r in rel.rows if (r[xi] < best if strict else r[xi] <= best)
-            )
-        return db.replace(Relation(xa.symbol, rel.arity, keep))
-
-    raise UnsupportedPredicateError(
-        f"no sound tuple-removal site for {x} <= {y}: {x!r} does not reach "
-        f"the branch atom {batom.symbol} hosting {y!r}"
-    )
+def _branch_thresholds(q: ConjunctiveQuery, group: list[str], branch: int, db: Database):
+    """{row of atom `branch`: the best value min(group) reaches among the
+    answers of the all-free query through that row}."""
+    qf = ConjunctiveQuery(q.atoms, q.variables, q.name)
+    # join-tree node ids are atom indices
+    ann = thresholds(qf, group, tree_for_query(qf).reroot(branch), db)
+    return ann.as_map(branch)
 
 
-def _filter_by_cojoined_max(q, x, y, branch: int, db, strict: bool) -> Database:
-    atom = q.atoms[branch]
-    m = max_cojoined_value(q, y, atom, db)
-    xi = atom.vars.index(x)
+def _filter_atom(db: Database, atom: Atom, keep) -> Database:
+    """`db` with the relation of `atom` cut down to the rows passing `keep`."""
     rel = db.relation(atom.symbol)
-    keep = []
-    for r in rel.rows:
-        best = m[r]
-        if best is NEG_INF:
-            continue
-        if r[xi] < best if strict else r[xi] <= best:
-            keep.append(r)
-    return db.replace(Relation(atom.symbol, rel.arity, tuple(keep)))
+    return db.replace(Relation(atom.symbol, rel.arity, tuple(r for r in rel.rows if keep(r))))
+
+
+def _first_atom_with(q: ConjunctiveQuery, x: str) -> tuple[Atom, int]:
+    atom = next(a for a in q.atoms if x in a.vars)
+    return atom, atom.vars.index(x)
 
 
 # ---------------------------------------------------------------------------
 # Restriction of a query plus predicate to the free variables
 
 
-def _grouped_threshold_filter(
-    q: ConjunctiveQuery,
-    x0: str,
-    group_vars: list[str],
-    branch: int,
-    db: Database,
-    strict: bool,
-) -> Database:
-    """Filter the branch atom by `x0 <= min(group)` reachability.
-
-    For each tuple of the branch atom, the threshold aggregation yields
-    the best value min(group) attains among answers through it; tuples
-    whose threshold cannot cover their own x0 entry die. Requires x0 in
-    the branch atom. Sound for any number of group members hosted by the
-    same branch, which a per-inequality pass would get wrong.
-    """
-    atom = q.atoms[branch]
-    qf = ConjunctiveQuery(q.atoms, q.variables, q.name)
-    t = tree_for_query(qf)
-    node = next(n for n in t.nodes() if t.atom_of[n] == branch)
-    t = t.reroot(node)
-    ann = thresholds(qf, group_vars, t, db)
-    xi = atom.vars.index(x0)
-    rows, vals = ann.rows_of[node], ann.values_of[node]
-    keep = []
-    for r, theta in zip(rows, vals):
-        if theta is NEG_INF:
-            continue
-        if theta is POS_INF or (r[xi] < theta if strict else r[xi] <= theta):
-            keep.append(r)
-    return db.replace(Relation(atom.symbol, atom.arity, tuple(keep)))
-
-
 def restrict_predicate_to_free(
-    q: ConjunctiveQuery, p: MinPredicate, db: Database
+    q: ConjunctiveQuery, p: MinPredicate | None, db: Database
 ) -> tuple[ConjunctiveQuery, MinPredicate | None, Database]:
     """Rewrite (Q AND P, D) into (full query over free vars, residual
     predicate over free vars or None, database) with equal answer sets.
 
     Inequalities whose two sides are free survive into the residual
-    predicate; the rest are folded into the database by the sound-filter
-    machinery above, grouped per hosting branch so that several
-    existential MIN members in one branch are handled simultaneously.
+    predicate; the rest are folded into the database, grouped per hosting
+    branch so that several existential MIN members in one branch are
+    handled simultaneously. A branch atom holding x0 keeps the tuples
+    whose threshold covers their own x0 entry; a branch sharing no free
+    variable with the rest has one best value overall, which bounds x0.
+    Configurations without a sound filtering site are refused with
+    UnsupportedPredicateError. With p None this is restrict_to_free.
     """
     if q.is_boolean:
         raise EngineError("restrict the Boolean task via is_nonempty instead")
@@ -281,6 +184,9 @@ def restrict_predicate_to_free(
         raise EngineError("restriction requires an acyclic free-connex query")
     if not q.is_self_join_free:
         raise EngineError("remove self-joins before restricting")
+    if p is None:
+        q2, d2 = restrict_to_free(q, db)
+        return q2, None, d2
     p.check_vars(q)
 
     free = set(q.free_vars)
@@ -291,48 +197,25 @@ def restrict_predicate_to_free(
     if x0 in free:
         exist_xs = [x for x in xs if x not in free]
         if exist_xs:
-            host = _interface_groups(q)
+            host, branch_vars = _interface_groups(q)
             groups: dict[int, list[str]] = {}
             for x in exist_xs:  # declaration order within each group
                 groups.setdefault(host[x], []).append(x)
-            hplus = hypergraph_of(q).with_edge(q.free_vars)
-            tplus = join_tree(hplus).reroot(len(q.atoms))
             for branch, group in groups.items():
                 batom = q.atoms[branch]
-                if x0 in batom.vars:
-                    d = _grouped_threshold_filter(q, x0, group, branch, d, p.strict)
-                    continue
-                branch_vars = set()
-                for i in tplus.subtree_ids(branch):
-                    branch_vars |= set(tplus.vars_of[i])
-                if branch_vars & free:
+                if x0 not in batom.vars and branch_vars[branch] & free:
                     raise UnsupportedPredicateError(
                         f"{x0} <= min({','.join(group)}): {x0!r} does not reach "
                         f"branch atom {batom.symbol}, and the branch is not independent"
                     )
-                # independent branch: min(group) has one best value overall
-                qf = ConjunctiveQuery(q.atoms, q.variables, q.name)
-                t = tree_for_query(qf)
-                node = next(n for n in t.nodes() if t.atom_of[n] == branch)
-                ann = thresholds(qf, group, t.reroot(node), d)
-                best = NEG_INF
-                for v in ann.values_of[node]:
-                    if v is NEG_INF:
-                        continue
-                    if best is NEG_INF or v is POS_INF or (best is not POS_INF and v > best):
-                        best = v
-                xa = next(a for a in q.atoms if x0 in a.vars)
-                xi = xa.vars.index(x0)
-                rel = d.relation(xa.symbol)
-                if best is NEG_INF:
-                    keep: tuple = ()
-                elif best is POS_INF:
-                    keep = rel.rows
-                else:
-                    keep = tuple(
-                        r for r in rel.rows if (r[xi] < best if p.strict else r[xi] <= best)
-                    )
-                d = d.replace(Relation(xa.symbol, rel.arity, keep))
+                theta = _branch_thresholds(q, group, branch, d)
+                if x0 in batom.vars:
+                    xi = batom.vars.index(x0)
+                    d = _filter_atom(d, batom, lambda r: below_threshold(r[xi], theta[r], p.strict))
+                else:  # independent branch: min(group) has one best value overall
+                    best = functools.reduce(MAX_MIN.plus, theta.values(), NEG_INF)
+                    xa, xi = _first_atom_with(q, x0)
+                    d = _filter_atom(d, xa, lambda r: below_threshold(r[xi], best, p.strict))
         residual_xs = tuple(x for x in p.xs if x in free and x != x0)
         residual = MinPredicate(x0, residual_xs, p.strict) if residual_xs else None
     else:
@@ -344,11 +227,7 @@ def restrict_predicate_to_free(
             for x in xs:
                 atom = next(a for a in q.atoms if x0 in a.vars and x in a.vars)
                 xi0, xi = atom.vars.index(x0), atom.vars.index(x)
-                rel = d.relation(atom.symbol)
-                keep = tuple(
-                    r for r in rel.rows if (r[xi0] < r[xi] if p.strict else r[xi0] <= r[xi])
-                )
-                d = d.replace(Relation(atom.symbol, rel.arity, keep))
+                d = _filter_atom(d, atom, lambda r: below_threshold(r[xi0], r[xi], p.strict))
         else:
             d = _eliminate_with_independent_x0(q, p, xs, d)
         residual = None
@@ -362,28 +241,22 @@ def _eliminate_with_independent_x0(q, p: MinPredicate, xs: list[str], db: Databa
     rest and hosts no MIN member: its best value is one global constant,
     and each inequality becomes a per-tuple comparison against it."""
     free = set(q.free_vars)
-    host = _interface_groups(q)
-    b0 = host[p.x0]
-    hplus = hypergraph_of(q).with_edge(q.free_vars)
-    tplus = join_tree(hplus).reroot(len(q.atoms))
-    b0_vars = set()
-    for i in tplus.subtree_ids(b0):
-        b0_vars |= set(tplus.vars_of[i])
+    host, branch_vars = _interface_groups(q)
+    b0_vars = branch_vars[host[p.x0]]
     if (b0_vars & free) or any(x in b0_vars for x in xs):
         raise UnsupportedPredicateError(
             f"{p}: existential {p.x0!r} is coupled to the rest of the query; "
             "no sound tuple-removal rewrite exists"
         )
-    m = min_cojoined_value(q, p.x0, q.atoms[b0], db)
-    best = POS_INF
-    for v in m.values():
-        if v is not POS_INF and (best is POS_INF or v < best):
-            best = v
+    # every tuple left by the full reduction is in some answer of the
+    # all-free query, so x0's best value is its smallest surviving entry
+    xa, x0i = _first_atom_with(q, p.x0)
+    qf = ConjunctiveQuery(q.atoms, q.variables, q.name)
+    x0_vals = [r[x0i] for r in semijoin_reduce(qf, db).relation(xa.symbol).rows]
+    if not x0_vals:  # the all-free query has no answers at all
+        return db.replace(*(Relation(a.symbol, a.arity, ()) for a in q.atoms))
+    best = min(x0_vals)
     d = db
-    if best is POS_INF:  # x0's component is empty: no answers at all
-        for a in q.atoms:
-            d = d.replace(Relation(a.symbol, a.arity, ()))
-        return d
     groups: dict[int, list[str]] = {}
     free_targets: list[str] = []
     for x in xs:
@@ -392,22 +265,9 @@ def _eliminate_with_independent_x0(q, p: MinPredicate, xs: list[str], db: Databa
         else:
             groups.setdefault(host[x], []).append(x)
     for x in free_targets:
-        xa = next(a for a in q.atoms if x in a.vars)
-        xi = xa.vars.index(x)
-        rel = d.relation(xa.symbol)
-        keep = tuple(r for r in rel.rows if (best < r[xi] if p.strict else best <= r[xi]))
-        d = d.replace(Relation(xa.symbol, rel.arity, keep))
+        xa, xi = _first_atom_with(q, x)
+        d = _filter_atom(d, xa, lambda r: below_threshold(best, r[xi], p.strict))
     for branch, group in groups.items():
-        qf = ConjunctiveQuery(q.atoms, q.variables, q.name)
-        t = tree_for_query(qf)
-        node = next(n for n in t.nodes() if t.atom_of[n] == branch)
-        ann = thresholds(qf, group, t.reroot(node), d)
-        atom = q.atoms[branch]
-        keep2 = []
-        for r, theta in zip(ann.rows_of[node], ann.values_of[node]):
-            if theta is NEG_INF:
-                continue
-            if theta is POS_INF or (best < theta if p.strict else best <= theta):
-                keep2.append(r)
-        d = d.replace(Relation(atom.symbol, atom.arity, tuple(keep2)))
+        theta = _branch_thresholds(q, group, branch, d)
+        d = _filter_atom(d, q.atoms[branch], lambda r: below_threshold(best, theta[r], p.strict))
     return d

@@ -2,8 +2,8 @@
 
 One pass computes, for every tuple t of every node relation, the fold
 agg(t) = PLUS over partial answers of the subtree below t of the TIMES
-over their tuples' val(.) values. Counting, maximum co-joined value, and
-max-min thresholds are instances.
+over their tuples' val(.) values. Counting and max-min thresholds are
+instances.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from .errors import EngineError, SemiringLawError
 from .instrument import StepCounter
-from .model import Atom, ConjunctiveQuery, Database, Row, TaggedValue
+from .model import ConjunctiveQuery, Database, Row
 from .structure import RootedJoinTree, tree_for_query
 
 
@@ -69,23 +69,8 @@ def _min_times(a, b):
     return a if a <= b else b
 
 
-def _shift_times(a, b):
-    # componentwise addition on tagged values; -inf absorbs
-    if a is NEG_INF or b is NEG_INF:
-        return NEG_INF
-    return TaggedValue(a.base + b.base, a.rank + b.rank)
-
-
 COUNTING = Semiring("counting", operator.add, operator.mul, 0, 1)
 MAX_MIN = Semiring("max-min", _max_plus, _min_times, NEG_INF, POS_INF)
-MAX_TROPICAL = Semiring("max-tropical", _max_plus, _shift_times, NEG_INF, TaggedValue(0, 0))
-MIN_TROPICAL = Semiring(
-    "min-tropical",
-    lambda a, b: b if a is POS_INF else a if b is POS_INF else (a if a <= b else b),
-    lambda a, b: POS_INF if (a is POS_INF or b is POS_INF) else TaggedValue(a.base + b.base, a.rank + b.rank),
-    POS_INF,
-    TaggedValue(0, 0),
-)
 
 
 def check_semiring_laws(s: Semiring, samples, rng: random.Random | None = None) -> None:
@@ -149,18 +134,6 @@ class AggAnnotation:
         self.rows_of: dict[int, list[Row]] = rows_of
         self.schema_of: dict[int, tuple[str, ...]] = schema_of
         self.values_of: dict[int, list] = values_of
-        self._index: dict[int, dict[Row, object]] | None = None
-
-    def value(self, node: int, row: Row):
-        if self._index is None:
-            self._index = {
-                n: dict(zip(rows, self.values_of[n])) for n, rows in self.rows_of.items()
-            }
-        return self._index[node][row]
-
-    def __getitem__(self, key):
-        node, row = key
-        return self.value(node, row)
 
     def as_map(self, node: int) -> dict[Row, object]:
         return dict(zip(self.rows_of[node], self.values_of[node]))
@@ -173,7 +146,6 @@ def aggregate_bottom_up(
     val: Callable[[int, Row], object],
     s: Semiring,
     *,
-    check_laws: bool = False,
     counter: StepCounter | None = None,
 ) -> AggAnnotation:
     """Children-to-parent message passing over the join tree.
@@ -192,14 +164,11 @@ def aggregate_bottom_up(
     messages: dict[int, dict] = {}  # child id -> {key: folded message}
     order = t.bfs_order()
     children = t.children()
-    sample_pool: list = []
 
     for n in reversed(order):
         rows = rows_of[n]
         schema = schema_of[n]
         vals = [val(n, r) for r in rows]
-        if check_laws and len(sample_pool) < 32:
-            sample_pool.extend(vals[:8])
         for c in children[n]:
             shared = sorted(t.vars_of[n] & t.vars_of[c])
             idx = tuple(schema.index(v) for v in shared)
@@ -227,8 +196,6 @@ def aggregate_bottom_up(
             if counter is not None:
                 counter.add(len(rows))
 
-    if check_laws:
-        check_semiring_laws(s, sample_pool)
     return AggAnnotation(rows_of, schema_of, values_of)
 
 
@@ -249,46 +216,6 @@ def count_answers(
     t = tree if tree is not None else tree_for_query(q)
     ann = aggregate_bottom_up(q, db, t, lambda n, r: 1, COUNTING, counter=counter)
     return sum(ann.values_of[t.root])
-
-
-def _cojoined_extremum(q, y, alpha, db, *, minimize: bool):
-    if isinstance(alpha, Atom):
-        alpha_idx = q.atoms.index(alpha)
-    else:
-        alpha_idx = next((i for i, a in enumerate(q.atoms) if a.symbol == alpha), None)
-        if alpha_idx is None:
-            raise EngineError(f"atom {alpha!r} not in the query")
-    if y not in q.variables:
-        raise EngineError(f"variable {y!r} not in the query")
-    t = tree_for_query(q)
-    node = next(n for n in t.nodes() if t.atom_of[n] == alpha_idx)
-    t = t.reroot(node)
-    carrier_atom = alpha_idx if y in q.atoms[alpha_idx].vars else next(
-        i for i, a in enumerate(q.atoms) if y in a.vars
-    )
-    ycol = q.atoms[carrier_atom].vars.index(y)
-    s = MIN_TROPICAL if minimize else MAX_TROPICAL
-
-    def val(n, row):
-        if t.atom_of[n] == carrier_atom:
-            return row[ycol]
-        return s.one
-
-    ann = aggregate_bottom_up(q, db, t, val, s)
-    return ann.as_map(node)
-
-
-def max_cojoined_value(q: ConjunctiveQuery, y: str, alpha, db: Database) -> dict[Row, object]:
-    """For each tuple of `alpha`: the maximum y value over all answers of
-    the all-free query extending it; -inf for tuples joining with nothing."""
-    qf = ConjunctiveQuery(q.atoms, q.variables, q.name)
-    return _cojoined_extremum(qf, y, alpha, db, minimize=False)
-
-
-def min_cojoined_value(q: ConjunctiveQuery, y: str, alpha, db: Database) -> dict[Row, object]:
-    """Mirror of max_cojoined_value; +inf for dangling tuples."""
-    qf = ConjunctiveQuery(q.atoms, q.variables, q.name)
-    return _cojoined_extremum(qf, y, alpha, db, minimize=True)
 
 
 def thresholds(
@@ -321,3 +248,13 @@ def thresholds(
         return min(row[i] for i in cols)
 
     return aggregate_bottom_up(q, db, t, val, MAX_MIN, counter=counter)
+
+
+def below_threshold(v, theta, strict: bool) -> bool:
+    """v <= theta (v < theta when strict) for a threshold from `thresholds`:
+    -inf admits no value, +inf admits every value."""
+    if theta is NEG_INF:
+        return False
+    if theta is POS_INF:
+        return True
+    return v < theta if strict else v <= theta

@@ -166,13 +166,6 @@ class RootedJoinTree:
             raise EngineError(f"variable {v!r} not in the tree")
         return min(cands, key=lambda i: (depths[i], i))
 
-    def neighbors_of_var(self, v: str) -> frozenset[str]:
-        out: set[str] = set()
-        for i in self.nodes_with_var(v):
-            out |= self.vars_of[i]
-        out.discard(v)
-        return frozenset(out)
-
     # -- validity ------------------------------------------------------
 
     def satisfies_running_intersection(self) -> bool:
@@ -463,6 +456,9 @@ def classify(task: Task, q: ConjunctiveQuery, spec) -> Verdict:
                                    chordless >=3-path from x0 to a free MIN var)
       ranked_da                    acyclic free-connex, and no chordless
                                    >=3-path between two ranking variables
+
+    A predicate task with spec None (no predicate) gets the structural
+    verdict, without the path condition.
     """
     h = hypergraph_of(q)
     tree, core = _gyo(h)
@@ -491,6 +487,8 @@ def classify(task: Task, q: ConjunctiveQuery, spec) -> Verdict:
 
     if task in (Task.ELIMINATION, Task.COUNTING, Task.UNRANKED_DA_PRED):
         p = spec
+        if p is None:
+            return Verdict(task, True)
         if not isinstance(p, MinPredicate):
             raise EngineError(f"{task.value}: needs a MinPredicate spec")
         p.check_vars(q)
@@ -508,16 +506,10 @@ def classify_all(q: ConjunctiveQuery, p: MinPredicate | None, r: MinRanking | No
     """Verdicts for all eight tasks.
 
     Missing declarations degrade to the structural core: a predicate task
-    with no predicate (or a ranking task with no ranking) is classified
-    with an empty variable set, collapsing the side condition.
+    with no predicate is classified with spec None, and a ranking task with
+    no ranking with an empty variable set, collapsing the side condition.
     """
-    out = []
-    for task in Task:
-        if task in RANKING_TASKS:
-            out.append(classify(task, q, r.xs if r else ()))
-        elif task is Task.BOOLEAN:
-            out.append(classify(task, q, p))
-        else:
-            spec = p if p is not None else MinPredicate(q.variables[0], (q.variables[0],))
-            out.append(classify(task, q, spec))
-    return out
+    return [
+        classify(task, q, (r.xs if r else ()) if task in RANKING_TASKS else p)
+        for task in Task
+    ]

@@ -261,6 +261,7 @@ def test_is_nonempty_random_agrees_with_oracle(rng):
         xs = tuple(rng.sample(vars_, min(2, len(vars_))))
         p = MinPredicate(x0, xs)
         db = rand_database(rng, q, dom=5, max_rows=5)
-        want = bool(oracle_answers(q, db, predicate=p))
-        assert is_nonempty(q, p, db) == want, (q.to_text(), str(p))
+        for pred in (p, None):
+            want = bool(oracle_answers(q, db, predicate=pred))
+            assert is_nonempty(q, pred, db) == want, (q.to_text(), str(pred))
         done += 1

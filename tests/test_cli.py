@@ -170,6 +170,30 @@ def test_cli_oracle_cross_checks(star_dir, capsys):
     assert rc == 0
 
 
+def test_cli_oracle_max_order_and_no_predicate(tmp_path, capsys):
+    # ORDER BY MAX: the check compares rank keys on un-negated answers
+    body = "Q(x,y,z) :- R(x,y), S(y,z).\n"
+    (tmp_path / "q.mq").write_text(body + "ORDER BY MAX(x,z).\n")
+    (tmp_path / "plain.mq").write_text(body)
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "R").write_text("1,2\n5,2\n3,4\n")
+    (d / "S").write_text("2,7\n2,1\n4,0\n")
+    ranked = ["--query", str(tmp_path / "q.mq"), "--data", str(d)]
+    for k in range(4):
+        assert main(["oracle", "access", *ranked, "--index", str(k)]) == 0, k
+    # no predicate and no order: the predicate-free paths
+    plain = ["--query", str(tmp_path / "plain.mq"), "--data", str(d)]
+    for task in ("count", "bool", "enumerate"):
+        assert main(["oracle", task, *plain]) == 0, task
+    capsys.readouterr()
+    assert main(["access", *plain, "--range", "0..6", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["total"] == 5
+    assert [a["out_of_bounds"] for a in out["answers"]] == [False] * 5 + [True]
+    assert len({json.dumps(a["answer"], sort_keys=True) for a in out["answers"][:5]}) == 5
+
+
 def test_cli_max_ranking_negates(tmp_path, capsys):
     (tmp_path / "q.mq").write_text("Q(a,b) :- R(a,b).\nORDER BY MAX(a,b).\n")
     d = tmp_path / "d"

@@ -9,7 +9,9 @@ from minjoin import (
     MinPredicate,
     Task,
     UnsupportedPredicateError,
+    build_unranked_da_pred,
     classify,
+    count_with_predicate,
     disjointify,
     eliminate_enforced_order,
     eliminate_min_predicate,
@@ -203,6 +205,10 @@ def test_eliminate_min_predicate_random_sweep(rng):
         if not q.is_self_join_free or q.is_boolean:
             continue
         p = rand_predicate(rng, q)
+        # no predicate: the structural verdict, as for the trivial x0 <= MIN(x0)
+        trivial = MinPredicate(q.variables[0], (q.variables[0],))
+        for task in (Task.ELIMINATION, Task.COUNTING, Task.UNRANKED_DA_PRED):
+            assert classify(task, q, None) == classify(task, q, trivial)
         if not classify(Task.ELIMINATION, q, p).tractable:
             skipped += 1
             continue
@@ -212,18 +218,24 @@ def test_eliminate_min_predicate_random_sweep(rng):
         except UnsupportedPredicateError:
             skipped += 1
             continue
-        parts = _part_answers(res)
-        union: set[Answer] = set()
-        total = 0
-        for s in parts:
-            total += len(s)
-            union |= s
-        assert total == len(union), "parts overlap"
-        assert union == oracle_answers(q, db, predicate=p), (q.to_text(), str(p))
-        for part in res.parts:
-            assert part.query.is_full and part.query.is_self_join_free
-            assert is_free_connex(part.query)
-            assert set(res.source_vars) <= set(part.query.variables)
+        for pred, res in ((p, res), (None, eliminate_min_predicate(q, None, db))):
+            want = oracle_answers(q, db, predicate=pred)
+            parts = _part_answers(res)
+            union: set[Answer] = set()
+            total = 0
+            for s in parts:
+                total += len(s)
+                union |= s
+            assert total == len(union), "parts overlap"
+            assert union == want, (q.to_text(), str(pred))
+            for part in res.parts:
+                assert part.query.is_full and part.query.is_self_join_free
+                assert is_free_connex(part.query)
+                assert set(res.source_vars) <= set(part.query.variables)
+            assert count_with_predicate(q, pred, db) == len(want)
+            da = build_unranked_da_pred(q, pred, db)
+            got = [da.access(k) for k in range(da.total)]
+            assert len(got) == len(set(got)) and set(got) == want
         done += 1
     assert done >= 80
 

@@ -9,7 +9,6 @@ from minjoin import (
     enumerate_with_predicate,
     oracle_answers,
     parse_query,
-    regularized,
 )
 from minjoin.model import Database, Relation
 
@@ -162,14 +161,24 @@ def test_ranked_random(rng):
         done += 1
 
 
-def test_regularized_wrapper_preserves_drain():
-    q, db = _star()
-    plain = enumerate_ranked_min(q, ("x0", "x1"), db).drain()
-    wrapped = regularized(enumerate_ranked_min(q, ("x0", "x1"), db), quantum=4).drain()
-    assert wrapped == plain
-
-
 # -- delay properties ---------------------------------------------------------
+
+
+def test_avg_delay_within_max_delay(rng):
+    q1, _, _ = parse_query("Q(x) :- R(x).")
+    one = enumerate_full_acyclic(q1, Database({"R": Relation.from_ints("R", 1, [[7]])}))
+    assert len(one.drain()) == 1
+    # one emission: the average is that emission's delay, which is the max
+    assert one.avg_delay == one.max_delay
+    q, db = _star()
+    qp, p, _ = parse_query(PATH)
+    for s in (
+        enumerate_full_acyclic(q, db),
+        enumerate_ranked_min(q, ("x0", "x1"), db),
+        enumerate_with_predicate(qp, p, _path_db(rng)),
+    ):
+        assert len(s.drain()) > 1
+        assert 0 < s.avg_delay <= s.max_delay
 
 
 def _scaled_path_db(n, seed):

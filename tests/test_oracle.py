@@ -58,14 +58,6 @@ def test_oracle_identity_filter():
     assert oracle_filter(ans, MinPredicate("x0", ("x0",))) == ans
 
 
-def test_oracle_equality_filter():
-    q, _, db = star()
-    ans = oracle_answers(q, db)
-    eq = oracle_filter(ans, ("x1", "x2"))
-    assert all(a["x1"] == a["x2"] for a in eq)
-    assert len(eq) == 2  # x1=x2=2 with x0 in {1,2}
-
-
 def test_oracle_sorted_min_and_max():
     q, _, db = star()
     ans = oracle_answers(q, db)

@@ -1,10 +1,9 @@
 import pytest
 
 from minjoin import (
-    EngineError,
     MinPredicate,
+    TaggedValue,
     UnsupportedPredicateError,
-    eliminate_existential_inequality,
     is_free_connex,
     oracle_answers,
     parse_query,
@@ -103,72 +102,56 @@ def test_restrict_drops_disconnected_existential_atom():
     assert oracle_answers(q3, d3) == oracle_answers(q, db2)
 
 
-# -- existential inequality elimination ---------------------------------------
+# -- existential inequalities folded by restrict_predicate_to_free -------------
+
+
+def _fold(text, rows, p):
+    """Restrict Q AND p over `rows` (symbol -> int rows) to the free
+    variables; the result must keep the oracle's answers."""
+    q, _, _ = parse_query(text)
+    db = Database({a.symbol: Relation.from_ints(a.symbol, a.arity, rows[a.symbol]) for a in q.atoms})
+    q2, p2, d2 = restrict_predicate_to_free(q, p, db)
+    assert oracle_answers(q2, d2, predicate=p2) == oracle_answers(q, db, predicate=p)
+    return q2, p2, d2
 
 
 def test_eliminate_existential_basic_removal():
     # x lives in y's branch atom: plain per-tuple comparison
-    q, _, _ = parse_query("Q(x) :- R(x,y).")
-    db = Database({"R": Relation.from_ints("R", 2, [[5, 3], [5, 9], [7, 1]])})
-    d2 = eliminate_existential_inequality(q, "x", "y", db)
-    assert oracle_answers(q, d2) == oracle_answers(q, db, predicate=MinPredicate("x", ("y",)))
+    q2, p2, d2 = _fold("Q(x) :- R(x,y).", {"R": [[5, 3], [5, 9], [7, 1]]}, MinPredicate("x", ("y",)))
+    assert p2 is None and d2.relation(q2.atoms[0].symbol).rows == ((TaggedValue(5),),)
 
 
 def test_eliminate_existential_boundary_strict():
-    q, _, _ = parse_query("Q(x) :- R(x,y).")
-    db = Database({"R": Relation.from_ints("R", 2, [[5, 5]])})
-    keep = eliminate_existential_inequality(q, "x", "y", db, strict=False)
-    drop = eliminate_existential_inequality(q, "x", "y", db, strict=True)
-    assert len(keep.relation("R")) == 1 and len(drop.relation("R")) == 0
+    rows = {"R": [[5, 5]]}
+    q2, _, keep = _fold("Q(x) :- R(x,y).", rows, MinPredicate("x", ("y",)))
+    q3, _, drop = _fold("Q(x) :- R(x,y).", rows, MinPredicate("x", ("y",), strict=True))
+    assert len(keep.relation(q2.atoms[0].symbol)) == 1
+    assert len(drop.relation(q3.atoms[0].symbol)) == 0
 
 
 def test_eliminate_existential_through_branch():
     # y is one join away from the branch atom holding x
-    q, _, _ = parse_query("Q(x,u) :- R(x,z), S(z,y), T(u).")
-    db = Database(
-        {
-            "R": Relation.from_ints("R", 2, [[4, 1], [9, 1], [2, 2]]),
-            "S": Relation.from_ints("S", 2, [[1, 6], [2, 1]]),
-            "T": Relation.from_ints("T", 1, [[0]]),
-        }
+    _fold(
+        "Q(x,u) :- R(x,z), S(z,y), T(u).",
+        {"R": [[4, 1], [9, 1], [2, 2]], "S": [[1, 6], [2, 1]], "T": [[0]]},
+        MinPredicate("x", ("y",)),
     )
-    d2 = eliminate_existential_inequality(q, "x", "y", db)
-    want = oracle_answers(q, db, predicate=MinPredicate("x", ("y",)))
-    assert oracle_answers(q, d2) == want
 
 
 def test_eliminate_existential_independent_component():
-    q, _, _ = parse_query("Q(x) :- R(x), S(y).")
-    db = Database(
-        {
-            "R": Relation.from_ints("R", 1, [[1], [5], [9]]),
-            "S": Relation.from_ints("S", 1, [[4], [6]]),
-        }
-    )
-    d2 = eliminate_existential_inequality(q, "x", "y", db)
-    want = oracle_answers(q, db, predicate=MinPredicate("x", ("y",)))
-    assert oracle_answers(q, d2) == want
+    _fold("Q(x) :- R(x), S(y).", {"R": [[1], [5], [9]], "S": [[4], [6]]}, MinPredicate("x", ("y",)))
 
 
 def test_eliminate_existential_refuses_unsound_site():
     # y's branch atom C(v,y) carries the free variable v but not x:
     # no single-relation filter can express the condition
-    q, _, _ = parse_query("Q(x,v) :- A(x), C(v,y).")
-    db = Database(
-        {
-            "A": Relation.from_ints("A", 1, [[3]]),
-            "C": Relation.from_ints("C", 2, [[1, 5], [2, 2]]),
-        }
-    )
     with pytest.raises(UnsupportedPredicateError):
-        eliminate_existential_inequality(q, "x", "y", db)
+        _fold("Q(x,v) :- A(x), C(v,y).", {"A": [[3]], "C": [[1, 5], [2, 2]]}, MinPredicate("x", ("y",)))
 
 
-def test_eliminate_existential_rejects_free_y():
-    q, _, _ = parse_query("Q(x,y) :- R(x,y).")
-    db = Database({"R": Relation.from_ints("R", 2, [[1, 2]])})
-    with pytest.raises(EngineError):
-        eliminate_existential_inequality(q, "x", "y", db)
+def test_restrict_predicate_free_y_stays_residual():
+    _, p2, _ = _fold("Q(x,y) :- R(x,y).", {"R": [[1, 2]]}, MinPredicate("x", ("y",)))
+    assert p2 == MinPredicate("x", ("y",))
 
 
 def test_eliminate_existential_never_removes_participants(rng):
@@ -185,10 +168,10 @@ def test_eliminate_existential_never_removes_participants(rng):
         db = rand_database(rng, q, dom=5, max_rows=6)
         p = MinPredicate(x, (y,))
         try:
-            d2 = eliminate_existential_inequality(q, x, y, db)
+            q2, p2, d2 = restrict_predicate_to_free(q, p, db)
         except UnsupportedPredicateError:
             continue
-        assert oracle_answers(q, d2) == oracle_answers(q, db, predicate=p)
+        assert oracle_answers(q2, d2, predicate=p2) == oracle_answers(q, db, predicate=p)
         done += 1
 
 

@@ -6,7 +6,6 @@ import pytest
 from minjoin import (
     COUNTING,
     MAX_MIN,
-    MAX_TROPICAL,
     NEG_INF,
     POS_INF,
     Semiring,
@@ -16,7 +15,6 @@ from minjoin import (
     aggregate_bottom_up,
     check_semiring_laws,
     count_answers,
-    max_cojoined_value,
     oracle_answers,
     parse_query,
     thresholds,
@@ -43,7 +41,6 @@ def test_semiring_laws_hold_for_instances():
     check_semiring_laws(COUNTING, [0, 1, 2, 5, 9])
     vals = [TaggedValue(i, 0) for i in (-3, 0, 2, 7)]
     check_semiring_laws(MAX_MIN, vals)
-    check_semiring_laws(MAX_TROPICAL, vals)
 
 
 def test_semiring_law_checker_catches_breakage():
@@ -131,31 +128,6 @@ def test_aggregate_matches_definitional_fold(rng, which):
             for row, got in zip(ann.rows_of[n], ann.values_of[n]):
                 want = _brute_subtree_agg(q, db, t, val, s, n, row)
                 assert got == want, (q, n, row)
-
-
-def test_max_cojoined_value_star():
-    q, _, _ = parse_query(STAR)
-    db = star_db()
-    m = max_cojoined_value(q, "x1", "R0", db)
-    for row in db.relation("R0").rows:
-        assert m[row] == TaggedValue(2, 0)
-
-
-def test_max_cojoined_dangling_is_neg_inf():
-    q, _, _ = parse_query("Q(x,y) :- R(x), S(y).")
-    db = Database(
-        {"R": Relation.from_ints("R", 1, [[5]]), "S": Relation("S", 1, ())}
-    )
-    m = max_cojoined_value(q, "y", "R", db)
-    assert m[(TaggedValue(5),)] is NEG_INF
-
-
-def test_max_cojoined_self_containment():
-    q, _, _ = parse_query("Q(x,y) :- R(x,y).")
-    db = Database({"R": Relation.from_ints("R", 2, [[1, 9], [2, 3]])})
-    m = max_cojoined_value(q, "y", "R", db)
-    for row in db.relation("R").rows:
-        assert m[row] >= row[1]
 
 
 def test_thresholds_examples():
