@@ -10,6 +10,7 @@ probes. Counting and the Boolean task ride on the same machinery.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 from dataclasses import dataclass, field
 
 from .errors import EngineError, IntractableQueryError, OutOfBoundsError
@@ -25,19 +26,23 @@ from .model import (
 )
 from .elim import EliminationResult, eliminate_min_predicate, eliminate_strict_min_tagged
 from .partition import StrictPartialOrder
-from .semiring import COUNTING, aggregate_bottom_up, below_threshold, count_answers, thresholds
-from .structure import RootedJoinTree, Task, classify, tree_for_query
+from .semiring import below_threshold, count_answers, thresholds
+# kept as a name of this module, which the benchmark's layer tracing wraps
+from .semiring import aggregate_bottom_up  # noqa: F401
+from .structure import Task, TreePlan, classify, group_by, tree_for_query
 
 
 class LexDA:
     """Direct access by the order <x> over a full acyclic query's answers.
 
-    Build: root the join tree at a relaxed singleton {x} node above the
-    first atom containing x, aggregate subtree counts with the counting
-    semiring, and store each join bucket sorted with prefix sums. Access
-    descends the tree, decomposing the index by child-bucket mixed radix
-    and a binary search inside each bucket. The tie order below x is the
-    sorted-tuple bucket order, fixed and deterministic.
+    Build: root the join tree at the first atom containing x and, in one
+    bottom-up pass, give each row the count of the partial answers below
+    it (the product of its children's bucket totals) and store each join
+    bucket sorted, with prefix sums over those counts. The root bucket is
+    sorted by (x, row). Access descends the tree, decomposing the index by
+    child-bucket mixed radix and a binary search inside each bucket. The
+    tie order below x is the sorted-tuple bucket order, fixed and
+    deterministic.
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database, x: str, *, counter: StepCounter | None = None):
@@ -47,66 +52,46 @@ class LexDA:
             raise EngineError(f"sort variable {x!r} not in the query")
         self.query = q
         self.sort_var = x
-        base = tree_for_query(q)
-        host = min(
-            (n for n in base.nodes() if x in base.vars_of[n]),
-            key=lambda n: base.atom_of[n],
-        )
-        base = base.reroot(host)
-        root_id = max(base.nodes()) + 1
-        t = RootedJoinTree(
-            {**base.vars_of, root_id: frozenset((x,))},
-            {**base.atom_of, root_id: None},
-            {**base.parent, host: root_id, root_id: None},
-            root_id,
-            {root_id: host},
-        )
-        self.tree = t
-        ann = aggregate_bottom_up(q, db, t, lambda n, r: 1, COUNTING, counter=counter)
-        self._schema = ann.schema_of
-        self._children = t.children()
-        # per child node: {parent-key: (sorted rows, their counts' prefix sums)}
+        plan = self._plan = TreePlan(q, tree_for_query(q, at=x))
+        self._x_col = xc = plan.schema[plan.root].index(x)
+        # per node: {parent-key: (rows with a non-zero count, sorted, and
+        # their counts' prefix sums)}; the root's one key is ()
         self._buckets: dict[int, dict] = {}
-        self._key_cols: dict[int, tuple[int, ...]] = {}
-        self._parent_key_cols: dict[int, dict[int, tuple[int, ...]]] = {}
-        for n in t.nodes():
-            p = t.parent[n]
-            if p is None:
-                shared: tuple[str, ...] = ()
-            else:
-                shared = tuple(sorted(t.vars_of[n] & t.vars_of[p]))
-            self._key_cols[n] = tuple(self._schema[n].index(v) for v in shared)
-            groups: dict = {}
-            cols = self._key_cols[n]
-            for row, cnt in zip(ann.rows_of[n], ann.values_of[n]):
-                groups.setdefault(tuple(row[i] for i in cols), []).append((row, cnt))
+        for n in reversed(plan.order):
+            rows = plan.rows(db, n)
+            kids = [(self._buckets[c], plan.parent_key[c]) for c in plan.children[n]]
             buckets = {}
-            for key, pairs in groups.items():
-                pairs.sort(key=lambda rc: rc[0])
-                cum = [0]
-                for _, cnt in pairs:
-                    cum.append(cum[-1] + cnt)
-                if cum[-1]:
-                    buckets[key] = ([r for r, _ in pairs], cum)
+            for key, group in group_by(rows, plan.key.get(n, ())).items():
+                group.sort()
+                if n == plan.root:  # stable: by (x, row)
+                    group.sort(key=itemgetter(xc))
+                kept, cum = [], [0]
+                for row in group:
+                    cnt = 1
+                    for cb, ck in kids:
+                        b = cb.get(tuple(row[i] for i in ck))
+                        if b is None:
+                            break
+                        cnt *= b[1][-1]
+                    else:
+                        kept.append(row)
+                        cum.append(cum[-1] + cnt)
+                if kept:
+                    buckets[key] = (kept, cum)
             self._buckets[n] = buckets
             if counter is not None:
-                counter.add(len(ann.rows_of[n]))
-        for p in t.nodes():
-            self._parent_key_cols[p] = {}
-            for c in self._children[p]:
-                shared = tuple(sorted(t.vars_of[c] & t.vars_of[p]))
-                self._parent_key_cols[p][c] = tuple(self._schema[p].index(v) for v in shared)
-        root_bucket = self._buckets[t.root].get((), ([], [0]))
-        self.total: int = root_bucket[1][-1]
+                counter.add(len(rows))
+        self.total: int = self._bucket_total(plan.root, ())
 
     def root_groups(self):
         """[(x value, answer count, answers strictly below)] in x order."""
-        rows, cum = self._buckets[self.tree.root].get((), ([], [0]))
-        return [
-            (row[0], cum[i + 1] - cum[i], cum[i])
-            for i, row in enumerate(rows)
-            if cum[i + 1] > cum[i]
-        ]
+        rows, cum = self._buckets[self._plan.root].get((), ([], [0]))
+        groups: list[list] = []
+        for i, row in enumerate(rows):
+            if not groups or groups[-1][0] != row[self._x_col]:
+                groups.append([row[self._x_col], 0, cum[i]])
+            groups[-1][1] += cum[i + 1] - cum[i]
+        return [tuple(g) for g in groups]
 
     def _bucket_total(self, node: int, key) -> int:
         b = self._buckets[node].get(key)
@@ -117,6 +102,7 @@ class LexDA:
         if k < 0 or k >= self.total:
             raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
         out: dict[str, TaggedValue] = {}
+        plan = self._plan
 
         def descend(node: int, key, local: int):
             rows, cum = self._buckets[node][key]
@@ -125,15 +111,14 @@ class LexDA:
                 probes.add(max(1, len(cum).bit_length()))
             row = rows[i]
             local -= cum[i]
-            schema = self._schema[node]
-            for v, c in zip(schema, row):
+            for v, c in zip(plan.schema[node], row):
                 out[v] = c
-            kids = self._children[node]
+            kids = plan.children[node]
             if not kids:
                 return
             totals = []
             for c in kids:
-                ck = tuple(row[i2] for i2 in self._parent_key_cols[node][c])
+                ck = tuple(row[i2] for i2 in plan.parent_key[c])
                 totals.append((c, ck, self._bucket_total(c, ck)))
             block = 1
             for _, _, s in totals:
@@ -146,7 +131,7 @@ class LexDA:
                 descend(c, ck, q)
             # local is now 0: the last child consumed the remainder
 
-        descend(self.tree.root, (), k)
+        descend(plan.root, (), k)
         return out
 
 
@@ -338,10 +323,12 @@ def build_unranked_da_pred(q: ConjunctiveQuery, p: MinPredicate | None, db: Data
 
 def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> int:
     """|(Q AND P)(D)| by summing the disjoint elimination parts; |Q(D)|
-    when p is None."""
+    when p is None. A Boolean query has one (empty) answer or none."""
     verdict = classify(Task.COUNTING, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
+    if q.is_boolean:
+        return int(is_nonempty(q, p, db))
     res = eliminate_min_predicate(q, p, db)
     return sum(count_answers(part.query, part.database) for part in res.parts)
 
@@ -365,14 +352,10 @@ def is_nonempty(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> bo
         x0, xs, strict = p.x0, [x for x in p.xs if x != p.x0], p.strict
     q1, d1 = remove_self_joins(q, db)
     qf = ConjunctiveQuery(q1.atoms, q1.variables, q1.name)
-    t = tree_for_query(qf)
-    x0_node = min(
-        (n for n in t.nodes() if x0 in t.vars_of[n]), key=lambda n: t.atom_of[n]
-    )
-    t = t.reroot(x0_node)
+    t = tree_for_query(qf, at=x0)
     ann = thresholds(qf, xs, t, d1)
-    xi = qf.atoms[t.atom_of[x0_node]].vars.index(x0)
+    xi = qf.atoms[t.atom_of[t.root]].vars.index(x0)
     return any(
         below_threshold(row[xi], theta, strict)
-        for row, theta in zip(ann.rows_of[x0_node], ann.values_of[x0_node])
+        for row, theta in zip(ann.rows_of[t.root], ann.values_of[t.root])
     )

@@ -16,6 +16,7 @@ from .access import build_min_da, build_unranked_da_pred, count_with_predicate, 
 from .bench import bench_enum_pred, bench_min_da, bench_ranked, default_sizes
 from .elim import eliminate_min_predicate
 from .enumeration import (
+    AnswerStream,
     enumerate_full_acyclic,
     enumerate_ranked_min,
     enumerate_with_predicate,
@@ -48,6 +49,28 @@ def _print_answer(a, *, negate=False, json_mode=False):
     if json_mode:
         return items
     return ", ".join(f"{k}={v}" for k, v in sorted(items.items()))
+
+
+class _BooleanAnswers:
+    """A Boolean query's answers, the empty assignment if the query holds
+    and none otherwise, as a direct-access structure and a stream cursor."""
+
+    steps = 0
+
+    def __init__(self, holds: bool):
+        self.total = int(holds)
+        self._emitted = 0
+
+    def access(self, k: int) -> Answer:
+        if not 0 <= k < self.total:
+            raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
+        return Answer({})
+
+    def next_answer(self):
+        if self._emitted == self.total:
+            return None
+        self._emitted += 1
+        return Answer({})
 
 
 def _restricted_plain(q: ConjunctiveQuery, db: Database):
@@ -151,6 +174,8 @@ def _build_stream(q, p, r, db, ranked: bool):
     verdict = classify(Task.ENUM_PRED, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
+    if q.is_boolean:
+        return AnswerStream(_BooleanAnswers(is_nonempty(q, p, db)), ()), False
     qf, residual, dbf = (q, p, db) if q.is_full else restrict_predicate_to_free(q, p, db)
     if residual is None:
         return enumerate_full_acyclic(qf, dbf), False
@@ -207,6 +232,8 @@ def _build_da(q, p, r, db):
         work_db = negate_database(db) if r.maximize else db
         qf, dbf = _restricted_plain(q, work_db)
         return build_min_da(qf, r.xs, dbf), r.maximize
+    if q.is_boolean:
+        return _BooleanAnswers(is_nonempty(q, p, db)), False
     return build_unranked_da_pred(q, p, db), False
 
 

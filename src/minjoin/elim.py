@@ -24,11 +24,10 @@ from .model import (
     TaggedValue,
     disjointify,
     fresh_symbol,
-    remove_self_joins,
 )
 from .partition import OrderTreePair, StrictPartialOrder, partition_min_orders
 from .reduce import restrict_predicate_to_free
-from .structure import Task, classify, tree_for_query
+from .structure import Task, TreePlan, classify, tree_for_query
 
 
 @dataclass(frozen=True)
@@ -105,12 +104,9 @@ def eliminate_enforced_order(
     if not q.is_full or not q.is_self_join_free:
         raise EngineError("enforced-order elimination needs a full self-join-free query")
     t = pair.tree
-    for n in t.nodes():
-        if t.atom_of[n] is None:
-            raise EngineError("enforcing tree must not contain relaxed nodes")
-
-    rows_of = {n: list(db.relation(q.atoms[t.atom_of[n]].symbol).rows) for n in t.nodes()}
-    schema_of = {n: list(q.atoms[t.atom_of[n]].vars) for n in t.nodes()}
+    plan = TreePlan(q, t)
+    rows_of = {n: list(plan.rows(db, n)) for n in t.nodes()}
+    schema_of = {n: list(plan.schema[n]) for n in t.nodes()}
     var_pos = {v: i for i, v in enumerate(q.variables)}
     ordered_pairs = sorted(pair.order.pairs, key=lambda ab: (var_pos[ab[0]], var_pos[ab[1]]))
     edge_list = sorted((min(e), max(e)) for e in t.edges())
@@ -161,8 +157,7 @@ def eliminate_enforced_order(
     atoms: list[Atom] = []
     rels: dict[str, Relation] = {}
     for n in sorted(t.nodes(), key=lambda n: t.atom_of[n]):
-        base = q.atoms[t.atom_of[n]].symbol
-        sym = fresh_symbol(f"{base}{part_tag}", taken)
+        sym = fresh_symbol(f"{plan.symbol[n]}{part_tag}", taken)
         vars_ = tuple(schema_of[n])
         atoms.append(Atom(sym, vars_))
         rels[sym] = Relation(sym, len(vars_), tuple(rows_of[n]))
@@ -184,12 +179,7 @@ def eliminate_strict_min_tagged(
     query over an already disjointified database. Inner engine of both
     the public elimination and the ranked direct-access build."""
     xs = [x for x in xs if x != x0]
-    tree = tree_for_query(q)
-    root = min(
-        (n for n in tree.nodes() if x0 in tree.vars_of[n]),
-        key=lambda n: tree.atom_of[n],
-    )
-    tree = tree.reroot(root)
+    tree = tree_for_query(q, at=x0)
     parts = []
     if xs:
         otps = partition_min_orders(tree, x0, xs, var_order=q.variables)
@@ -210,8 +200,8 @@ def eliminate_min_predicate(
     With p None the result is the single part (Q, D) restricted to the
     free variables.
 
-    Pipeline: fold existential inequalities into the data and restrict to
-    the free variables; remove self-joins; disjointify (x0 gets the
+    Pipeline: remove self-joins, fold existential inequalities into the
+    data and restrict to the free variables; disjointify (x0 gets the
     smallest rank, or the largest for the strict variant); partition the
     residual predicate into enforced orders; eliminate each order.
     """
@@ -221,8 +211,7 @@ def eliminate_min_predicate(
     if q.is_boolean:
         raise EngineError("Boolean queries take the is_nonempty route")
 
-    q1, residual, d1 = restrict_predicate_to_free(q, p, db)
-    q2, d2 = remove_self_joins(q1, d1)
+    q2, residual, d2 = restrict_predicate_to_free(q, p, db)
     source_vars = q.free_vars
 
     if residual is None:

@@ -8,10 +8,10 @@ and a step counter, so delay properties are assertable without clocks.
 from __future__ import annotations
 
 from .errors import EngineError
-from .model import Answer, ConjunctiveQuery, Database, MinPredicate, TaggedValue
+from .model import Answer, ConjunctiveQuery, Database, MinPredicate, TaggedValue, remove_self_joins
 from .reduce import semijoin_reduce
-from .semiring import NEG_INF, POS_INF, thresholds
-from .structure import RootedJoinTree, tree_for_query
+from .semiring import NEG_INF, POS_INF, below_threshold, thresholds
+from .structure import TreePlan, group_by, tree_for_query
 
 
 class AnswerStream:
@@ -161,9 +161,8 @@ class _DescentCursor:
 
 
 def _build_descent(
-    q: ConjunctiveQuery,
+    plan: TreePlan,
     db: Database,
-    t: RootedJoinTree,
     *,
     bucket_sort=None,
     root_sort=None,
@@ -172,101 +171,83 @@ def _build_descent(
     bound_var=None,
 ):
     """Shared preprocessing: bucket every non-root node, order the root."""
-    order = t.bfs_order()  # any topological order works for the odometer
+    order = plan.order  # any topological order works for the odometer
     pos = {n: i for i, n in enumerate(order)}
-    schemas, parent_ix, parent_cols, buckets = [], [], [], []
+    buckets: list[dict] = [{}]
     build_steps = 0
-    for i, n in enumerate(order):
-        atom = q.atoms[t.atom_of[n]]
-        schemas.append(atom.vars)
-        if i == 0:
-            parent_ix.append(-1)
-            parent_cols.append(())
-            buckets.append({})
-            continue
-        p = t.parent[n]
-        shared = tuple(sorted(t.vars_of[n] & t.vars_of[p]))
-        own_cols = tuple(atom.vars.index(v) for v in shared)
-        pschema = q.atoms[t.atom_of[p]].vars
-        parent_ix.append(pos[p])
-        parent_cols.append(tuple(pschema.index(v) for v in shared))
-        groups: dict = {}
-        for row in db.relation(atom.symbol).rows:
-            groups.setdefault(tuple(row[c] for c in own_cols), []).append(row)
-        for key, rows in groups.items():
+    for n in order[1:]:
+        groups = group_by(plan.rows(db, n), plan.key[n])
+        for rows in groups.values():
             rows.sort()
             if bucket_sort is not None:
                 rows.sort(key=lambda r: bucket_sort(n, r), reverse=True)
             build_steps += len(rows)
         buckets.append(groups)
-    root_atom = q.atoms[t.atom_of[order[0]]]
-    root_rows = list(db.relation(root_atom.symbol).rows)
+    root_rows = list(plan.rows(db, plan.root))
     if root_filter is not None:
         root_rows = [r for r in root_rows if root_filter(r)]
     root_rows.sort()
     if root_sort is not None:
         root_rows.sort(key=root_sort)
     build_steps += len(root_rows)
-    bound_col = root_atom.vars.index(bound_var) if bound_var is not None else None
     cursor = _DescentCursor(
-        order, schemas, parent_ix, parent_cols, buckets, root_rows,
-        cut=cut, bound_col=bound_col,
+        order,
+        [plan.schema[n] for n in order],
+        [-1] + [pos[plan.parent[n]] for n in order[1:]],
+        [()] + [plan.parent_key[n] for n in order[1:]],
+        buckets,
+        root_rows,
+        cut=cut,
+        bound_col=plan.schema[plan.root].index(bound_var) if bound_var is not None else None,
     )
     return cursor, build_steps
 
 
 def enumerate_full_acyclic(
-    q: ConjunctiveQuery, db: Database, *, tree: RootedJoinTree | None = None,
-    root_sort_var: str | None = None,
+    q: ConjunctiveQuery, db: Database, *, root_sort_var: str | None = None,
 ) -> AnswerStream:
-    """All answers of a full acyclic self-join-free query, constant delay
-    after the semijoin reduction. With `root_sort_var`, answers come out
-    in non-decreasing order of that variable."""
-    if not q.is_full or not q.is_self_join_free:
-        raise EngineError("enumeration needs a full self-join-free query")
-    t = tree if tree is not None else tree_for_query(q)
-    if root_sort_var is not None:
-        host = min(
-            (n for n in t.nodes() if root_sort_var in t.vars_of[n]),
-            key=lambda n: t.atom_of[n],
-        )
-        t = t.reroot(host)
-    reduced = semijoin_reduce(q, db, t)
+    """All answers of a full acyclic query, constant delay after the
+    semijoin reduction. With `root_sort_var`, answers come out in
+    non-decreasing order of that variable."""
+    if not q.is_full:
+        raise EngineError("enumeration needs a full query")
+    q, db = remove_self_joins(q, db)
+    plan = TreePlan(q, tree_for_query(q, at=root_sort_var))
+    reduced = semijoin_reduce(q, db, plan.tree)
     root_sort = None
     if root_sort_var is not None:
-        col = q.atoms[t.atom_of[t.root]].vars.index(root_sort_var)
+        col = plan.schema[plan.root].index(root_sort_var)
         root_sort = lambda r: (r[col], r)
-    cursor, build_steps = _build_descent(q, reduced, t, root_sort=root_sort)
+    cursor, build_steps = _build_descent(plan, reduced, root_sort=root_sort)
     return AnswerStream(cursor, q.free_vars, build_steps)
 
 
 def enumerate_with_predicate(
     q: ConjunctiveQuery, p: MinPredicate, db: Database
 ) -> AnswerStream:
-    """Answers of Q AND (x0 <= min X) for any full acyclic self-join-free
-    query: no structural side condition.
+    """Answers of Q AND (x0 <= min X) for any full acyclic query: no
+    structural side condition.
 
     The tree is rooted at an atom containing x0; every tuple carries the
     best min-over-X value reachable below it (its threshold), buckets are
     scanned in decreasing threshold order, and a descent stops as soon as
     a threshold drops under the current x0 value.
     """
-    if not q.is_full or not q.is_self_join_free:
-        raise EngineError("enumeration needs a full self-join-free query")
+    if not q.is_full:
+        raise EngineError("enumeration needs a full query")
     p.check_vars(q)
+    q, db = remove_self_joins(q, db)
     x0 = p.x0
     xs = [x for x in p.xs if x != x0]
-    t = tree_for_query(q)
-    host = min((n for n in t.nodes() if x0 in t.vars_of[n]), key=lambda n: t.atom_of[n])
-    t = t.reroot(host)
+    plan = TreePlan(q, tree_for_query(q, at=x0))
+    t = plan.tree
     reduced = semijoin_reduce(q, db, t)
     ann = thresholds(q, xs, t, reduced)
-    theta = {n: ann.as_map(n) for n in t.nodes()}
+    theta = {n: ann.as_map(n) for n in plan.order}
     build_steps = reduced.size
-    order_nodes = t.bfs_order()
-    root_id = order_nodes[0]
-    root_atom = q.atoms[t.atom_of[root_id]]
-    x0_col = root_atom.vars.index(x0)
+    order_nodes = plan.order
+    root_id = plan.root
+    x0_col = plan.schema[root_id].index(x0)
     strict = p.strict
 
     def theta_key(n, row):
@@ -285,19 +266,11 @@ def enumerate_with_predicate(
             return False
         return v > bound if strict else v >= bound
 
-    def root_filter(row):
-        v = theta[root_id][row]
-        if v is POS_INF:
-            return True
-        if v is NEG_INF:
-            return False
-        return v > row[x0_col] if strict else v >= row[x0_col]
-
     cursor, more_steps = _build_descent(
-        q, reduced, t,
+        plan, reduced,
         bucket_sort=theta_key,
         root_sort=lambda r: (r[x0_col], r),
-        root_filter=root_filter,
+        root_filter=lambda r: below_threshold(r[x0_col], theta[root_id][r], strict),
         cut=cut,
         bound_var=x0,
     )
@@ -340,15 +313,16 @@ class _RankedMergeCursor:
 
 
 def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
-    """Answers of a full acyclic self-join-free query in non-decreasing
-    min-over-xs order, one parallel sorted stream per ranking variable.
+    """Answers of a full acyclic query in non-decreasing min-over-xs
+    order, one parallel sorted stream per ranking variable.
 
     Total work to the k-th emission is O(|D| + k*|xs|): an answer is
     skipped by a stream only if its responsible stream emits it, so skips
     are bounded by (|xs|-1) per emission.
     """
-    if not q.is_full or not q.is_self_join_free:
-        raise EngineError("enumeration needs a full self-join-free query")
+    if not q.is_full:
+        raise EngineError("enumeration needs a full query")
+    q, db = remove_self_joins(q, db)
     xs = tuple(dict.fromkeys(xs))
     qvars = set(q.variables)
     for x in xs:

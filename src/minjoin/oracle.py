@@ -74,9 +74,11 @@ def oracle_filter(answers: Iterable[Answer], p: MinPredicate) -> set[Answer]:
 def oracle_sorted(
     answers: Iterable[Answer], xs: Iterable[str], *, maximize: bool = False
 ) -> list[Answer]:
-    """Stable sort by min (or max) over `xs`; reference for monotonicity
-    checks only, tie order carries no meaning."""
+    """Sort by min (or max) over `xs`, ties by the answer's sorted items;
+    reference for monotonicity checks only, the tie order carries no
+    meaning beyond being the same in every process."""
     xs = tuple(xs)
+    by_items = sorted(answers, key=lambda a: sorted(a.assignment.items()))
     if maximize:
-        return sorted(answers, key=lambda a: max(a[x] for x in xs), reverse=True)
-    return sorted(answers, key=lambda a: min(a[x] for x in xs))
+        return sorted(by_items, key=lambda a: max(a[x] for x in xs), reverse=True)
+    return sorted(by_items, key=lambda a: min(a[x] for x in xs))

@@ -21,9 +21,10 @@ from .model import (
     MinPredicate,
     Relation,
     fresh_symbol,
+    remove_self_joins,
 )
 from .semiring import MAX_MIN, NEG_INF, below_threshold, thresholds
-from .structure import RootedJoinTree, hypergraph_of, is_free_connex, join_tree, tree_for_query
+from .structure import RootedJoinTree, TreePlan, hypergraph_of, is_free_connex, join_tree, tree_for_query
 
 
 def semijoin_reduce(
@@ -38,36 +39,20 @@ def semijoin_reduce(
     """
     if not q.is_self_join_free:
         raise EngineError("semijoin reduction requires a self-join-free query")
-    t = t if t is not None else tree_for_query(q)
-    schema = {n: q.atoms[t.atom_of[n]].vars for n in t.nodes()}
-    rows = {n: list(db.relation(q.atoms[t.atom_of[n]].symbol).rows) for n in t.nodes()}
-
-    def key_cols(n: int, other: int) -> tuple[int, ...]:
-        shared = sorted(t.vars_of[n] & t.vars_of[other])
-        return tuple(schema[n].index(v) for v in shared)
-
-    order = t.bfs_order()
-    for n in reversed(order):
-        p = t.parent[n]
-        if p is None:
-            continue
-        cn = key_cols(n, p)
-        cp = key_cols(p, n)
+    plan = TreePlan(q, t if t is not None else tree_for_query(q))
+    rows = {n: plan.rows(db, n) for n in plan.order}
+    edges = [(n, plan.parent[n], plan.key[n], plan.parent_key[n]) for n in plan.order[1:]]
+    for n, p, cn, cp in reversed(edges):
         keys = {tuple(r[i] for i in cn) for r in rows[n]}
         rows[p] = [r for r in rows[p] if tuple(r[i] for i in cp) in keys]
-    for n in order:
-        p = t.parent[n]
-        if p is None:
-            continue
-        cn = key_cols(n, p)
-        cp = key_cols(p, n)
+    for n, p, cn, cp in edges:
         keys = {tuple(r[i] for i in cp) for r in rows[p]}
         rows[n] = [r for r in rows[n] if tuple(r[i] for i in cn) in keys]
 
     out = dict(db.relations)
-    for n in t.nodes():
-        atom = q.atoms[t.atom_of[n]]
-        out[atom.symbol] = Relation(atom.symbol, atom.arity, tuple(rows[n]))
+    for n in plan.order:
+        sym = plan.symbol[n]
+        out[sym] = Relation(sym, len(plan.schema[n]), tuple(rows[n]))
     return Database(out)
 
 
@@ -83,8 +68,7 @@ def restrict_to_free(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQuer
         raise EngineError("cannot restrict a Boolean query to free variables")
     if not is_free_connex(q):
         raise EngineError("restriction requires an acyclic free-connex query")
-    if not q.is_self_join_free:
-        raise EngineError("remove self-joins before restricting")
+    q, db = remove_self_joins(q, db)
 
     reduced = semijoin_reduce(q, db)
     empty = any(len(reduced.relation(a.symbol)) == 0 for a in q.atoms)
@@ -141,7 +125,8 @@ def _interface_groups(q: ConjunctiveQuery):
 
 def _branch_thresholds(q: ConjunctiveQuery, group: list[str], branch: int, db: Database):
     """{row of atom `branch`: the best value min(group) reaches among the
-    answers of the all-free query through that row}."""
+    answers of the all-free query through that row}. A row whose repeated
+    columns disagree is absent: it joins nothing."""
     qf = ConjunctiveQuery(q.atoms, q.variables, q.name)
     # join-tree node ids are atom indices
     ann = thresholds(qf, group, tree_for_query(qf).reroot(branch), db)
@@ -182,12 +167,11 @@ def restrict_predicate_to_free(
         raise EngineError("restrict the Boolean task via is_nonempty instead")
     if not is_free_connex(q):
         raise EngineError("restriction requires an acyclic free-connex query")
-    if not q.is_self_join_free:
-        raise EngineError("remove self-joins before restricting")
     if p is None:
         q2, d2 = restrict_to_free(q, db)
         return q2, None, d2
     p.check_vars(q)
+    q, db = remove_self_joins(q, db)
 
     free = set(q.free_vars)
     x0 = p.x0
@@ -211,7 +195,9 @@ def restrict_predicate_to_free(
                 theta = _branch_thresholds(q, group, branch, d)
                 if x0 in batom.vars:
                     xi = batom.vars.index(x0)
-                    d = _filter_atom(d, batom, lambda r: below_threshold(r[xi], theta[r], p.strict))
+                    d = _filter_atom(
+                        d, batom, lambda r: below_threshold(r[xi], theta.get(r, NEG_INF), p.strict)
+                    )
                 else:  # independent branch: min(group) has one best value overall
                     best = functools.reduce(MAX_MIN.plus, theta.values(), NEG_INF)
                     xa, xi = _first_atom_with(q, x0)
@@ -269,5 +255,5 @@ def _eliminate_with_independent_x0(q, p: MinPredicate, xs: list[str], db: Databa
         d = _filter_atom(d, xa, lambda r: below_threshold(best, r[xi], p.strict))
     for branch, group in groups.items():
         theta = _branch_thresholds(q, group, branch, d)
-        d = _filter_atom(d, q.atoms[branch], lambda r: below_threshold(best, theta[r], p.strict))
+        d = _filter_atom(d, q.atoms[branch], lambda r: below_threshold(best, theta.get(r, NEG_INF), p.strict))
     return d

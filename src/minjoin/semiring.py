@@ -11,12 +11,12 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import EngineError, SemiringLawError
 from .instrument import StepCounter
 from .model import ConjunctiveQuery, Database, Row
-from .structure import RootedJoinTree, tree_for_query
+from .structure import RootedJoinTree, TreePlan, tree_for_query
 
 
 class _Extreme:
@@ -96,43 +96,14 @@ def check_semiring_laws(s: Semiring, samples, rng: random.Random | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# Materialization and aggregation
-
-
-def materialize(q: ConjunctiveQuery, db: Database, t: RootedJoinTree):
-    """Rows and schema per tree node; relaxed nodes project their host.
-
-    Returns (rows_of, schema_of): dicts keyed by node id.
-    """
-    rows_of: dict[int, list[Row]] = {}
-    schema_of: dict[int, tuple[str, ...]] = {}
-    pending = []
-    for n in t.nodes():
-        ai = t.atom_of[n]
-        if ai is None:
-            pending.append(n)
-            continue
-        atom = q.atoms[ai]
-        rows_of[n] = list(db.relation(atom.symbol).rows)
-        schema_of[n] = atom.vars
-    for n in pending:
-        host = t.relaxed_host.get(n)
-        if host is None or host not in rows_of:
-            raise EngineError(f"relaxed node {n} lacks a materialized host")
-        hschema = schema_of[host]
-        keep = sorted(t.vars_of[n])
-        idx = tuple(hschema.index(v) for v in keep)
-        rows_of[n] = list(dict.fromkeys(tuple(r[i] for i in idx) for r in rows_of[host]))
-        schema_of[n] = tuple(keep)
-    return rows_of, schema_of
+# Aggregation
 
 
 class AggAnnotation:
     """agg values per (node, tuple), stored as lists parallel to the rows."""
 
-    def __init__(self, rows_of, schema_of, values_of):
-        self.rows_of: dict[int, list[Row]] = rows_of
-        self.schema_of: dict[int, tuple[str, ...]] = schema_of
+    def __init__(self, rows_of, values_of):
+        self.rows_of: dict[int, Sequence[Row]] = rows_of
         self.values_of: dict[int, list] = values_of
 
     def as_map(self, node: int) -> dict[Row, object]:
@@ -157,21 +128,18 @@ def aggregate_bottom_up(
     """
     if not q.is_self_join_free:
         raise EngineError("aggregation requires a self-join-free query")
-    rows_of, schema_of = materialize(q, db, t)
+    plan = TreePlan(q, t)
     plus, times, zero = s.plus, s.times, s.zero
 
+    rows_of: dict[int, Sequence[Row]] = {}
     values_of: dict[int, list] = {}
     messages: dict[int, dict] = {}  # child id -> {key: folded message}
-    order = t.bfs_order()
-    children = t.children()
 
-    for n in reversed(order):
-        rows = rows_of[n]
-        schema = schema_of[n]
+    for n in reversed(plan.order):
+        rows = rows_of[n] = plan.rows(db, n)
         vals = [val(n, r) for r in rows]
-        for c in children[n]:
-            shared = sorted(t.vars_of[n] & t.vars_of[c])
-            idx = tuple(schema.index(v) for v in shared)
+        for c in plan.children[n]:
+            idx = plan.parent_key[c]
             cmsg = messages.pop(c)
             if idx:
                 for i, r in enumerate(rows):
@@ -183,10 +151,8 @@ def aggregate_bottom_up(
         values_of[n] = vals
         if counter is not None:
             counter.add(len(rows))
-        if n != t.root:
-            p = t.parent[n]
-            shared = sorted(t.vars_of[n] & t.vars_of[p])
-            idx = tuple(schema.index(v) for v in shared)
+        if n != plan.root:
+            idx = plan.key[n]
             msg: dict = {}
             for r, v in zip(rows, vals):
                 key = tuple(r[j] for j in idx)
@@ -196,7 +162,7 @@ def aggregate_bottom_up(
             if counter is not None:
                 counter.add(len(rows))
 
-    return AggAnnotation(rows_of, schema_of, values_of)
+    return AggAnnotation(rows_of, values_of)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +173,12 @@ def count_answers(
     q: ConjunctiveQuery,
     db: Database,
     *,
-    tree: RootedJoinTree | None = None,
     counter: StepCounter | None = None,
 ) -> int:
     """|Q(D)| for a full acyclic self-join-free query."""
     if not q.is_full:
         raise EngineError("count_answers expects a full query")
-    t = tree if tree is not None else tree_for_query(q)
+    t = tree_for_query(q)
     ann = aggregate_bottom_up(q, db, t, lambda n, r: 1, COUNTING, counter=counter)
     return sum(ann.values_of[t.root])
 
@@ -235,11 +200,9 @@ def thresholds(
     if not q.is_full:
         raise EngineError("thresholds expects a full query")
     xr = frozenset(xr)
-    rows_cols: dict[int, tuple[int, ...]] = {}
-    for n in t.nodes():
-        ai = t.atom_of[n]
-        schema = q.atoms[ai].vars if ai is not None else tuple(sorted(t.vars_of[n]))
-        rows_cols[n] = tuple(i for i, v in enumerate(schema) if v in xr)
+    rows_cols = {
+        n: tuple(i for i, v in enumerate(q.atoms[t.atom_of[n]].vars) if v in xr) for n in t.nodes()
+    }
 
     def val(n, row):
         cols = rows_cols[n]

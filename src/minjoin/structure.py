@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EngineError, InternalInvariantError
-from .model import ConjunctiveQuery, MinPredicate, MinRanking
+from .model import ConjunctiveQuery, Database, MinPredicate, MinRanking, Row
 
 
 @dataclass(frozen=True)
@@ -42,21 +42,18 @@ def hypergraph_of(q: ConjunctiveQuery) -> Hypergraph:
 
 
 class RootedJoinTree:
-    """Rooted tree over variable-set nodes, each optionally linked to an atom.
+    """Rooted tree over variable-set nodes, each linked to an atom.
 
-    `atom_of[i]` is the index of the source atom, or None for a relaxed
-    node (a restriction of an existing node); `relaxed_host[i]` then names
-    the node whose relation the relaxed node projects.
+    `atom_of[i]` is the index of the source atom of node i.
     """
 
-    __slots__ = ("vars_of", "atom_of", "parent", "root", "relaxed_host")
+    __slots__ = ("vars_of", "atom_of", "parent", "root")
 
-    def __init__(self, vars_of, atom_of, parent, root, relaxed_host=None):
+    def __init__(self, vars_of, atom_of, parent, root):
         self.vars_of: dict[int, frozenset[str]] = dict(vars_of)
-        self.atom_of: dict[int, int | None] = dict(atom_of)
+        self.atom_of: dict[int, int] = dict(atom_of)
         self.parent: dict[int, int | None] = dict(parent)
         self.root: int = root
-        self.relaxed_host: dict[int, int] = dict(relaxed_host or {})
         if self.parent.get(root, None) is not None:
             raise EngineError("root must have no parent")
 
@@ -104,7 +101,7 @@ class RootedJoinTree:
         return out
 
     def copy(self) -> "RootedJoinTree":
-        return RootedJoinTree(self.vars_of, self.atom_of, self.parent, self.root, self.relaxed_host)
+        return RootedJoinTree(self.vars_of, self.atom_of, self.parent, self.root)
 
     def subtree(self, r: int) -> "RootedJoinTree":
         ids = set(self.subtree_ids(r))
@@ -113,7 +110,6 @@ class RootedJoinTree:
             {i: self.atom_of[i] for i in ids},
             {i: (self.parent[i] if i != r and self.parent[i] in ids else None) for i in ids},
             r,
-            {i: h for i, h in self.relaxed_host.items() if i in ids},
         )
 
     def reroot(self, new_root: int) -> "RootedJoinTree":
@@ -131,7 +127,7 @@ class RootedJoinTree:
                 if m not in parent:
                     parent[m] = n
                     queue.append(m)
-        return RootedJoinTree(self.vars_of, self.atom_of, parent, new_root, self.relaxed_host)
+        return RootedJoinTree(self.vars_of, self.atom_of, parent, new_root)
 
     @classmethod
     def from_edges(cls, template: "RootedJoinTree", edges: set[frozenset[int]], root: int):
@@ -151,7 +147,7 @@ class RootedJoinTree:
                     queue.append(m)
         if len(parent) != len(template.vars_of):
             raise InternalInvariantError("edge union does not connect all nodes")
-        return cls(template.vars_of, template.atom_of, parent, root, template.relaxed_host)
+        return cls(template.vars_of, template.atom_of, parent, root)
 
     # -- variable placement --------------------------------------------
 
@@ -223,8 +219,8 @@ class RootedJoinTree:
         lines: list[str] = []
 
         def walk(n: int, depth: int):
-            tag = f"@atom{self.atom_of[n]}" if self.atom_of[n] is not None else "(relaxed)"
-            lines.append("  " * depth + "{" + ",".join(sorted(self.vars_of[n])) + "} " + tag)
+            label = ",".join(sorted(self.vars_of[n]))
+            lines.append("  " * depth + "{" + label + "} @atom" + str(self.atom_of[n]))
             for c in ch[n]:
                 walk(c, depth + 1)
 
@@ -288,11 +284,67 @@ def join_tree(h: Hypergraph) -> RootedJoinTree | None:
     return tree
 
 
-def tree_for_query(q: ConjunctiveQuery) -> RootedJoinTree:
+def tree_for_query(q: ConjunctiveQuery, at: str | None = None) -> RootedJoinTree:
+    """The query's join tree, node ids equal to atom indices; with `at`,
+    rooted at the lowest-index atom that holds that variable."""
     t = join_tree(hypergraph_of(q))
     if t is None:
         raise EngineError("query is cyclic; no join tree exists")
-    return t
+    if at is None:
+        return t
+    return t.reroot(min(n for n in t.nodes() if at in t.vars_of[n]))
+
+
+def group_by(rows: Iterable[Row], cols: tuple[int, ...]) -> dict[tuple, list[Row]]:
+    """{key over `cols`: its rows}, keys and rows in first-seen order."""
+    groups: dict[tuple, list[Row]] = {}
+    for r in rows:
+        groups.setdefault(tuple(r[c] for c in cols), []).append(r)
+    return groups
+
+
+class TreePlan:
+    """The per-node facts every pass over one rooted join tree reads.
+
+    `order` is the BFS order (root first) and `children` the sorted child
+    lists. Per node n: `schema[n]` and `symbol[n]` come from its atom.
+    Per non-root node n: `key[n]` and `parent_key[n]` are the columns of
+    the variables n shares with its parent, on n's side and on the
+    parent's side, in the same (sorted) variable order.
+    """
+
+    __slots__ = ("tree", "root", "parent", "order", "children", "schema", "symbol",
+                 "key", "parent_key", "_repeats")
+
+    def __init__(self, q: ConjunctiveQuery, t: RootedJoinTree):
+        self.tree = t
+        self.root = t.root
+        self.parent = t.parent
+        self.order = t.bfs_order()
+        self.children = t.children()
+        self.schema = {n: q.atoms[t.atom_of[n]].vars for n in self.order}
+        self.symbol = {n: q.atoms[t.atom_of[n]].symbol for n in self.order}
+        self.key: dict[int, tuple[int, ...]] = {}
+        self.parent_key: dict[int, tuple[int, ...]] = {}
+        for n in self.order[1:]:
+            p = t.parent[n]
+            shared = sorted(t.vars_of[n] & t.vars_of[p])
+            self.key[n] = tuple(self.schema[n].index(v) for v in shared)
+            self.parent_key[n] = tuple(self.schema[p].index(v) for v in shared)
+        # (first column, later column) per repeated variable of a node
+        self._repeats = {
+            n: [(sch.index(v), i) for i, v in enumerate(sch) if sch.index(v) != i]
+            for n, sch in self.schema.items()
+        }
+
+    def rows(self, db: Database, n: int) -> Sequence[Row]:
+        """Node n's rows; an atom that repeats a variable keeps only the
+        rows whose repeated columns agree."""
+        rows = db.relation(self.symbol[n]).rows
+        same = self._repeats[n]
+        if same:
+            return [r for r in rows if all(r[i] == r[j] for i, j in same)]
+        return rows
 
 
 def is_free_connex(q: ConjunctiveQuery) -> bool:

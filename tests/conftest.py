@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from minjoin import Atom, ConjunctiveQuery, Database, MinPredicate, Relation
+from minjoin import Atom, ConjunctiveQuery, Database, MinPredicate, Relation, parse_query
 
 
 def rand_acyclic_query(
@@ -77,6 +77,31 @@ def rand_predicate(rng: random.Random, q: ConjunctiveQuery, *, strict_ok: bool =
     xs = tuple(rng.sample(vars_, k))
     strict = strict_ok and x0 not in xs and rng.random() < 0.3
     return MinPredicate(x0, xs, strict=strict)
+
+
+# Inputs the random generator never makes: a variable repeated in an
+# atom, a relation symbol used by two atoms, and a Boolean head.
+EDGE_QUERIES = (
+    "Q(x,y) :- R(x,x), S(x,y).",
+    "Q(x,z) :- R(x,y,y), S(y,z).",
+    "Q(x,y,z) :- R(x,y), R(y,z).",
+    "Q(y,z) :- R(x,y), R(y,z), S(z,z).",
+    "Q() :- R(x,y), S(y,z).",
+    "Q() :- R(x,x), R(x,y).",
+)
+
+
+def edge_instances(rng: random.Random, *, full: bool = False, dbs: int = 4):
+    """(query, database) pairs over EDGE_QUERIES, `dbs` random databases
+    each; with `full`, every variable of a non-Boolean query is free."""
+    for text in EDGE_QUERIES:
+        q = parse_query(text)[0]
+        if full:
+            if q.is_boolean:
+                continue
+            q = ConjunctiveQuery(q.atoms, q.variables, q.name)
+        for _ in range(dbs):
+            yield q, rand_database(rng, q, dom=4, max_rows=7)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import pytest
 
 from minjoin import (
+    Answer,
     IntractableQueryError,
     MinPredicate,
     OutOfBoundsError,
@@ -19,7 +20,7 @@ from minjoin import (
 )
 from minjoin.model import Database, Relation
 
-from conftest import rand_acyclic_query, rand_database
+from conftest import edge_instances, rand_acyclic_query, rand_database, rand_predicate
 
 
 def _star():
@@ -61,26 +62,60 @@ def test_lex_da_empty_total_zero():
         da.access(0)
 
 
+def _check_lex_da(q, db):
+    x = q.variables[0]
+    da = build_lex_da(q, db, x)
+    want = oracle_answers(q, db)
+    assert da.total == len(want), q.to_text()
+    got = [da.access(k) for k in range(da.total)]
+    assert {Answer(m) for m in got} == want, q.to_text()
+    xs_vals = [m[x] for m in got]
+    assert xs_vals == sorted(xs_vals)
+
+
 def test_lex_da_full_sweep_matches_oracle(rng):
     done = 0
     while done < 40:
         q = rand_acyclic_query(rng, max_atoms=4, max_arity=3, full=True)
         if not q.is_self_join_free:
             continue
-        db = rand_database(rng, q, dom=5, max_rows=6)
-        x = q.variables[0]
-        da = build_lex_da(q, db, x)
-        want = oracle_answers(q, db)
-        assert da.total == len(want)
-        seen = set()
-        xs_vals = []
-        for k in range(da.total):
-            m = da.access(k)
-            xs_vals.append(m[x])
-            seen.add(frozenset((v, m[v]) for v in q.free_vars))
-        assert len(seen) == da.total
-        assert xs_vals == sorted(xs_vals)
+        _check_lex_da(q, rand_database(rng, q, dom=5, max_rows=6))
         done += 1
+    for q, db in edge_instances(rng, full=True):
+        if q.is_self_join_free:
+            _check_lex_da(q, db)
+
+
+def test_access_sequences_pinned_with_ties():
+    # the documented tie orders, position by position, on a star with
+    # repeated y values and repeated minima; tuples follow (x0, x1, x2, y)
+    q, _, _ = parse_query("Q(x0,x1,x2,y) :- R0(x0), R1(x1,y), R2(x2,y).")
+    db = Database(
+        {
+            "R0": Relation.from_ints("R0", 1, [[2], [1]]),
+            "R1": Relation.from_ints("R1", 2, [[2, 0], [1, 0], [1, 1]]),
+            "R2": Relation.from_ints("R2", 2, [[1, 0], [2, 0], [3, 1]]),
+        }
+    )
+
+    def seq(da):
+        return [tuple(da.access(k)[v].base for v in q.variables) for k in range(da.total)]
+
+    assert seq(build_lex_da(q, db, "y")) == [
+        (1, 1, 1, 0), (1, 1, 2, 0), (2, 1, 1, 0), (2, 1, 2, 0), (1, 2, 1, 0),
+        (1, 2, 2, 0), (2, 2, 1, 0), (2, 2, 2, 0), (1, 1, 3, 1), (2, 1, 3, 1),
+    ]
+    assert seq(build_lex_da(q, db, "x1")) == [
+        (1, 1, 1, 0), (1, 1, 2, 0), (2, 1, 1, 0), (2, 1, 2, 0), (1, 1, 3, 1),
+        (2, 1, 3, 1), (1, 2, 1, 0), (1, 2, 2, 0), (2, 2, 1, 0), (2, 2, 2, 0),
+    ]
+    assert seq(build_min_da(q, ("x0", "x1", "x2"), db)) == [
+        (1, 2, 2, 0), (1, 1, 2, 0), (1, 1, 1, 0), (1, 1, 3, 1), (1, 2, 1, 0),
+        (2, 1, 2, 0), (2, 1, 1, 0), (2, 1, 3, 1), (2, 2, 1, 0), (2, 2, 2, 0),
+    ]
+    assert seq(build_unranked_da_pred(q, MinPredicate("x0", ("x1", "x2")), db)) == [
+        (1, 2, 2, 0), (1, 1, 2, 0), (1, 1, 1, 0), (1, 1, 3, 1), (2, 2, 2, 0), (1, 2, 1, 0),
+    ]
 
 
 # -- MinDA --------------------------------------------------------------------
@@ -118,6 +153,19 @@ def test_min_da_singleton_ranking_degenerates():
     assert vals == sorted(vals)
 
 
+def _check_min_da(q, xs, db):
+    ix = build_min_da(q, xs, db)
+    want = oracle_answers(q, db)
+    assert ix.total == len(want), q.to_text()
+    seq = [ix.access(k) for k in range(ix.total)]
+    assert set(seq) == want and len(set(seq)) == len(seq)
+    mins = [min(a[x] for x in xs) for a in seq]
+    assert mins == sorted(mins)
+    if ix.total:
+        again = ix.access(0)
+        assert again == seq[0]  # idempotent reads
+
+
 def test_min_da_access_order_and_bijection(rng):
     done = 0
     while done < 30:
@@ -128,18 +176,12 @@ def test_min_da_access_order_and_bijection(rng):
         xs = tuple(vars_[: rng.randint(1, min(3, len(vars_)))])
         if not classify(Task.RANKED_DA, q, xs).tractable:
             continue
-        db = rand_database(rng, q, dom=6, max_rows=6)
-        ix = build_min_da(q, xs, db)
-        want = oracle_answers(q, db)
-        assert ix.total == len(want)
-        seq = [ix.access(k) for k in range(ix.total)]
-        assert set(seq) == want and len(set(seq)) == len(seq)
-        mins = [min(a[x] for x in xs) for a in seq]
-        assert mins == sorted(mins)
-        if ix.total:
-            again = ix.access(0)
-            assert again == seq[0]  # idempotent reads
+        _check_min_da(q, xs, rand_database(rng, q, dom=6, max_rows=6))
         done += 1
+    for q, db in edge_instances(rng, full=True):
+        xs = tuple(q.variables[: rng.randint(1, len(q.variables))])
+        if classify(Task.RANKED_DA, q, xs).tractable:
+            _check_min_da(q, xs, db)
 
 
 def test_min_da_out_of_bounds_and_probe_budget(rng):
@@ -265,3 +307,7 @@ def test_is_nonempty_random_agrees_with_oracle(rng):
             want = bool(oracle_answers(q, db, predicate=pred))
             assert is_nonempty(q, pred, db) == want, (q.to_text(), str(pred))
         done += 1
+    for q, db in edge_instances(rng):
+        for pred in (rand_predicate(rng, q), None):
+            want = bool(oracle_answers(q, db, predicate=pred))
+            assert is_nonempty(q, pred, db) == want, (q.to_text(), str(pred))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minjoin
 from minjoin.cli import main
 
 STAR = "Q(x0,x1,x2,y) :- R0(x0), R1(x1,y), R2(x2,y).\n"
@@ -213,6 +218,61 @@ def test_cli_max_ranking_negates(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     keys = [max(int(kv.split("=")[1]) for kv in line.split(", ")) for line in lines]
     assert keys == sorted(keys, reverse=True)
+
+
+def _instance(root, name, text, rels):
+    (root / f"{name}.mq").write_text(text)
+    d = root / name
+    d.mkdir()
+    for sym, rows in rels.items():
+        (d / sym).write_text(rows)
+    return ["--query", str(root / f"{name}.mq"), "--data", str(d)]
+
+
+@pytest.mark.parametrize(
+    "text, rels",
+    [
+        ("Q(x,y) :- R(x,x), S(x,y).\n", {"R": "1,1\n1,2\n3,4\n", "S": "1,5\n3,6\n"}),
+        ("Q(x,y,z) :- R(x,y), R(y,z).\n", {"R": "1,2\n2,3\n3,1\n2,2\n"}),
+        ("Q(y,z) :- R(x,y), R(y,z).\nPREDICATE y <= MIN(x).\n", {"R": "1,2\n2,3\n3,1\n2,4\n4,2\n"}),
+        ("Q() :- R(x,y), S(y,z).\n", {"R": "1,2\n", "S": "2,3\n"}),
+        ("Q() :- R(x,y), S(y,z).\n", {"R": "1,2\n", "S": "5,3\n"}),
+    ],
+    ids=["repeated-var", "self-join", "self-join-pred", "boolean", "boolean-empty"],
+)
+def test_cli_edge_queries_agree_with_oracle(tmp_path, capsys, text, rels):
+    args = _instance(tmp_path, "q", text, rels)
+    assert main(["oracle", "count", *args]) == 0
+    want_count = capsys.readouterr().out
+    assert main(["count", *args]) == 0
+    assert capsys.readouterr().out == want_count
+    assert main(["oracle", "enumerate", *args]) == 0
+    want = capsys.readouterr().out.splitlines()
+    assert len(want) == int(want_count)
+    assert main(["enumerate", *args]) == 0
+    assert sorted(capsys.readouterr().out.splitlines()) == want
+    assert main(["access", *args, "--range", f"0..{len(want) + 1}"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(line.partition("] ")[2] for line in lines[:-1]) == want
+    assert lines[-1] == f"[{len(want)}] out of bounds (total {len(want)})"
+
+
+def test_cli_oracle_access_tie_order_same_in_every_process(tmp_path):
+    args = _instance(
+        tmp_path, "q", "Q(r1,r2,s) :- W1(r1,s), W2(r2,s).\nORDER BY MIN(r1,r2).\n",
+        {"W1": "2,0\n3,0\n5,0\n", "W2": "3,0\n2,0\n4,0\n"},
+    )
+    src = str(Path(minjoin.__file__).resolve().parent.parent)
+    outs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "minjoin.cli", "oracle", "access", *args, "--index", "1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        outs.add(run.stdout)
+    assert outs == {"[1] r1=2, r2=3, s=0\n"}
 
 
 def test_cli_bench_small(capsys):

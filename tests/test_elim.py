@@ -25,7 +25,7 @@ from minjoin import (
 from minjoin.elim import _fork_sides
 from minjoin.model import Database, Relation, TaggedValue
 
-from conftest import rand_acyclic_query, rand_database, rand_predicate
+from conftest import edge_instances, rand_acyclic_query, rand_database, rand_predicate
 
 
 def _project_untag(answers, vars_):
@@ -238,6 +238,22 @@ def test_eliminate_min_predicate_random_sweep(rng):
             assert len(got) == len(set(got)) and set(got) == want
         done += 1
     assert done >= 80
+    checked = 0
+    for q, db in edge_instances(rng):
+        for pred in (rand_predicate(rng, q), None):
+            if not classify(Task.COUNTING, q, pred).tractable:
+                continue
+            want = oracle_answers(q, db, predicate=pred)
+            try:
+                assert count_with_predicate(q, pred, db) == len(want), (q.to_text(), str(pred))
+                if not q.is_boolean:  # a Boolean query is counted through is_nonempty
+                    da = build_unranked_da_pred(q, pred, db)
+                    got = [da.access(k) for k in range(da.total)]
+                    assert len(got) == len(set(got)) and set(got) == want, (q.to_text(), str(pred))
+            except UnsupportedPredicateError:
+                continue
+            checked += 1
+    assert checked >= 30
 
 
 def test_elimination_blowup_envelope():

@@ -12,7 +12,7 @@ from minjoin import (
 )
 from minjoin.model import Database, Relation
 
-from conftest import rand_acyclic_query, rand_database
+from conftest import edge_instances, rand_acyclic_query, rand_database, rand_predicate
 
 PATH = "Q(x0,u,v,x1,x2) :- R0(x0,u), R1(u,v), R2(v,x1), R3(x1,x2).\nPREDICATE x0 <= MIN(x1,x2).\n"
 
@@ -69,6 +69,9 @@ def test_enumerate_full_random(rng):
         assert len(got) == len(set(got))
         assert set(got) == oracle_answers(q, db)
         done += 1
+    for q, db in edge_instances(rng, full=True):
+        got = enumerate_full_acyclic(q, db).drain()
+        assert len(got) == len(set(got)) and set(got) == oracle_answers(q, db), q.to_text()
 
 
 # -- with predicate -----------------------------------------------------------
@@ -118,6 +121,11 @@ def test_enumerate_with_predicate_random(rng):
         want = oracle_answers(q, db, predicate=p)
         assert set(got) == want and len(got) == len(want), (q.to_text(), str(p))
         done += 1
+    for q, db in edge_instances(rng, full=True):
+        p = rand_predicate(rng, q)
+        got = enumerate_with_predicate(q, p, db).drain()
+        want = oracle_answers(q, db, predicate=p)
+        assert set(got) == want and len(got) == len(want), (q.to_text(), str(p))
 
 
 # -- ranked -------------------------------------------------------------------
@@ -142,6 +150,16 @@ def test_ranked_star_sorted_no_dups():
     assert s.skips <= (len(xs) - 1) * len(got)
 
 
+def _check_ranked(q, xs, db):
+    s = enumerate_ranked_min(q, xs, db)
+    got = s.drain()
+    want = oracle_answers(q, db)
+    assert set(got) == want and len(got) == len(want), q.to_text()
+    keys = [min(a[x] for x in xs) for a in got]
+    assert keys == sorted(keys)
+    assert s.skips <= (len(xs) - 1) * len(got)
+
+
 def test_ranked_random(rng):
     done = 0
     while done < 40:
@@ -150,15 +168,10 @@ def test_ranked_random(rng):
             continue
         vars_ = list(q.variables)
         xs = tuple(rng.sample(vars_, min(rng.randint(1, 3), len(vars_))))
-        db = rand_database(rng, q, dom=5, max_rows=7)
-        s = enumerate_ranked_min(q, xs, db)
-        got = s.drain()
-        want = oracle_answers(q, db)
-        assert set(got) == want and len(got) == len(want)
-        keys = [min(a[x] for x in xs) for a in got]
-        assert keys == sorted(keys)
-        assert s.skips <= (len(xs) - 1) * len(got)
+        _check_ranked(q, xs, rand_database(rng, q, dom=5, max_rows=7))
         done += 1
+    for q, db in edge_instances(rng, full=True):
+        _check_ranked(q, tuple(rng.sample(q.variables, rng.randint(1, len(q.variables)))), db)
 
 
 # -- delay properties ---------------------------------------------------------
