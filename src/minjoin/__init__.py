@@ -72,7 +72,6 @@ from .elim import (
 from .access import (
     LexDA,
     MinDAIndex,
-    build_lex_da,
     build_min_da,
     build_unranked_da_pred,
     count_via_access,

@@ -10,7 +10,7 @@ probes. Counting and the Boolean task ride on the same machinery.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import itemgetter
+from operator import itemgetter, le
 from dataclasses import dataclass, field
 
 from .errors import EngineError, IntractableQueryError, OutOfBoundsError
@@ -26,7 +26,7 @@ from .model import (
 )
 from .elim import EliminationResult, eliminate_min_predicate, eliminate_strict_min_tagged
 from .partition import StrictPartialOrder
-from .semiring import below_threshold, count_answers, thresholds
+from .semiring import count_answers, thresholds
 # kept as a name of this module, which the benchmark's layer tracing wraps
 from .semiring import aggregate_bottom_up  # noqa: F401
 from .structure import Task, TreePlan, classify, group_by, tree_for_query
@@ -133,12 +133,6 @@ class LexDA:
 
         descend(plan.root, (), k)
         return out
-
-
-def build_lex_da(
-    q: ConjunctiveQuery, db: Database, x: str, *, counter: StepCounter | None = None
-) -> LexDA:
-    return LexDA(q, db, x, counter=counter)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +298,38 @@ class UnrankedPredDA:
         )
 
 
-def build_unranked_da_pred(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> UnrankedPredDA:
+class BooleanAnswers:
+    """A Boolean query's answers, the empty assignment if the query holds
+    and none otherwise, as a direct-access structure and a stream cursor."""
+
+    steps = 0
+
+    def __init__(self, holds: bool):
+        self.total = int(holds)
+        self._emitted = 0
+
+    def access(self, k: int, probes: StepCounter | None = None) -> Answer:
+        if not 0 <= k < self.total:
+            raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
+        return Answer({})
+
+    def next_answer(self):
+        if self._emitted == self.total:
+            return None
+        self._emitted += 1
+        return Answer({})
+
+
+def build_unranked_da_pred(
+    q: ConjunctiveQuery, p: MinPredicate | None, db: Database
+) -> UnrankedPredDA | BooleanAnswers:
     """Direct access (arbitrary order) to the answers of Q AND P, or of Q
-    when p is None."""
+    when p is None. A Boolean query has one (empty) answer or none."""
     verdict = classify(Task.UNRANKED_DA_PRED, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
+    if q.is_boolean:
+        return BooleanAnswers(is_nonempty(q, p, db))
     res = eliminate_min_predicate(q, p, db)
     secondary, smaller = [], []
     running = 0
@@ -346,16 +366,16 @@ def is_nonempty(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> bo
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
     if p is None:
-        x0, xs, strict = q.variables[0], [], False
+        x0, xs, below = q.variables[0], [], le
     else:
         p.check_vars(q)
-        x0, xs, strict = p.x0, [x for x in p.xs if x != p.x0], p.strict
+        x0, xs, below = p.x0, [x for x in p.xs if x != p.x0], p.below
     q1, d1 = remove_self_joins(q, db)
     qf = ConjunctiveQuery(q1.atoms, q1.variables, q1.name)
     t = tree_for_query(qf, at=x0)
     ann = thresholds(qf, xs, t, d1)
     xi = qf.atoms[t.atom_of[t.root]].vars.index(x0)
     return any(
-        below_threshold(row[xi], theta, strict)
+        below(row[xi], theta)
         for row, theta in zip(ann.rows_of[t.root], ann.values_of[t.root])
     )

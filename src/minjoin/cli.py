@@ -2,7 +2,8 @@
 
 Subcommands: classify, eliminate, count, bool, enumerate, access, oracle,
 bench. Exit codes: 0 ok, 1 query syntax error, 2 intractable or
-unsupported instance, 3 data error, 4 engine/oracle divergence.
+unsupported instance, 3 data error, 4 engine/oracle divergence, 5
+internal error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ import json
 import sys
 from pathlib import Path
 
-from .access import build_min_da, build_unranked_da_pred, count_with_predicate, is_nonempty
+from .access import (
+    BooleanAnswers,
+    build_min_da,
+    build_unranked_da_pred,
+    count_with_predicate,
+    is_nonempty,
+)
 from .bench import bench_enum_pred, bench_min_da, bench_ranked, default_sizes
 from .elim import eliminate_min_predicate
 from .enumeration import (
@@ -24,6 +31,7 @@ from .enumeration import (
 from .errors import (
     DataFileError,
     EngineError,
+    InternalInvariantError,
     IntractableQueryError,
     OutOfBoundsError,
     QuerySyntaxError,
@@ -35,7 +43,7 @@ from .parser import load_database_dir, parse_query_file
 from .reduce import restrict_predicate_to_free, restrict_to_free
 from .structure import Task, classify, classify_all
 
-EXIT_OK, EXIT_SYNTAX, EXIT_INTRACTABLE, EXIT_DATA, EXIT_DIVERGENCE = 0, 1, 2, 3, 4
+EXIT_OK, EXIT_SYNTAX, EXIT_INTRACTABLE, EXIT_DATA, EXIT_DIVERGENCE, EXIT_INTERNAL = 0, 1, 2, 3, 4, 5
 
 
 def _load(args):
@@ -49,28 +57,6 @@ def _print_answer(a, *, negate=False, json_mode=False):
     if json_mode:
         return items
     return ", ".join(f"{k}={v}" for k, v in sorted(items.items()))
-
-
-class _BooleanAnswers:
-    """A Boolean query's answers, the empty assignment if the query holds
-    and none otherwise, as a direct-access structure and a stream cursor."""
-
-    steps = 0
-
-    def __init__(self, holds: bool):
-        self.total = int(holds)
-        self._emitted = 0
-
-    def access(self, k: int) -> Answer:
-        if not 0 <= k < self.total:
-            raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
-        return Answer({})
-
-    def next_answer(self):
-        if self._emitted == self.total:
-            return None
-        self._emitted += 1
-        return Answer({})
 
 
 def _restricted_plain(q: ConjunctiveQuery, db: Database):
@@ -175,7 +161,7 @@ def _build_stream(q, p, r, db, ranked: bool):
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
     if q.is_boolean:
-        return AnswerStream(_BooleanAnswers(is_nonempty(q, p, db)), ()), False
+        return AnswerStream(BooleanAnswers(is_nonempty(q, p, db)), ()), False
     qf, residual, dbf = (q, p, db) if q.is_full else restrict_predicate_to_free(q, p, db)
     if residual is None:
         return enumerate_full_acyclic(qf, dbf), False
@@ -229,11 +215,12 @@ def _build_da(q, p, r, db):
     if r is not None:
         if p is not None:
             raise EngineError("ranked access with a predicate is not supported")
+        verdict = classify(Task.RANKED_DA, q, r.xs)
+        if not verdict.tractable:
+            raise IntractableQueryError(verdict)
         work_db = negate_database(db) if r.maximize else db
         qf, dbf = _restricted_plain(q, work_db)
         return build_min_da(qf, r.xs, dbf), r.maximize
-    if q.is_boolean:
-        return _BooleanAnswers(is_nonempty(q, p, db)), False
     return build_unranked_da_pred(q, p, db), False
 
 
@@ -433,6 +420,9 @@ def main(argv=None) -> int:
     except DataFileError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
+    except InternalInvariantError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
     except EngineError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .errors import EngineError
 from .model import Answer, ConjunctiveQuery, Database, MinPredicate, TaggedValue, remove_self_joins
 from .reduce import semijoin_reduce
-from .semiring import NEG_INF, POS_INF, below_threshold, thresholds
+from .semiring import thresholds
 from .structure import TreePlan, group_by, tree_for_query
 
 
@@ -248,30 +248,14 @@ def enumerate_with_predicate(
     order_nodes = plan.order
     root_id = plan.root
     x0_col = plan.schema[root_id].index(x0)
-    strict = p.strict
-
-    def theta_key(n, row):
-        v = theta[n][row]
-        if v is POS_INF:
-            return (2, TaggedValue(0, 0))
-        if v is NEG_INF:
-            return (0, TaggedValue(0, 0))
-        return (1, v)
-
-    def cut(i, row, bound):
-        v = theta[order_nodes[i]][row]
-        if v is POS_INF:
-            return True
-        if v is NEG_INF:
-            return False
-        return v > bound if strict else v >= bound
+    below = p.below
 
     cursor, more_steps = _build_descent(
         plan, reduced,
-        bucket_sort=theta_key,
+        bucket_sort=lambda n, r: theta[n][r],
         root_sort=lambda r: (r[x0_col], r),
-        root_filter=lambda r: below_threshold(r[x0_col], theta[root_id][r], strict),
-        cut=cut,
+        root_filter=lambda r: below(r[x0_col], theta[root_id][r]),
+        cut=lambda i, r, bound: below(bound, theta[order_nodes[i]][r]),
         bound_var=x0,
     )
     return AnswerStream(cursor, q.free_vars, build_steps + more_steps)

@@ -8,6 +8,7 @@ negation) return new databases instead of mutating.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -192,11 +193,15 @@ class MinPredicate:
             if v not in qvars:
                 raise EngineError(f"predicate variable {v!r} not in the query")
 
+    @property
+    def below(self):
+        """The comparison that `x0` must pass against each member of X:
+        `<` when strict, `<=` otherwise."""
+        return operator.lt if self.strict else operator.le
+
     def holds(self, assignment: Mapping[str, TaggedValue]) -> bool:
-        v0 = assignment[self.x0]
-        if self.strict:
-            return all(v0 < assignment[x] for x in self.xs)
-        return all(v0 <= assignment[x] for x in self.xs)
+        v0, below = assignment[self.x0], self.below
+        return all(below(v0, assignment[x]) for x in self.xs)
 
     def __str__(self):
         op = "<" if self.strict else "<="

@@ -11,8 +11,6 @@ with UnsupportedPredicateError instead of being answered incorrectly.
 
 from __future__ import annotations
 
-import functools
-
 from .errors import EngineError, UnsupportedPredicateError
 from .model import (
     Atom,
@@ -23,7 +21,7 @@ from .model import (
     fresh_symbol,
     remove_self_joins,
 )
-from .semiring import MAX_MIN, NEG_INF, below_threshold, thresholds
+from .semiring import NEG_INF, thresholds
 from .structure import RootedJoinTree, TreePlan, hypergraph_of, is_free_connex, join_tree, tree_for_query
 
 
@@ -174,7 +172,7 @@ def restrict_predicate_to_free(
     q, db = remove_self_joins(q, db)
 
     free = set(q.free_vars)
-    x0 = p.x0
+    x0, below = p.x0, p.below
     xs = [x for x in p.xs if x != x0]
     d = db
 
@@ -195,13 +193,11 @@ def restrict_predicate_to_free(
                 theta = _branch_thresholds(q, group, branch, d)
                 if x0 in batom.vars:
                     xi = batom.vars.index(x0)
-                    d = _filter_atom(
-                        d, batom, lambda r: below_threshold(r[xi], theta.get(r, NEG_INF), p.strict)
-                    )
+                    d = _filter_atom(d, batom, lambda r: below(r[xi], theta.get(r, NEG_INF)))
                 else:  # independent branch: min(group) has one best value overall
-                    best = functools.reduce(MAX_MIN.plus, theta.values(), NEG_INF)
+                    best = max(theta.values(), default=NEG_INF)
                     xa, xi = _first_atom_with(q, x0)
-                    d = _filter_atom(d, xa, lambda r: below_threshold(r[xi], best, p.strict))
+                    d = _filter_atom(d, xa, lambda r: below(r[xi], best))
         residual_xs = tuple(x for x in p.xs if x in free and x != x0)
         residual = MinPredicate(x0, residual_xs, p.strict) if residual_xs else None
     else:
@@ -213,7 +209,7 @@ def restrict_predicate_to_free(
             for x in xs:
                 atom = next(a for a in q.atoms if x0 in a.vars and x in a.vars)
                 xi0, xi = atom.vars.index(x0), atom.vars.index(x)
-                d = _filter_atom(d, atom, lambda r: below_threshold(r[xi0], r[xi], p.strict))
+                d = _filter_atom(d, atom, lambda r: below(r[xi0], r[xi]))
         else:
             d = _eliminate_with_independent_x0(q, p, xs, d)
         residual = None
@@ -226,7 +222,7 @@ def _eliminate_with_independent_x0(q, p: MinPredicate, xs: list[str], db: Databa
     """x0 existential in a branch that shares no free variable with the
     rest and hosts no MIN member: its best value is one global constant,
     and each inequality becomes a per-tuple comparison against it."""
-    free = set(q.free_vars)
+    free, below = set(q.free_vars), p.below
     host, branch_vars = _interface_groups(q)
     b0_vars = branch_vars[host[p.x0]]
     if (b0_vars & free) or any(x in b0_vars for x in xs):
@@ -252,8 +248,8 @@ def _eliminate_with_independent_x0(q, p: MinPredicate, xs: list[str], db: Databa
             groups.setdefault(host[x], []).append(x)
     for x in free_targets:
         xa, xi = _first_atom_with(q, x)
-        d = _filter_atom(d, xa, lambda r: below_threshold(best, r[xi], p.strict))
+        d = _filter_atom(d, xa, lambda r: below(best, r[xi]))
     for branch, group in groups.items():
         theta = _branch_thresholds(q, group, branch, d)
-        d = _filter_atom(d, q.atoms[branch], lambda r: below_threshold(best, theta.get(r, NEG_INF), p.strict))
+        d = _filter_atom(d, q.atoms[branch], lambda r: below(best, theta.get(r, NEG_INF)))
     return d

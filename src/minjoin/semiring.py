@@ -8,6 +8,7 @@ instances.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -15,24 +16,14 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import EngineError, SemiringLawError
 from .instrument import StepCounter
-from .model import ConjunctiveQuery, Database, Row
+from .model import ConjunctiveQuery, Database, Row, TaggedValue
 from .structure import RootedJoinTree, TreePlan, tree_for_query
 
 
-class _Extreme:
-    """Orderless infinity sentinel; all handling lives in the operators."""
-
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        self.label = label
-
-    def __repr__(self):
-        return self.label
-
-
-NEG_INF = _Extreme("-inf")
-POS_INF = _Extreme("+inf")
+# The max-min aggregation's zero and one: cells below and above every
+# cell of every rank.
+NEG_INF = TaggedValue(-math.inf)
+POS_INF = TaggedValue(math.inf)
 
 
 @dataclass(frozen=True)
@@ -49,28 +40,8 @@ class Semiring:
         return f"Semiring({self.name})"
 
 
-def _max_plus(a, b):
-    if a is NEG_INF:
-        return b
-    if b is NEG_INF:
-        return a
-    if a is POS_INF or b is POS_INF:
-        return POS_INF
-    return a if a >= b else b
-
-
-def _min_times(a, b):
-    if a is NEG_INF or b is NEG_INF:
-        return NEG_INF
-    if a is POS_INF:
-        return b
-    if b is POS_INF:
-        return a
-    return a if a <= b else b
-
-
 COUNTING = Semiring("counting", operator.add, operator.mul, 0, 1)
-MAX_MIN = Semiring("max-min", _max_plus, _min_times, NEG_INF, POS_INF)
+MAX_MIN = Semiring("max-min", max, min, NEG_INF, POS_INF)
 
 
 def check_semiring_laws(s: Semiring, samples, rng: random.Random | None = None) -> None:
@@ -169,27 +140,17 @@ def aggregate_bottom_up(
 # Instantiations
 
 
-def count_answers(
-    q: ConjunctiveQuery,
-    db: Database,
-    *,
-    counter: StepCounter | None = None,
-) -> int:
+def count_answers(q: ConjunctiveQuery, db: Database) -> int:
     """|Q(D)| for a full acyclic self-join-free query."""
     if not q.is_full:
         raise EngineError("count_answers expects a full query")
     t = tree_for_query(q)
-    ann = aggregate_bottom_up(q, db, t, lambda n, r: 1, COUNTING, counter=counter)
+    ann = aggregate_bottom_up(q, db, t, lambda n, r: 1, COUNTING)
     return sum(ann.values_of[t.root])
 
 
 def thresholds(
-    q: ConjunctiveQuery,
-    xr: Iterable[str],
-    t: RootedJoinTree,
-    db: Database,
-    *,
-    counter: StepCounter | None = None,
+    q: ConjunctiveQuery, xr: Iterable[str], t: RootedJoinTree, db: Database
 ) -> AggAnnotation:
     """Max-min aggregation: per tuple, the best (largest) value that the
     minimum over `xr` can reach among the partial answers below it.
@@ -210,14 +171,4 @@ def thresholds(
             return POS_INF
         return min(row[i] for i in cols)
 
-    return aggregate_bottom_up(q, db, t, val, MAX_MIN, counter=counter)
-
-
-def below_threshold(v, theta, strict: bool) -> bool:
-    """v <= theta (v < theta when strict) for a threshold from `thresholds`:
-    -inf admits no value, +inf admits every value."""
-    if theta is NEG_INF:
-        return False
-    if theta is POS_INF:
-        return True
-    return v < theta if strict else v <= theta
+    return aggregate_bottom_up(q, db, t, val, MAX_MIN)

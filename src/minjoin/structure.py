@@ -114,20 +114,7 @@ class RootedJoinTree:
 
     def reroot(self, new_root: int) -> "RootedJoinTree":
         """Same edges, different root."""
-        adj: dict[int, list[int]] = {i: [] for i in self.vars_of}
-        for e in self.edges():
-            a, b = sorted(e)
-            adj[a].append(b)
-            adj[b].append(a)
-        parent: dict[int, int | None] = {new_root: None}
-        queue = [new_root]
-        while queue:
-            n = queue.pop(0)
-            for m in sorted(adj[n]):
-                if m not in parent:
-                    parent[m] = n
-                    queue.append(m)
-        return RootedJoinTree(self.vars_of, self.atom_of, parent, new_root)
+        return RootedJoinTree.from_edges(self, self.edges(), new_root)
 
     @classmethod
     def from_edges(cls, template: "RootedJoinTree", edges: set[frozenset[int]], root: int):

@@ -13,12 +13,12 @@ from contextlib import contextmanager
 import pytest
 
 from minjoin import (
+    LexDA,
     MinPredicate,
     OutOfBoundsError,
     StepCounter,
     Task,
     UnsupportedPredicateError,
-    build_lex_da,
     build_min_da,
     build_unranked_da_pred,
     classify,
@@ -318,7 +318,7 @@ def test_criterion_8_out_of_bounds_contract():
             db = rand_database(rng, q, dom=6, max_rows=rows)
             structures.append(build_min_da(q, ("x0", "x1", "x2"), db))
             structures.append(build_unranked_da_pred(q, p, db))
-            structures.append(build_lex_da(q, db, "y"))
+            structures.append(LexDA(q, db, "y"))
         checked = 0
         for da in structures:
             total = da.total

@@ -3,11 +3,11 @@ import pytest
 from minjoin import (
     Answer,
     IntractableQueryError,
+    LexDA,
     MinPredicate,
     OutOfBoundsError,
     StepCounter,
     Task,
-    build_lex_da,
     build_min_da,
     build_unranked_da_pred,
     classify,
@@ -41,7 +41,7 @@ def _star():
 def test_lex_da_single_relation_sorted():
     q, _, _ = parse_query("Q(x) :- R(x).")
     db = Database({"R": Relation.from_ints("R", 1, [[5], [1], [3]])})
-    da = build_lex_da(q, db, "x")
+    da = LexDA(q, db, "x")
     assert da.total == 3
     got = [da.access(k)["x"].base for k in range(3)]
     assert got == [1, 3, 5]
@@ -49,14 +49,14 @@ def test_lex_da_single_relation_sorted():
 
 def test_lex_da_join_first_answer_minimal():
     q, db = _star()
-    da = build_lex_da(q, db, "x1")
+    da = LexDA(q, db, "x1")
     a0 = da.access(0)
     assert a0["x1"].base == 1
 
 
 def test_lex_da_empty_total_zero():
     q, _, _ = parse_query("Q(x) :- R(x).")
-    da = build_lex_da(q, Database({"R": Relation("R", 1, ())}), "x")
+    da = LexDA(q, Database({"R": Relation("R", 1, ())}), "x")
     assert da.total == 0
     with pytest.raises(OutOfBoundsError):
         da.access(0)
@@ -64,7 +64,7 @@ def test_lex_da_empty_total_zero():
 
 def _check_lex_da(q, db):
     x = q.variables[0]
-    da = build_lex_da(q, db, x)
+    da = LexDA(q, db, x)
     want = oracle_answers(q, db)
     assert da.total == len(want), q.to_text()
     got = [da.access(k) for k in range(da.total)]
@@ -101,11 +101,11 @@ def test_access_sequences_pinned_with_ties():
     def seq(da):
         return [tuple(da.access(k)[v].base for v in q.variables) for k in range(da.total)]
 
-    assert seq(build_lex_da(q, db, "y")) == [
+    assert seq(LexDA(q, db, "y")) == [
         (1, 1, 1, 0), (1, 1, 2, 0), (2, 1, 1, 0), (2, 1, 2, 0), (1, 2, 1, 0),
         (1, 2, 2, 0), (2, 2, 1, 0), (2, 2, 2, 0), (1, 1, 3, 1), (2, 1, 3, 1),
     ]
-    assert seq(build_lex_da(q, db, "x1")) == [
+    assert seq(LexDA(q, db, "x1")) == [
         (1, 1, 1, 0), (1, 1, 2, 0), (2, 1, 1, 0), (2, 1, 2, 0), (1, 1, 3, 1),
         (2, 1, 3, 1), (1, 2, 1, 0), (1, 2, 2, 0), (2, 2, 1, 0), (2, 2, 2, 0),
     ]

@@ -8,6 +8,7 @@ import pytest
 
 import minjoin
 from minjoin.cli import main
+from minjoin.errors import InternalInvariantError
 
 STAR = "Q(x0,x1,x2,y) :- R0(x0), R1(x1,y), R2(x2,y).\n"
 PRED = "PREDICATE x0 <= MIN(x1,x2).\n"
@@ -255,6 +256,27 @@ def test_cli_edge_queries_agree_with_oracle(tmp_path, capsys, text, rels):
     lines = capsys.readouterr().out.splitlines()
     assert sorted(line.partition("] ")[2] for line in lines[:-1]) == want
     assert lines[-1] == f"[{len(want)}] out of bounds (total {len(want)})"
+
+
+def test_cli_ranked_access_refuses_non_free_connex(tmp_path, capsys):
+    # refused from the query alone, as ranked enumeration refuses it
+    args = _instance(
+        tmp_path, "q", "Q(x,z) :- R(x,y), S(y,z).\nORDER BY MIN(x,z).\n",
+        {"R": "1,2\n", "S": "2,3\n"},
+    )
+    assert main(["enumerate", *args, "--ranked"]) == 2
+    assert main(["access", *args, "--index", "0"]) == 2
+    assert "ranked_da: intractable (not free-connex)" in capsys.readouterr().err
+
+
+def test_cli_internal_error_has_its_own_exit_code(star_dir, monkeypatch, capsys):
+    def broken(*args):
+        raise InternalInvariantError("tree lost a node")
+
+    monkeypatch.setattr("minjoin.cli.count_with_predicate", broken)
+    rc = main(["count", "--query", str(star_dir / "q.mq"), "--data", str(star_dir / "data")])
+    assert rc == 5
+    assert capsys.readouterr().err == "internal error: tree lost a node\n"
 
 
 def test_cli_oracle_access_tie_order_same_in_every_process(tmp_path):

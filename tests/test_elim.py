@@ -246,10 +246,9 @@ def test_eliminate_min_predicate_random_sweep(rng):
             want = oracle_answers(q, db, predicate=pred)
             try:
                 assert count_with_predicate(q, pred, db) == len(want), (q.to_text(), str(pred))
-                if not q.is_boolean:  # a Boolean query is counted through is_nonempty
-                    da = build_unranked_da_pred(q, pred, db)
-                    got = [da.access(k) for k in range(da.total)]
-                    assert len(got) == len(set(got)) and set(got) == want, (q.to_text(), str(pred))
+                da = build_unranked_da_pred(q, pred, db)
+                got = [da.access(k) for k in range(da.total)]
+                assert len(got) == len(set(got)) and set(got) == want, (q.to_text(), str(pred))
             except UnsupportedPredicateError:
                 continue
             checked += 1

@@ -106,6 +106,46 @@ def test_enumerate_with_predicate_root_filter_variant():
     assert got2 == {(1, 5)}
 
 
+def test_enumerate_with_predicate_emission_order_pinned():
+    # equal thresholds in one S bucket (z=3 twice, z=4 twice), equal x0 at
+    # the root (x0=3 twice), and T, which holds no MIN variable, so every T
+    # row has threshold +inf; tuples follow (x0, y, z, u, w)
+    q, _, _ = parse_query("Q(x0,y,z,u,w) :- R(x0,y), S(y,z,u), T(y,w).")
+    db = Database(
+        {
+            "R": Relation.from_ints("R", 2, [[3, 1], [1, 1], [3, 2], [5, 1], [4, 2]]),
+            "S": Relation.from_ints(
+                "S", 3, [[1, 3, 1], [1, 5, 0], [1, 3, 0], [2, 4, 1], [2, 4, 0], [2, 6, 0]]
+            ),
+            "T": Relation.from_ints("T", 2, [[1, 9], [1, 7], [2, 8]]),
+        }
+    )
+
+    def run(strict):
+        s = enumerate_with_predicate(q, MinPredicate("x0", ("z",), strict), db)
+        got = [tuple(a[v].base for v in q.variables) for a in s]
+        return got, s.build_steps, s.steps, s.max_delay
+
+    assert run(False) == (
+        [
+            (1, 1, 5, 0, 7), (1, 1, 5, 0, 9), (1, 1, 3, 0, 7), (1, 1, 3, 0, 9),
+            (1, 1, 3, 1, 7), (1, 1, 3, 1, 9), (3, 1, 5, 0, 7), (3, 1, 5, 0, 9),
+            (3, 1, 3, 0, 7), (3, 1, 3, 0, 9), (3, 1, 3, 1, 7), (3, 1, 3, 1, 9),
+            (3, 2, 6, 0, 8), (3, 2, 4, 0, 8), (3, 2, 4, 1, 8), (4, 2, 6, 0, 8),
+            (4, 2, 4, 0, 8), (4, 2, 4, 1, 8), (5, 1, 5, 0, 7), (5, 1, 5, 0, 9),
+        ],
+        28, 57, 5,
+    )
+    assert run(True) == (
+        [
+            (1, 1, 5, 0, 7), (1, 1, 5, 0, 9), (1, 1, 3, 0, 7), (1, 1, 3, 0, 9),
+            (1, 1, 3, 1, 7), (1, 1, 3, 1, 9), (3, 1, 5, 0, 7), (3, 1, 5, 0, 9),
+            (3, 2, 6, 0, 8), (3, 2, 4, 0, 8), (3, 2, 4, 1, 8), (4, 2, 6, 0, 8),
+        ],
+        27, 37, 5,
+    )
+
+
 def test_enumerate_with_predicate_random(rng):
     done = 0
     while done < 50:

@@ -2,6 +2,8 @@ import itertools
 import operator
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minjoin import (
     COUNTING,
@@ -41,6 +43,12 @@ def test_semiring_laws_hold_for_instances():
     check_semiring_laws(COUNTING, [0, 1, 2, 5, 9])
     vals = [TaggedValue(i, 0) for i in (-3, 0, 2, 7)]
     check_semiring_laws(MAX_MIN, vals)
+
+
+@given(st.builds(TaggedValue, st.integers(), st.integers(min_value=0)))
+def test_infinities_bound_every_cell(v):
+    assert NEG_INF < v < POS_INF
+    assert MAX_MIN.plus(v, NEG_INF) == v == MAX_MIN.times(v, POS_INF)
 
 
 def test_semiring_law_checker_catches_breakage():
@@ -161,7 +169,7 @@ def test_aggregate_step_counter_linear():
             }
         )
         c = StepCounter()
-        count_answers(q, db, counter=c)
+        aggregate_bottom_up(q, db, tree_for_query(q), lambda n, r: 1, COUNTING, counter=c)
         sizes.append((db.size, c.steps))
     for (n1, s1), (n2, s2) in zip(sizes, sizes[1:]):
         assert n2 == 2 * n1 and s2 / s1 <= 2.3
