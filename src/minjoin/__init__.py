@@ -68,6 +68,7 @@ from .elim import (
     EliminationResult,
     eliminate_enforced_order,
     eliminate_min_predicate,
+    min_predicate_orders,
 )
 from .access import (
     LexDA,

@@ -4,7 +4,10 @@ LexDA answers "give me the k-th answer ordered by one variable" via
 per-tuple subtree counts and prefix-sum descent. MinDAIndex layers a
 sorted entry array over per-part LexDA structures so the k-th answer
 under a min-of-variables order comes back in logarithmically many
-probes. Counting and the Boolean task ride on the same machinery.
+probes; both read parts that the dyadic fork rewrite builds. Counting
+with a predicate partitions it into the same enforced orders but counts
+each order in one bottom-up pass over its tree, with no rewrite. The
+Boolean task is one max-min threshold pass.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ from .model import (
     disjointify,
     remove_self_joins,
 )
-from .elim import EliminationResult, eliminate_min_predicate, eliminate_strict_min_tagged
+from .elim import (
+    EliminationResult,
+    eliminate_min_predicate,
+    eliminate_strict_min_tagged,
+    min_predicate_orders,
+)
 from .partition import StrictPartialOrder
 from .semiring import count_answers, thresholds
 # kept as a name of this module, which the benchmark's layer tracing wraps
@@ -342,15 +350,23 @@ def build_unranked_da_pred(
 
 
 def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> int:
-    """|(Q AND P)(D)| by summing the disjoint elimination parts; |Q(D)|
-    when p is None. A Boolean query has one (empty) answer or none."""
+    """|(Q AND P)(D)|, or |Q(D)| when p is None. A Boolean query has one
+    (empty) answer or none.
+
+    The predicate is restricted to the free variables and partitioned into
+    enforced strict orders over the disjointified data; every answer
+    satisfies exactly one order, and each order is counted by one
+    bottom-up pass over its enforcing tree, with no fork rewrite.
+    """
     verdict = classify(Task.COUNTING, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
     if q.is_boolean:
         return int(is_nonempty(q, p, db))
-    res = eliminate_min_predicate(q, p, db)
-    return sum(count_answers(part.query, part.database) for part in res.parts)
+    q2, d, otps = min_predicate_orders(q, p, db)
+    if otps is None:
+        return count_answers(q2, d)
+    return sum(count_answers(q2, d, otp) for otp in otps)
 
 
 def is_nonempty(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> bool:

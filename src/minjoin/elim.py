@@ -1,5 +1,7 @@
 """Elimination of an enforced strict order from a full acyclic query, and
-the end-to-end min-predicate elimination.
+the end-to-end min-predicate elimination. Its steps before the rewrite,
+`min_predicate_orders`, also feed counting, which enforces each order in
+its counting pass instead.
 
 Order pairs whose variables share a node are plain tuple filters. Pairs
 spanning an edge are realized with one fresh join variable per pair: a
@@ -109,31 +111,24 @@ def eliminate_enforced_order(
     schema_of = {n: list(plan.schema[n]) for n in t.nodes()}
     var_pos = {v: i for i, v in enumerate(q.variables)}
     ordered_pairs = sorted(pair.order.pairs, key=lambda ab: (var_pos[ab[0]], var_pos[ab[1]]))
-    edge_list = sorted((min(e), max(e)) for e in t.edges())
+    placed = pair.placements()
     fresh_vars: list[str] = []
     taken_vars = set(q.variables)
 
     for j, (a, b) in enumerate(ordered_pairs):
-        shared = [n for n in t.nodes() if a in t.vars_of[n] and b in t.vars_of[n]]
-        if shared:
-            for n in shared:
-                sch = schema_of[n]
-                ai, bi = sch.index(a), sch.index(b)
-                rows_of[n] = [r for r in rows_of[n] if r[ai] < r[bi]]
-                if counter is not None:
-                    counter.add(len(rows_of[n]))
-            continue
-        site = None
-        for u, v in edge_list:
-            if a in t.vars_of[u] and b in t.vars_of[v]:
-                site = (u, v)
-                break
-            if a in t.vars_of[v] and b in t.vars_of[u]:
-                site = (v, u)
-                break
+        site = placed[a, b]
         if site is None:
             raise InternalInvariantError(f"tree does not enforce {a}<{b}")
-        na, nb = site
+        for n in site.nodes:
+            sch = schema_of[n]
+            ai, bi = sch.index(a), sch.index(b)
+            rows_of[n] = [r for r in rows_of[n] if r[ai] < r[bi]]
+            if counter is not None:
+                counter.add(len(rows_of[n]))
+        if site.edge is None:
+            continue
+        u, v = site.edge
+        na, nb = (u, v) if a in t.vars_of[u] else (v, u)
         acol = schema_of[na].index(a)
         bcol = schema_of[nb].index(b)
         a_side, b_side, _ = _fork_sides(
@@ -166,6 +161,16 @@ def eliminate_enforced_order(
     return q2, Database(rels)
 
 
+def _min_orders(q: ConjunctiveQuery, x0: str, xs) -> list[OrderTreePair]:
+    """The enforced orders, with their trees, that partition "x0 strictly
+    below all of xs" over q's join tree rooted at x0."""
+    xs = [x for x in xs if x != x0]
+    tree = tree_for_query(q, at=x0)
+    if not xs:
+        return [OrderTreePair(StrictPartialOrder(frozenset()), tree)]
+    return partition_min_orders(tree, x0, xs, var_order=q.variables)
+
+
 def eliminate_strict_min_tagged(
     q: ConjunctiveQuery,
     db: Database,
@@ -176,20 +181,36 @@ def eliminate_strict_min_tagged(
     counter: StepCounter | None = None,
 ) -> list[tuple[ConjunctiveQuery, Database, OrderTreePair]]:
     """Eliminate "x0 strictly below all of xs" from a full self-join-free
-    query over an already disjointified database. Inner engine of both
-    the public elimination and the ranked direct-access build."""
-    xs = [x for x in xs if x != x0]
-    tree = tree_for_query(q, at=x0)
+    query over an already disjointified database. Inner engine of the
+    ranked direct-access build."""
     parts = []
-    if xs:
-        otps = partition_min_orders(tree, x0, xs, var_order=q.variables)
-    else:
-        otps = [OrderTreePair(StrictPartialOrder(frozenset()), tree)]
-    for i, otp in enumerate(otps):
-        tag = f"{part_tag}_p{i}"
-        q2, d2 = eliminate_enforced_order(q, db, otp, tag, counter=counter)
+    for i, otp in enumerate(_min_orders(q, x0, xs)):
+        q2, d2 = eliminate_enforced_order(q, db, otp, f"{part_tag}_p{i}", counter=counter)
         parts.append((q2, d2, otp))
     return parts
+
+
+def min_predicate_orders(
+    q: ConjunctiveQuery, p: MinPredicate | None, db: Database
+) -> tuple[ConjunctiveQuery, Database, list[OrderTreePair] | None]:
+    """(Q AND P, D) as a full self-join-free query over the free
+    variables, its database, and the enforced orders that partition the
+    residual predicate; every answer satisfies exactly one order.
+
+    Folds existential inequalities into the data and restricts to the
+    free variables, then disjointifies (x0 gets the smallest rank, or the
+    largest for the strict variant, so that every comparison is strict)
+    and partitions. With no residual predicate the orders are None and
+    the database is not disjointified.
+    """
+    q2, residual, d2 = restrict_predicate_to_free(q, p, db)
+    if residual is None:
+        return q2, d2, None
+    x0 = residual.x0
+    others = [v for v in q2.variables if v != x0]
+    rank_order = [x0] + others if not residual.strict else others + [x0]
+    d3 = disjointify(d2, q2, rank_order)
+    return q2, d3, _min_orders(q2, x0, residual.xs)
 
 
 def eliminate_min_predicate(
@@ -200,10 +221,8 @@ def eliminate_min_predicate(
     With p None the result is the single part (Q, D) restricted to the
     free variables.
 
-    Pipeline: remove self-joins, fold existential inequalities into the
-    data and restrict to the free variables; disjointify (x0 gets the
-    smallest rank, or the largest for the strict variant); partition the
-    residual predicate into enforced orders; eliminate each order.
+    Pipeline: `min_predicate_orders` (remove self-joins, fold, restrict,
+    disjointify, partition), then eliminate each enforced order.
     """
     verdict = classify(Task.ELIMINATION, q, p)
     if not verdict.tractable:
@@ -211,22 +230,12 @@ def eliminate_min_predicate(
     if q.is_boolean:
         raise EngineError("Boolean queries take the is_nonempty route")
 
-    q2, residual, d2 = restrict_predicate_to_free(q, p, db)
-    source_vars = q.free_vars
-
-    if residual is None:
-        return EliminationResult(
-            (EliminationPart(q2, d2, None, None),), source_vars
-        )
-
-    x0 = residual.x0
-    others = [v for v in q2.variables if v != x0]
-    rank_order = [x0] + others if not residual.strict else others + [x0]
-    d3 = disjointify(d2, q2, rank_order)
-    parts = [
-        EliminationPart(pq, pd, otp.order, x0, otp.tree)
-        for pq, pd, otp in eliminate_strict_min_tagged(
-            q2, d3, x0, list(residual.xs)
-        )
-    ]
-    return EliminationResult(tuple(parts), source_vars)
+    q2, d, otps = min_predicate_orders(q, p, db)
+    if otps is None:
+        parts = [EliminationPart(q2, d, None, None)]
+    else:
+        parts = []
+        for i, otp in enumerate(otps):
+            pq, pd = eliminate_enforced_order(q2, d, otp, f"_p{i}")
+            parts.append(EliminationPart(pq, pd, otp.order, p.x0, otp.tree))
+    return EliminationResult(tuple(parts), q.free_vars)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EngineError, InternalInvariantError
 from .structure import RootedJoinTree, make_maximally_branching
@@ -61,31 +61,44 @@ class StrictPartialOrder:
         return ", ".join(f"{a}<{b}" for a, b in sorted(self.pairs))
 
 
+class Placement(NamedTuple):
+    """Where an order pair sits in a tree: in `nodes`, or across `edge`."""
+
+    nodes: tuple[int, ...] = ()
+    edge: tuple[int, int] | None = None  # (parent, child)
+
+
 @dataclass(frozen=True)
 class OrderTreePair:
     order: StrictPartialOrder
     tree: RootedJoinTree
 
+    def placements(self) -> dict[tuple[str, str], Placement | None]:
+        """Per pair a<b: the nodes holding both variables, or else the one
+        (parent, child) edge joining a node of one to a node of the other;
+        None when the tree does not enforce the pair."""
+        t = self.tree
+        out: dict[tuple[str, str], Placement | None] = {}
+        for a, b in self.order.pairs:
+            nodes = tuple(n for n in t.nodes() if a in t.vars_of[n] and b in t.vars_of[n])
+            if nodes:
+                out[a, b] = Placement(nodes=nodes)
+                continue
+            # a's nodes and b's nodes are two disjoint subtrees: at most one
+            # edge joins them
+            out[a, b] = next(
+                (
+                    Placement(edge=(p, c))
+                    for c, p in t.parent.items()
+                    if p is not None and {a, b} <= t.vars_of[p] | t.vars_of[c]
+                ),
+                None,
+            )
+        return out
+
     def enforcement_holds(self) -> bool:
         """Each pair's variables share a node or sit in adjacent nodes."""
-        t = self.tree
-        for a, b in self.order.pairs:
-            ok = False
-            for n in t.nodes():
-                if a in t.vars_of[n] and b in t.vars_of[n]:
-                    ok = True
-                    break
-            if ok:
-                continue
-            for e in t.edges():
-                u, v = tuple(e)
-                uu, vv = t.vars_of[u], t.vars_of[v]
-                if (a in uu and b in vv) or (a in vv and b in uu):
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
+        return None not in self.placements().values()
 
 
 def partition_min_orders(

@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import EngineError, SemiringLawError
+from .errors import EngineError, InternalInvariantError, SemiringLawError
 from .instrument import StepCounter
 from .model import ConjunctiveQuery, Database, Row, TaggedValue
+from .partition import OrderTreePair, StrictPartialOrder
 from .structure import RootedJoinTree, TreePlan, tree_for_query
 
 
@@ -88,6 +90,7 @@ def aggregate_bottom_up(
     val: Callable[[int, Row], object],
     s: Semiring,
     *,
+    order: StrictPartialOrder | None = None,
     counter: StepCounter | None = None,
 ) -> AggAnnotation:
     """Children-to-parent message passing over the join tree.
@@ -96,23 +99,59 @@ def aggregate_bottom_up(
     variables shared with its parent; bucket messages fold with PLUS and
     a tuple combines its received messages with its own val via TIMES.
     Linear in the database size.
+
+    With an `order` that t enforces, only partial answers satisfying it
+    are folded; its comparisons are strict, as on a disjointified
+    database. A pair a<b inside a node filters that node's rows. A pair
+    across an edge has a in the parent and b in the child: the child's
+    bucket is sorted by b and sends suffix PLUS-folds, and a parent row
+    takes the fold of the rows with b above its a, found by bisection.
     """
     if not q.is_self_join_free:
         raise EngineError("aggregation requires a self-join-free query")
     plan = TreePlan(q, t)
     plus, times, zero = s.plus, s.times, s.zero
 
+    filters: dict[int, list[tuple[int, int]]] = {}  # node -> [(a col, b col)]
+    bounded: dict[int, tuple[int, int]] = {}  # child -> (a col in parent, b col)
+    if order is not None:
+        for (a, b), site in OrderTreePair(order, t).placements().items():
+            if site is None:
+                raise InternalInvariantError(f"tree does not enforce {a}<{b}")
+            for n in site.nodes:
+                sch = plan.schema[n]
+                filters.setdefault(n, []).append((sch.index(a), sch.index(b)))
+            if site.edge is not None:
+                p, c = site.edge
+                if a not in t.vars_of[p] or c in bounded:
+                    raise InternalInvariantError(
+                        f"{a}<{b} across edge {p}-{c}: need the smaller variable "
+                        "in the parent and one pair per edge"
+                    )
+                bounded[c] = (plan.schema[p].index(a), plan.schema[c].index(b))
+
     rows_of: dict[int, Sequence[Row]] = {}
     values_of: dict[int, list] = {}
-    messages: dict[int, dict] = {}  # child id -> {key: folded message}
+    # child id -> {key: folded message}, or for a bounded child
+    # {key: (sorted b values, suffix folds)}
+    messages: dict[int, dict] = {}
 
     for n in reversed(plan.order):
-        rows = rows_of[n] = plan.rows(db, n)
+        rows = plan.rows(db, n)
+        for ai, bi in filters.get(n, ()):
+            rows = [r for r in rows if r[ai] < r[bi]]
+        rows_of[n] = rows
         vals = [val(n, r) for r in rows]
         for c in plan.children[n]:
             idx = plan.parent_key[c]
             cmsg = messages.pop(c)
-            if idx:
+            if c in bounded:
+                ai = bounded[c][0]
+                for i, r in enumerate(rows):
+                    got = cmsg.get(tuple(r[j] for j in idx))
+                    m = zero if got is None else got[1][bisect_right(got[0], r[ai])]
+                    vals[i] = times(vals[i], m)
+            elif idx:
                 for i, r in enumerate(rows):
                     m = cmsg.get(tuple(r[j] for j in idx), zero)
                     vals[i] = times(vals[i], m)
@@ -125,10 +164,21 @@ def aggregate_bottom_up(
         if n != plan.root:
             idx = plan.key[n]
             msg: dict = {}
-            for r, v in zip(rows, vals):
-                key = tuple(r[j] for j in idx)
-                prev = msg.get(key)
-                msg[key] = v if prev is None else plus(prev, v)
+            if n in bounded:
+                bi = bounded[n][1]
+                for r, v in zip(rows, vals):
+                    msg.setdefault(tuple(r[j] for j in idx), []).append((r[bi], v))
+                for key, bucket in msg.items():
+                    bucket.sort(key=operator.itemgetter(0))
+                    suffix = [zero] * (len(bucket) + 1)
+                    for i in range(len(bucket) - 1, -1, -1):
+                        suffix[i] = plus(bucket[i][1], suffix[i + 1])
+                    msg[key] = ([b for b, _ in bucket], suffix)
+            else:
+                for r, v in zip(rows, vals):
+                    key = tuple(r[j] for j in idx)
+                    prev = msg.get(key)
+                    msg[key] = v if prev is None else plus(prev, v)
             messages[n] = msg
             if counter is not None:
                 counter.add(len(rows))
@@ -140,12 +190,14 @@ def aggregate_bottom_up(
 # Instantiations
 
 
-def count_answers(q: ConjunctiveQuery, db: Database) -> int:
-    """|Q(D)| for a full acyclic self-join-free query."""
+def count_answers(q: ConjunctiveQuery, db: Database, pair: OrderTreePair | None = None) -> int:
+    """|Q(D)| for a full acyclic self-join-free query; with an order-tree
+    pair, the number of answers that satisfy its order, counted over its
+    tree. The order's comparisons are strict (see aggregate_bottom_up)."""
     if not q.is_full:
         raise EngineError("count_answers expects a full query")
-    t = tree_for_query(q)
-    ann = aggregate_bottom_up(q, db, t, lambda n, r: 1, COUNTING)
+    t, order = (tree_for_query(q), None) if pair is None else (pair.tree, pair.order)
+    ann = aggregate_bottom_up(q, db, t, lambda n, r: 1, COUNTING, order=order)
     return sum(ann.values_of[t.root])
 
 

@@ -260,6 +260,20 @@ def test_count_with_predicate_examples():
     assert count_with_predicate(q, MinPredicate("x0", ("x1", "x2")), empty) == 0
 
 
+def test_count_with_predicate_needs_no_fork_rewrite(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("counting called the fork rewrite")
+
+    monkeypatch.setattr("minjoin.elim.eliminate_enforced_order", broken)
+    q, db = _star()
+    for p in (
+        MinPredicate("x0", ("x1", "x2")),
+        MinPredicate("x0", ("x1", "x2"), strict=True),
+        MinPredicate("x1", ("x0", "x2")),
+    ):
+        assert count_with_predicate(q, p, db) == len(oracle_answers(q, db, predicate=p))
+
+
 def test_is_nonempty_cases():
     q, db = _star()
     p = MinPredicate("x0", ("x1", "x2"))

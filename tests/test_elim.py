@@ -11,12 +11,14 @@ from minjoin import (
     UnsupportedPredicateError,
     build_unranked_da_pred,
     classify,
+    count_answers,
     count_with_predicate,
     disjointify,
     eliminate_enforced_order,
     eliminate_min_predicate,
     is_free_connex,
     join_tree,
+    min_predicate_orders,
     oracle_answers,
     parse_query,
     partition_min_orders,
@@ -253,6 +255,41 @@ def test_eliminate_min_predicate_random_sweep(rng):
                 continue
             checked += 1
     assert checked >= 30
+
+
+def test_count_answers_with_order_matches_fork_rewrite(rng):
+    # the counting pass enforces each order without forks; the fork
+    # rewrite, counted with no order, is the reference
+    def check(q, p, db):
+        try:
+            q2, d, otps = min_predicate_orders(q, p, db)
+        except UnsupportedPredicateError:
+            return 0
+        crossing = 0
+        for otp in otps or ():
+            assert count_answers(q2, d, otp) == count_answers(*eliminate_enforced_order(q2, d, otp))
+            crossing += sum(site.edge is not None for site in otp.placements().values())
+        return crossing
+
+    crossing = strict = 0
+    done = 0
+    while done < 300:
+        q = rand_acyclic_query(rng, max_atoms=6, max_arity=3, full=rng.random() < 0.5)
+        if q.is_boolean:
+            continue
+        p = rand_predicate(rng, q)
+        if not classify(Task.COUNTING, q, p).tractable:
+            continue
+        crossing += check(q, p, rand_database(rng, q, dom=6, max_rows=8))
+        strict += p.strict
+        done += 1
+    for q, db in edge_instances(rng):
+        if q.is_boolean:
+            continue
+        p = rand_predicate(rng, q)
+        if classify(Task.COUNTING, q, p).tractable:
+            crossing += check(q, p, db)
+    assert crossing >= 150 and strict >= 40, (crossing, strict)
 
 
 def test_elimination_blowup_envelope():

@@ -11,9 +11,12 @@ from minjoin import (
     partition_min_orders,
     tree_for_query,
 )
+from minjoin.errors import InternalInvariantError
+from minjoin.model import ConjunctiveQuery, remove_self_joins
+from minjoin.partition import Placement
 from minjoin.structure import RootedJoinTree
 
-from conftest import rand_acyclic_query
+from conftest import EDGE_QUERIES, rand_acyclic_query, rand_database
 
 
 def _root_at(t, var):
@@ -138,3 +141,64 @@ def test_partition_requires_x0_in_root():
     t = _root_at(tree_for_query(q), "x1")
     with pytest.raises(EngineError):
         partition_min_orders(t, "x0", ["x1"])
+
+
+def _cross_edge_pairs(otp):
+    """Check the shape the counting pass relies on and return the number
+    of pairs across an edge: a pair whose variables share no node crosses
+    exactly one tree edge, with a in the parent and b in the child, and
+    no edge carries two pairs."""
+    t = otp.tree
+    placed = otp.placements()
+    carried = []
+    for a, b in otp.order.pairs:
+        if any({a, b} <= t.vars_of[n] for n in t.nodes()):
+            continue
+        down = [(p, c) for c, p in t.parent.items() if p is not None and a in t.vars_of[p] and b in t.vars_of[c]]
+        up = [(p, c) for c, p in t.parent.items() if p is not None and b in t.vars_of[p] and a in t.vars_of[c]]
+        assert len(down) == 1 and not up, (str(otp.order), a, b)
+        assert placed[a, b] == Placement(edge=down[0])
+        carried += down
+    assert len(carried) == len(set(carried)), str(otp.order)
+    return len(carried)
+
+
+def _partitions(q, rng, tries):
+    """partition_min_orders outputs for random (x0, xs) choices that the
+    classifier calls tractable."""
+    for _ in range(tries):
+        x0 = rng.choice(q.variables)
+        xs = rng.sample(q.variables, rng.randint(1, len(q.variables)))
+        xs = [x for x in xs if x != x0]
+        if not xs or not classify(Task.ELIMINATION, q, MinPredicate(x0, tuple(xs))).tractable:
+            continue
+        t = tree_for_query(q, at=x0)
+        try:
+            yield partition_min_orders(t, x0, xs, var_order=q.variables)
+        except InternalInvariantError:
+            # known open defect: a disconnected body can fail the rebuild
+            if all(t.vars_of[n] & t.vars_of[p] for n, p in t.parent.items() if p is not None):
+                raise
+
+
+def test_partition_cross_edge_pairs_point_down(rng):
+    crossing = parts = 0
+    for _ in range(300):
+        q = rand_acyclic_query(rng, max_atoms=7, max_arity=3, full=True)
+        if not q.is_self_join_free:
+            continue
+        for otps in _partitions(q, rng, 3):
+            for otp in otps:
+                crossing += _cross_edge_pairs(otp)
+                parts += 1
+    for text in EDGE_QUERIES:
+        q = parse_query(text)[0]
+        if q.is_boolean:
+            continue
+        q = ConjunctiveQuery(q.atoms, q.variables, q.name)
+        q, _ = remove_self_joins(q, rand_database(rng, q))
+        for otps in _partitions(q, rng, 6):
+            for otp in otps:
+                crossing += _cross_edge_pairs(otp)
+                parts += 1
+    assert parts >= 1000 and crossing >= 2000, (parts, crossing)

@@ -22,7 +22,9 @@ from minjoin import (
     thresholds,
     tree_for_query,
 )
+from minjoin.errors import InternalInvariantError
 from minjoin.model import Database, Relation
+from minjoin.partition import OrderTreePair, StrictPartialOrder
 
 from conftest import rand_acyclic_query, rand_database
 
@@ -173,3 +175,19 @@ def test_aggregate_step_counter_linear():
         sizes.append((db.size, c.steps))
     for (n1, s1), (n2, s2) in zip(sizes, sizes[1:]):
         assert n2 == 2 * n1 and s2 / s1 <= 2.3
+
+
+@pytest.mark.parametrize(
+    "text, pairs",
+    [
+        ("Q(a,b,c) :- R(a,b), S(b,c).", {("c", "a")}),  # smaller variable in the child
+        ("Q(a,b,c,d,e) :- R(a,b,e), S(e,c,d).", {("a", "c"), ("b", "d")}),  # two pairs on one edge
+        ("Q(a,c,e,f) :- R(a,e), S(e,f), T(f,c).", {("a", "c")}),  # not adjacent
+    ],
+)
+def test_count_with_order_refuses_other_pair_shapes(text, pairs):
+    q = parse_query(text)[0]
+    db = Database({a.symbol: Relation.from_ints(a.symbol, a.arity, [list(range(a.arity))]) for a in q.atoms})
+    otp = OrderTreePair(StrictPartialOrder(frozenset(pairs)), tree_for_query(q, at="a"))
+    with pytest.raises(InternalInvariantError):
+        count_answers(q, db, otp)
