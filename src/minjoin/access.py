@@ -13,7 +13,7 @@ Boolean task is one max-min threshold pass.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import itemgetter, le
+from operator import itemgetter
 from dataclasses import dataclass, field
 
 from .errors import EngineError, IntractableQueryError, OutOfBoundsError
@@ -29,12 +29,13 @@ from .model import (
 )
 from .elim import (
     EliminationResult,
+    _cut_at_x0,
     eliminate_min_predicate,
     eliminate_strict_min_tagged,
     min_predicate_orders,
 )
 from .partition import StrictPartialOrder
-from .semiring import count_answers, thresholds
+from .semiring import count_answers
 # kept as a name of this module, which the benchmark's layer tracing wraps
 from .semiring import aggregate_bottom_up  # noqa: F401
 from .structure import Task, TreePlan, classify, group_by, tree_for_query
@@ -308,23 +309,14 @@ class UnrankedPredDA:
 
 class BooleanAnswers:
     """A Boolean query's answers, the empty assignment if the query holds
-    and none otherwise, as a direct-access structure and a stream cursor."""
-
-    steps = 0
+    and none otherwise, as a direct-access structure."""
 
     def __init__(self, holds: bool):
         self.total = int(holds)
-        self._emitted = 0
 
     def access(self, k: int, probes: StepCounter | None = None) -> Answer:
         if not 0 <= k < self.total:
             raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
-        return Answer({})
-
-    def next_answer(self):
-        if self._emitted == self.total:
-            return None
-        self._emitted += 1
         return Answer({})
 
 
@@ -370,28 +362,10 @@ def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Databa
 
 
 def is_nonempty(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> bool:
-    """Boolean task for Q AND P (for Q when p is None); needs only acyclicity.
-
-    All variables are treated as existential: per tuple of an atom holding
-    x0, the max-min threshold says how large min(X) can get among full
-    homomorphisms through it, so nonemptiness is one scan of that atom.
-    Without a predicate, X is empty and the threshold is +inf exactly for
-    the tuples that extend to a homomorphism.
-    """
+    """Boolean task for Q AND P (for Q when p is None); needs only
+    acyclicity. Q AND P holds when the cut of an atom holding x0 keeps a
+    row (see `elim._cut_at_x0`)."""
     verdict = classify(Task.BOOLEAN, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
-    if p is None:
-        x0, xs, below = q.variables[0], [], le
-    else:
-        p.check_vars(q)
-        x0, xs, below = p.x0, [x for x in p.xs if x != p.x0], p.below
-    q1, d1 = remove_self_joins(q, db)
-    qf = ConjunctiveQuery(q1.atoms, q1.variables, q1.name)
-    t = tree_for_query(qf, at=x0)
-    ann = thresholds(qf, xs, t, d1)
-    xi = qf.atoms[t.atom_of[t.root]].vars.index(x0)
-    return any(
-        below(row[xi], theta)
-        for row, theta in zip(ann.rows_of[t.root], ann.values_of[t.root])
-    )
+    return _cut_at_x0(q, p, db)[2] > 0

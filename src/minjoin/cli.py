@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .access import (
-    BooleanAnswers,
     build_min_da,
     build_unranked_da_pred,
     count_with_predicate,
@@ -161,7 +160,7 @@ def _build_stream(q, p, r, db, ranked: bool):
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
     if q.is_boolean:
-        return AnswerStream(BooleanAnswers(is_nonempty(q, p, db)), ()), False
+        return AnswerStream(iter([Answer({})] if is_nonempty(q, p, db) else [])), False
     qf, residual, dbf = (q, p, db) if q.is_full else restrict_predicate_to_free(q, p, db)
     if residual is None:
         return enumerate_full_acyclic(qf, dbf), False

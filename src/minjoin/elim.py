@@ -13,6 +13,7 @@ quasilinear and makes the answer projection a bijection.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import EngineError, InternalInvariantError, IntractableQueryError
@@ -26,9 +27,11 @@ from .model import (
     TaggedValue,
     disjointify,
     fresh_symbol,
+    remove_self_joins,
 )
 from .partition import OrderTreePair, StrictPartialOrder, partition_min_orders
 from .reduce import restrict_predicate_to_free
+from .semiring import thresholds
 from .structure import Task, TreePlan, classify, tree_for_query
 
 
@@ -43,7 +46,8 @@ class EliminationPart:
 
 @dataclass(frozen=True)
 class EliminationResult:
-    """Disjoint full acyclic parts whose projected answers tile (Q AND P)(D)."""
+    """Disjoint acyclic parts whose projected answers tile (Q AND P)(D):
+    full ones, or for a Boolean head one Boolean part."""
 
     parts: tuple[EliminationPart, ...]
     source_vars: tuple[str, ...]
@@ -213,13 +217,47 @@ def min_predicate_orders(
     return q2, d3, _min_orders(q2, x0, residual.xs)
 
 
+def _cut_at_x0(
+    q: ConjunctiveQuery, p: MinPredicate | None, db: Database
+) -> tuple[ConjunctiveQuery, Database, int]:
+    """Q after self-join removal; its database with the relation of an
+    atom holding x0 cut to the rows through which some homomorphism of
+    Q's body satisfies P; and the number of rows kept.
+
+    All variables are treated as existential: per row, the max-min
+    threshold says how large min(X) can get among the homomorphisms
+    through it, so the cut is one scan of that atom. Without a predicate,
+    x0 is Q's first variable, X is empty and the threshold is +inf
+    exactly for the rows that extend to a homomorphism.
+    """
+    if p is None:
+        x0, xs, below = q.variables[0], [], operator.le
+    else:
+        p.check_vars(q)
+        x0, xs, below = p.x0, [x for x in p.xs if x != p.x0], p.below
+    q1, d1 = remove_self_joins(q, db)
+    qf = ConjunctiveQuery(q1.atoms, q1.variables, q1.name)
+    t = tree_for_query(qf, at=x0)
+    ann = thresholds(qf, xs, t, d1)
+    atom = qf.atoms[t.atom_of[t.root]]
+    xi = atom.vars.index(x0)
+    kept = tuple(
+        row
+        for row, theta in zip(ann.rows_of[t.root], ann.values_of[t.root])
+        if below(row[xi], theta)
+    )
+    return q1, d1.replace(Relation(atom.symbol, atom.arity, kept)), len(kept)
+
+
 def eliminate_min_predicate(
     q: ConjunctiveQuery, p: MinPredicate | None, db: Database
 ) -> EliminationResult:
     """Transform (Q AND P, D) into disjoint full acyclic query-database
     parts whose projections onto the free variables tile the answers.
     With p None the result is the single part (Q, D) restricted to the
-    free variables.
+    free variables. A Boolean head gives one Boolean part with no order:
+    Q after self-join removal, with an atom holding x0 cut to the rows
+    through which Q AND P holds (see `_cut_at_x0`).
 
     Pipeline: `min_predicate_orders` (remove self-joins, fold, restrict,
     disjointify, partition), then eliminate each enforced order.
@@ -228,7 +266,8 @@ def eliminate_min_predicate(
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
     if q.is_boolean:
-        raise EngineError("Boolean queries take the is_nonempty route")
+        q1, d1, _ = _cut_at_x0(q, p, db)
+        return EliminationResult((EliminationPart(q1, d1, None, None),), ())
 
     q2, d, otps = min_predicate_orders(q, p, db)
     if otps is None:

@@ -1,51 +1,57 @@
 """Constant-delay enumeration: plain full acyclic, predicate-pruned, and
 min-ranked via a parallel merge of per-variable sorted streams.
 
-Streams are single-consumer stateful cursors with has_next/peek/advance
-and a step counter, so delay properties are assertable without clocks.
+Each stream is a generator of answers that adds its work to one
+StepCounter, so delay properties are assertable without clocks.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import EngineError
-from .model import Answer, ConjunctiveQuery, Database, MinPredicate, TaggedValue, remove_self_joins
+from .instrument import StepCounter
+from .model import Answer, ConjunctiveQuery, Database, MinPredicate, remove_self_joins
 from .reduce import semijoin_reduce
 from .semiring import thresholds
 from .structure import TreePlan, group_by, tree_for_query
 
 
 class AnswerStream:
-    """Cursor over answers with delay instrumentation.
+    """Single-consumer cursor over a generator of answers, with delay
+    instrumentation.
 
-    `steps` counts cursor operations; `max_delay` tracks the largest step
-    gap between consecutive emissions. Draining twice is not supported:
-    the cursor is consumed.
+    `steps` reads the StepCounter that the generator adds its work to;
+    `max_delay` tracks the largest step gap between consecutive
+    emissions. `build_steps` counts the preprocessing rows; a predicate
+    stream runs no semijoin pass, so its `build_steps` counts every input
+    row, dangling ones included. Draining twice is not supported: the
+    cursor is consumed.
     """
 
-    def __init__(self, cursor, free_vars: tuple[str, ...], build_steps: int = 0):
-        self._cursor = cursor
-        self._free = free_vars
+    def __init__(
+        self,
+        answers: Iterator[Answer],
+        counter: StepCounter | None = None,
+        build_steps: int = 0,
+        skipped: StepCounter | None = None,
+    ):
+        self._answers = answers
+        self._counter = counter if counter is not None else StepCounter()
+        self._skipped = skipped
         self.build_steps = build_steps
         self.emitted = 0
         self.max_delay = 0
         self._last_steps = 0
-        self._buffer = self._fetch()
-
-    def _fetch(self):
-        got = self._cursor.next_answer()
-        if got is None:
-            return None
-        if isinstance(got, Answer):
-            return got
-        return Answer({v: got[v] for v in self._free})
+        self._buffer = next(answers, None)
 
     @property
     def steps(self) -> int:
-        return self._cursor.steps
+        return self._counter.steps
 
     @property
     def skips(self) -> int:
-        return getattr(self._cursor, "skips", 0)
+        return self._skipped.steps if self._skipped is not None else 0
 
     @property
     def avg_delay(self) -> float:
@@ -66,11 +72,12 @@ class AnswerStream:
         if self._buffer is None:
             raise EngineError("stream is exhausted")
         self.emitted += 1
-        delay = self.steps - self._last_steps
+        steps = self._counter.steps
+        delay = steps - self._last_steps
         if delay > self.max_delay:
             self.max_delay = delay
-        self._last_steps = self.steps
-        self._buffer = self._fetch()
+        self._last_steps = steps
+        self._buffer = next(self._answers, None)
 
     def __iter__(self):
         while self.has_next():
@@ -82,87 +89,49 @@ class AnswerStream:
         return list(self)
 
 
-class _DescentCursor:
+def _descend(buckets, parent_ix, parent_cols, root_rows, where, counter, cut, bound_col):
     """Nested-loop descent over a bucketed join tree (the odometer).
 
-    Buckets are keyed by the variables shared with the parent node. An
-    optional cut predicate prunes bucket scans: bucket lists must then be
-    sorted so that once one row fails, the rest of the bucket fails too.
+    Node i > 0 scans the bucket that its parent's row selects by the
+    values in `parent_cols[i]`. An optional cut prunes bucket scans:
+    bucket lists must then be sorted so that once one row fails, the rest
+    of the bucket fails too. `where` gives each variable, in sorted order,
+    the node and column that hold its value.
     """
-
-    __slots__ = (
-        "steps", "_m", "_schemas", "_parent_ix", "_parent_cols", "_buckets",
-        "_root_rows", "_cut", "_bound_col", "_bound", "_lists", "_idx",
-        "_cur", "_started", "_done",
-    )
-
-    def __init__(self, preorder_nodes, schemas, parent_ix, parent_cols, buckets, root_rows,
-                 cut=None, bound_col=None):
-        self.steps = 0
-        self._m = len(preorder_nodes)
-        self._schemas = schemas
-        self._parent_ix = parent_ix
-        self._parent_cols = parent_cols
-        self._buckets = buckets
-        self._root_rows = root_rows
-        self._cut = cut
-        self._bound_col = bound_col
-        self._bound = None
-        self._lists: list = [None] * self._m
-        self._idx = [0] * self._m
-        self._cur: list = [None] * self._m
-        self._started = False
-        self._done = False
-
-    def _passes(self, i: int, row) -> bool:
-        if i == 0 or self._cut is None:
-            return True
-        return self._cut(i, row, self._bound)
-
-    def next_answer(self):
-        if self._done:
-            return None
-        if not self._started:
-            self._started = True
-            self._lists[0] = self._root_rows
-            self._idx[0] = -1
-            i = 0
-        else:
-            i = self._m - 1
-        steps = 0
-        while True:
-            steps += 1
-            self._idx[i] += 1
-            lst = self._lists[i]
-            if self._idx[i] < len(lst) and self._passes(i, lst[self._idx[i]]):
-                row = lst[self._idx[i]]
-                self._cur[i] = row
-                if i == 0 and self._bound_col is not None:
-                    self._bound = row[self._bound_col]
-                if i == self._m - 1:
-                    self.steps += steps
-                    out: dict[str, TaggedValue] = {}
-                    for j in range(self._m):
-                        r = self._cur[j]
-                        for v, c in zip(self._schemas[j], r):
-                            out[v] = c
-                    return out
-                i += 1
-                p = self._parent_ix[i]
-                key = tuple(self._cur[p][c] for c in self._parent_cols[i])
-                self._lists[i] = self._buckets[i].get(key, ())
-                self._idx[i] = -1
+    last = len(buckets) - 1
+    lists = [root_rows] + [()] * last
+    idx = [-1] * (last + 1)
+    cur = [None] * (last + 1)
+    bound = None
+    i = steps = 0
+    while True:
+        steps += 1
+        k = idx[i] = idx[i] + 1
+        lst = lists[i]
+        if k < len(lst) and (i == 0 or cut is None or cut(i, lst[k], bound)):
+            row = cur[i] = lst[k]
+            if i == 0 and bound_col is not None:
+                bound = row[bound_col]
+            if i == last:
+                counter.add(steps)
+                steps = 0
+                yield Answer._of_sorted(tuple([(v, cur[j][c]) for v, j, c in where]))
                 continue
-            i -= 1
-            if i < 0:
-                self._done = True
-                self.steps += steps
-                return None
+            i += 1
+            parent = cur[parent_ix[i]]
+            lists[i] = buckets[i].get(tuple([parent[c] for c in parent_cols[i]]), ())
+            idx[i] = -1
+            continue
+        i -= 1
+        if i < 0:
+            counter.add(steps)
+            return
 
 
 def _build_descent(
     plan: TreePlan,
     db: Database,
+    counter: StepCounter,
     *,
     bucket_sort=None,
     root_sort=None,
@@ -170,7 +139,8 @@ def _build_descent(
     cut=None,
     bound_var=None,
 ):
-    """Shared preprocessing: bucket every non-root node, order the root."""
+    """Shared preprocessing: bucket every non-root node, order the root.
+    Returns the descent's answers and the build steps."""
     order = plan.order  # any topological order works for the odometer
     pos = {n: i for i, n in enumerate(order)}
     buckets: list[dict] = [{}]
@@ -190,17 +160,33 @@ def _build_descent(
     if root_sort is not None:
         root_rows.sort(key=root_sort)
     build_steps += len(root_rows)
-    cursor = _DescentCursor(
-        order,
-        [plan.schema[n] for n in order],
+    where: dict[str, tuple[int, int]] = {}
+    for j, n in enumerate(order):
+        for c, v in enumerate(plan.schema[n]):
+            where.setdefault(v, (j, c))
+    answers = _descend(
+        buckets,
         [-1] + [pos[plan.parent[n]] for n in order[1:]],
         [()] + [plan.parent_key[n] for n in order[1:]],
-        buckets,
         root_rows,
-        cut=cut,
-        bound_col=plan.schema[plan.root].index(bound_var) if bound_var is not None else None,
+        [(v, *where[v]) for v in sorted(where)],
+        counter,
+        cut,
+        plan.schema[plan.root].index(bound_var) if bound_var is not None else None,
     )
-    return cursor, build_steps
+    return answers, build_steps
+
+
+def _full_descent(q: ConjunctiveQuery, db: Database, root_sort_var, counter: StepCounter):
+    """The answers of a full self-join-free query after the semijoin
+    reduction, sorted by `root_sort_var` when given, and the build steps."""
+    plan = TreePlan(q, tree_for_query(q, at=root_sort_var))
+    reduced = semijoin_reduce(q, db, plan.tree)
+    root_sort = None
+    if root_sort_var is not None:
+        col = plan.schema[plan.root].index(root_sort_var)
+        root_sort = lambda r: (r[col], r)
+    return _build_descent(plan, reduced, counter, root_sort=root_sort)
 
 
 def enumerate_full_acyclic(
@@ -212,14 +198,9 @@ def enumerate_full_acyclic(
     if not q.is_full:
         raise EngineError("enumeration needs a full query")
     q, db = remove_self_joins(q, db)
-    plan = TreePlan(q, tree_for_query(q, at=root_sort_var))
-    reduced = semijoin_reduce(q, db, plan.tree)
-    root_sort = None
-    if root_sort_var is not None:
-        col = plan.schema[plan.root].index(root_sort_var)
-        root_sort = lambda r: (r[col], r)
-    cursor, build_steps = _build_descent(plan, reduced, root_sort=root_sort)
-    return AnswerStream(cursor, q.free_vars, build_steps)
+    counter = StepCounter()
+    answers, build_steps = _full_descent(q, db, root_sort_var, counter)
+    return AnswerStream(answers, counter, build_steps)
 
 
 def enumerate_with_predicate(
@@ -232,6 +213,10 @@ def enumerate_with_predicate(
     best min-over-X value reachable below it (its threshold), buckets are
     scanned in decreasing threshold order, and a descent stops as soon as
     a threshold drops under the current x0 value.
+
+    No semijoin pass runs first: a row with no full extension below it
+    has threshold -inf, so the root filter and the cut drop it, and a row
+    with no partner above is never looked up.
     """
     if not q.is_full:
         raise EngineError("enumeration needs a full query")
@@ -240,60 +225,45 @@ def enumerate_with_predicate(
     x0 = p.x0
     xs = [x for x in p.xs if x != x0]
     plan = TreePlan(q, tree_for_query(q, at=x0))
-    t = plan.tree
-    reduced = semijoin_reduce(q, db, t)
-    ann = thresholds(q, xs, t, reduced)
+    ann = thresholds(q, xs, plan.tree, db)
     theta = {n: ann.as_map(n) for n in plan.order}
-    build_steps = reduced.size
     order_nodes = plan.order
     root_id = plan.root
     x0_col = plan.schema[root_id].index(x0)
     below = p.below
-
-    cursor, more_steps = _build_descent(
-        plan, reduced,
+    counter = StepCounter()
+    answers, build_steps = _build_descent(
+        plan, db, counter,
         bucket_sort=lambda n, r: theta[n][r],
         root_sort=lambda r: (r[x0_col], r),
         root_filter=lambda r: below(r[x0_col], theta[root_id][r]),
         cut=lambda i, r, bound: below(bound, theta[order_nodes[i]][r]),
         bound_var=x0,
     )
-    return AnswerStream(cursor, q.free_vars, build_steps + more_steps)
+    return AnswerStream(answers, counter, db.size + build_steps)
 
 
-class _RankedMergeCursor:
+def _ranked_merge(subs, xs, counter: StepCounter, skipped: StepCounter):
     """Merge sorted per-variable streams; emit each answer only from the
     stream whose variable attains its minimum (smallest index on ties)."""
-
-    def __init__(self, substreams: list[AnswerStream], xs: tuple[str, ...]):
-        self._subs = substreams
-        self._xs = xs
-        self.skips = 0
-        self._merge_steps = 0
-
-    @property
-    def steps(self) -> int:
-        return self._merge_steps + sum(s.steps for s in self._subs)
-
-    def next_answer(self):
-        while True:
-            best = None
-            for i, s in enumerate(self._subs):
-                if not s.has_next():
-                    continue
-                v = s.peek()[self._xs[i]]
-                if best is None or (v, i) < best[:2]:
-                    best = (v, i, s)
-            self._merge_steps += 1
-            if best is None:
-                return None
-            _, r, stream = best
-            a = stream.peek()
-            stream.advance()
-            responsible = min(range(len(self._xs)), key=lambda j: (a[self._xs[j]], j))
-            if responsible == r:
-                return a
-            self.skips += 1
+    heads = [next(s, None) for s in subs]
+    ids = range(len(xs))
+    while True:
+        best = None
+        for i in ids:
+            a = heads[i]
+            if a is not None and (best is None or (a[xs[i]], i) < best):
+                best = (a[xs[i]], i)
+        counter.add(1)
+        if best is None:
+            return
+        r = best[1]
+        a = heads[r]
+        heads[r] = next(subs[r], None)
+        if min(ids, key=lambda j: (a[xs[j]], j)) == r:
+            yield a
+        else:
+            skipped.add(1)
 
 
 def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
@@ -314,10 +284,10 @@ def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
             raise EngineError(f"ranking variable {x!r} not in the query")
     if not xs:
         raise EngineError("ranking needs at least one variable")
-    subs = [
-        enumerate_full_acyclic(q, db, root_sort_var=x)
-        for x in xs
-    ]
-    cursor = _RankedMergeCursor(subs, xs)
-    return AnswerStream(cursor, q.free_vars, sum(s.build_steps for s in subs))
-
+    counter, skipped = StepCounter(), StepCounter()
+    subs, build_steps = [], 0
+    for x in xs:
+        answers, steps = _full_descent(q, db, x, counter)
+        subs.append(answers)
+        build_steps += steps
+    return AnswerStream(_ranked_merge(subs, xs, counter, skipped), counter, build_steps, skipped)

@@ -15,8 +15,5 @@ class StepCounter:
     def add(self, n: int = 1):
         self.steps += n
 
-    def reset(self):
-        self.steps = 0
-
     def __repr__(self):
         return f"StepCounter({self.steps})"

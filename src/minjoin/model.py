@@ -142,11 +142,6 @@ class ConjunctiveQuery:
         return tuple(seen)
 
     @property
-    def existential_vars(self) -> tuple[str, ...]:
-        free = set(self.free_vars)
-        return tuple(v for v in self.variables if v not in free)
-
-    @property
     def is_full(self) -> bool:
         return set(self.free_vars) == set(self.variables)
 
@@ -236,6 +231,14 @@ class Answer:
 
     def __init__(self, assignment: Mapping[str, TaggedValue]):
         self._items = tuple(sorted(assignment.items()))
+
+    @classmethod
+    def _of_sorted(cls, items: tuple[tuple[str, TaggedValue], ...]) -> "Answer":
+        """The answer whose (variable, value) items, sorted by variable,
+        are `items`; the tuple is kept as it is."""
+        a = object.__new__(cls)
+        a._items = items
+        return a
 
     @property
     def assignment(self) -> dict[str, TaggedValue]:

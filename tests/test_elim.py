@@ -22,6 +22,7 @@ from minjoin import (
     oracle_answers,
     parse_query,
     partition_min_orders,
+    remove_self_joins,
     tree_for_query,
 )
 from minjoin.elim import _fork_sides
@@ -240,7 +241,7 @@ def test_eliminate_min_predicate_random_sweep(rng):
             assert len(got) == len(set(got)) and set(got) == want
         done += 1
     assert done >= 80
-    checked = 0
+    checked = booleans = 0
     for q, db in edge_instances(rng):
         for pred in (rand_predicate(rng, q), None):
             if not classify(Task.COUNTING, q, pred).tractable:
@@ -253,8 +254,14 @@ def test_eliminate_min_predicate_random_sweep(rng):
                 assert len(got) == len(set(got)) and set(got) == want, (q.to_text(), str(pred))
             except UnsupportedPredicateError:
                 continue
+            if q.is_boolean and classify(Task.ELIMINATION, q, pred).tractable:
+                (part,) = eliminate_min_predicate(q, pred, db).parts
+                assert part.order is None and part.min_var is None
+                assert part.query == remove_self_joins(q, db)[0]
+                assert bool(oracle_answers(part.query, part.database)) == bool(want), (q.to_text(), str(pred))
+                booleans += 1
             checked += 1
-    assert checked >= 30
+    assert checked >= 30 and booleans >= 10
 
 
 def test_count_answers_with_order_matches_fork_rewrite(rng):

@@ -9,6 +9,8 @@ from minjoin import (
     enumerate_with_predicate,
     oracle_answers,
     parse_query,
+    remove_self_joins,
+    semijoin_reduce,
 )
 from minjoin.model import Database, Relation
 
@@ -35,6 +37,22 @@ def _path_db(rng, n=10, dom=6):
         return Relation.from_ints(sym, 2, rows)
 
     return Database({s: rel(s) for s in ("R0", "R1", "R2", "R3")})
+
+
+def _ties():
+    """An instance with ties: z=3 twice and z=4 twice in one S bucket,
+    x0=3 twice in R, and u and w values shared across buckets."""
+    q, _, _ = parse_query("Q(x0,y,z,u,w) :- R(x0,y), S(y,z,u), T(y,w).")
+    db = Database(
+        {
+            "R": Relation.from_ints("R", 2, [[3, 1], [1, 1], [3, 2], [5, 1], [4, 2]]),
+            "S": Relation.from_ints(
+                "S", 3, [[1, 3, 1], [1, 5, 0], [1, 3, 0], [2, 4, 1], [2, 4, 0], [2, 6, 0]]
+            ),
+            "T": Relation.from_ints("T", 2, [[1, 9], [1, 7], [2, 8]]),
+        }
+    )
+    return q, db
 
 
 def test_enumerate_single_relation():
@@ -110,16 +128,7 @@ def test_enumerate_with_predicate_emission_order_pinned():
     # equal thresholds in one S bucket (z=3 twice, z=4 twice), equal x0 at
     # the root (x0=3 twice), and T, which holds no MIN variable, so every T
     # row has threshold +inf; tuples follow (x0, y, z, u, w)
-    q, _, _ = parse_query("Q(x0,y,z,u,w) :- R(x0,y), S(y,z,u), T(y,w).")
-    db = Database(
-        {
-            "R": Relation.from_ints("R", 2, [[3, 1], [1, 1], [3, 2], [5, 1], [4, 2]]),
-            "S": Relation.from_ints(
-                "S", 3, [[1, 3, 1], [1, 5, 0], [1, 3, 0], [2, 4, 1], [2, 4, 0], [2, 6, 0]]
-            ),
-            "T": Relation.from_ints("T", 2, [[1, 9], [1, 7], [2, 8]]),
-        }
-    )
+    q, db = _ties()
 
     def run(strict):
         s = enumerate_with_predicate(q, MinPredicate("x0", ("z",), strict), db)
@@ -146,6 +155,38 @@ def test_enumerate_with_predicate_emission_order_pinned():
     )
 
 
+def test_streams_emission_order_and_steps_pinned():
+    # the plain, root-sorted and ranked streams on the instance with ties;
+    # tuples follow (x0, y, z, u, w)
+    q, db = _ties()
+
+    def run(s):
+        got = [tuple(a[v].base for v in q.variables) for a in s]
+        return got, s.build_steps, s.steps, s.max_delay, s.avg_delay, s.skips
+
+    y1 = [(x0, 1, z, u, w) for w in (7, 9) for z, u in ((3, 0), (3, 1), (5, 0)) for x0 in (1, 3, 5)]
+    y2 = [(x0, 2, z, u, 8) for z, u in ((4, 0), (4, 1), (6, 0)) for x0 in (3, 4)]
+    assert run(enumerate_full_acyclic(q, db)) == (y1 + y2, 14, 49, 5, 46 / 24, 0)
+
+    def at_z(z, u):
+        if z in (4, 6):
+            return [(x0, 2, z, u, 8) for x0 in (3, 4)]
+        return [(x0, 1, z, u, w) for x0 in (1, 3, 5) for w in (7, 9)]
+
+    by_z = at_z(3, 0) + at_z(3, 1) + at_z(4, 0) + at_z(4, 1) + at_z(5, 0) + at_z(6, 0)
+    assert run(enumerate_full_acyclic(q, db, root_sort_var="z")) == (by_z, 14, 67, 5, 64 / 24, 0)
+
+    ranked = [
+        (1, 1, 3, 0, 7), (1, 1, 3, 0, 9), (1, 1, 3, 1, 7), (1, 1, 3, 1, 9),
+        (1, 1, 5, 0, 7), (1, 1, 5, 0, 9), (3, 1, 3, 0, 7), (3, 1, 3, 0, 9),
+        (3, 1, 3, 1, 7), (3, 1, 3, 1, 9), (3, 1, 5, 0, 7), (3, 1, 5, 0, 9),
+        (3, 2, 4, 0, 8), (3, 2, 4, 1, 8), (3, 2, 6, 0, 8), (5, 1, 3, 0, 7),
+        (5, 1, 3, 0, 9), (5, 1, 3, 1, 7), (5, 1, 3, 1, 9), (4, 2, 4, 0, 8),
+        (4, 2, 4, 1, 8), (4, 2, 6, 0, 8), (5, 1, 5, 0, 7), (5, 1, 5, 0, 9),
+    ]
+    assert run(enumerate_ranked_min(q, ("x0", "z"), db)) == (ranked, 28, 181, 34, 152 / 24, 24)
+
+
 def test_enumerate_with_predicate_random(rng):
     done = 0
     while done < 50:
@@ -166,6 +207,44 @@ def test_enumerate_with_predicate_random(rng):
         got = enumerate_with_predicate(q, p, db).drain()
         want = oracle_answers(q, db, predicate=p)
         assert set(got) == want and len(got) == len(want), (q.to_text(), str(p))
+
+
+def _with_dangling_rows(rng, q, db):
+    """db plus, in every relation of q, one row of values no other
+    relation holds and one random row."""
+    rels = []
+    for k, sym in enumerate(dict.fromkeys(a.symbol for a in q.atoms)):
+        rel = db.relation(sym)
+        rows = [[c.base for c in row] for row in rel.rows]
+        rows += [[100 + k] * rel.arity, [rng.randrange(6) for _ in range(rel.arity)]]
+        rels.append(Relation.from_ints(sym, rel.arity, rows))
+    return db.replace(*rels)
+
+
+def test_enumerate_with_predicate_needs_no_semijoin_pass(rng, monkeypatch):
+    # a row with no full extension below has threshold -inf, so the root
+    # filter and the cut drop it; the same stream over reduced data is
+    # the reference for order and steps
+    def broken(*args, **kwargs):
+        raise AssertionError("predicate enumeration called semijoin_reduce")
+
+    instances = []
+    while len(instances) < 60:
+        q = rand_acyclic_query(rng, max_atoms=4, full=True)
+        instances.append((q, _with_dangling_rows(rng, q, rand_database(rng, q, dom=6, max_rows=7))))
+    instances += [(q, _with_dangling_rows(rng, q, db)) for q, db in edge_instances(rng, full=True)]
+    for q, db in instances:
+        p = rand_predicate(rng, q)
+        q1, d1 = remove_self_joins(q, db)
+        reduced = semijoin_reduce(q1, d1)
+        with monkeypatch.context() as m:
+            m.setattr("minjoin.enumeration.semijoin_reduce", broken)
+            s = enumerate_with_predicate(q, p, db)
+            got = s.drain()
+            ref = enumerate_with_predicate(q1, p, reduced)
+            want = ref.drain()
+        assert set(got) == oracle_answers(q, db, predicate=p), (q.to_text(), str(p))
+        assert (got, s.steps, s.max_delay) == (want, ref.steps, ref.max_delay), (q.to_text(), str(p))
 
 
 # -- ranked -------------------------------------------------------------------
