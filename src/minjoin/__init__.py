@@ -28,7 +28,6 @@ from .model import (
     disjointify,
     negate_database,
     remove_self_joins,
-    untag_database,
 )
 from .parser import load_database, load_database_dir, parse_query, parse_query_file
 from .structure import (

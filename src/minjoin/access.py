@@ -41,70 +41,84 @@ from .semiring import aggregate_bottom_up  # noqa: F401
 from .structure import Task, TreePlan, classify, group_by, tree_for_query
 
 
+def _count_buckets(q: ConjunctiveQuery, db: Database, x: str | None, counter: StepCounter | None = None):
+    """One bottom-up count pass over a full self-join-free query's join
+    tree, rooted at the first atom containing x (the query's own tree when
+    x is None).
+
+    Each row gets the count of the partial answers below it, the product
+    of its children's bucket totals; rows whose count is 0 are dropped,
+    and each join bucket keeps its rows sorted, the root's by (x, row).
+    Returns the plan and, per node, {parent key: kept rows} and {parent
+    key: prefix sums of their counts}; the root's one key is (). A kept
+    row has a non-empty bucket under every child, and a row in no answer
+    sits only in buckets that no kept parent looks up, so a descent from
+    the root needs no semijoin pass first.
+    """
+    if x is not None and x not in q.variables:
+        raise EngineError(f"sort variable {x!r} not in the query")
+    plan = TreePlan(q, tree_for_query(q, at=x))
+    xc = plan.schema[plan.root].index(x) if x is not None else None
+    rows_of: dict[int, dict] = {}
+    cum_of: dict[int, dict] = {}
+    for n in reversed(plan.order):
+        rows = plan.rows(db, n)
+        kids = [(cum_of[c], plan.parent_key[c]) for c in plan.children[n]]
+        kept_of = rows_of[n] = {}
+        sums_of = cum_of[n] = {}
+        for key, group in group_by(rows, plan.key.get(n, ())).items():
+            group.sort()
+            if n == plan.root and xc is not None:  # stable: by (x, row)
+                group.sort(key=itemgetter(xc))
+            kept, cum = [], [0]
+            for row in group:
+                cnt = 1
+                for sums, ck in kids:
+                    c = sums.get(tuple(row[i] for i in ck))
+                    if c is None:
+                        break
+                    cnt *= c[-1]
+                else:
+                    kept.append(row)
+                    cum.append(cum[-1] + cnt)
+            if kept:
+                kept_of[key] = kept
+                sums_of[key] = cum
+        if counter is not None:
+            counter.add(len(rows))
+    return plan, rows_of, cum_of
+
+
 class LexDA:
     """Direct access by the order <x> over a full acyclic query's answers.
 
-    Build: root the join tree at the first atom containing x and, in one
-    bottom-up pass, give each row the count of the partial answers below
-    it (the product of its children's bucket totals) and store each join
-    bucket sorted, with prefix sums over those counts. The root bucket is
-    sorted by (x, row). Access descends the tree, decomposing the index by
-    child-bucket mixed radix and a binary search inside each bucket. The
-    tie order below x is the sorted-tuple bucket order, fixed and
-    deterministic.
+    Build: one bottom-up count pass (`_count_buckets`) on the join tree
+    rooted at the first atom containing x. Access descends the tree,
+    decomposing the index by child-bucket mixed radix and a binary search
+    inside each bucket. The tie order below x is the sorted-tuple bucket
+    order, fixed and deterministic.
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database, x: str, *, counter: StepCounter | None = None):
         if not q.is_full or not q.is_self_join_free:
             raise EngineError("LexDA needs a full self-join-free query")
-        if x not in q.variables:
-            raise EngineError(f"sort variable {x!r} not in the query")
         self.query = q
         self.sort_var = x
-        plan = self._plan = TreePlan(q, tree_for_query(q, at=x))
-        self._x_col = xc = plan.schema[plan.root].index(x)
-        # per node: {parent-key: (rows with a non-zero count, sorted, and
-        # their counts' prefix sums)}; the root's one key is ()
-        self._buckets: dict[int, dict] = {}
-        for n in reversed(plan.order):
-            rows = plan.rows(db, n)
-            kids = [(self._buckets[c], plan.parent_key[c]) for c in plan.children[n]]
-            buckets = {}
-            for key, group in group_by(rows, plan.key.get(n, ())).items():
-                group.sort()
-                if n == plan.root:  # stable: by (x, row)
-                    group.sort(key=itemgetter(xc))
-                kept, cum = [], [0]
-                for row in group:
-                    cnt = 1
-                    for cb, ck in kids:
-                        b = cb.get(tuple(row[i] for i in ck))
-                        if b is None:
-                            break
-                        cnt *= b[1][-1]
-                    else:
-                        kept.append(row)
-                        cum.append(cum[-1] + cnt)
-                if kept:
-                    buckets[key] = (kept, cum)
-            self._buckets[n] = buckets
-            if counter is not None:
-                counter.add(len(rows))
-        self.total: int = self._bucket_total(plan.root, ())
+        self._plan, self._rows, self._cum = _count_buckets(q, db, x, counter)
+        root = self._plan.root
+        self._x_col = self._plan.schema[root].index(x)
+        self.total: int = self._cum[root].get((), [0])[-1]
 
     def root_groups(self):
         """[(x value, answer count, answers strictly below)] in x order."""
-        rows, cum = self._buckets[self._plan.root].get((), ([], [0]))
+        root = self._plan.root
+        rows, cum = self._rows[root].get((), []), self._cum[root].get((), [0])
         groups: list[list] = []
         for i, row in enumerate(rows):
             if not groups or groups[-1][0] != row[self._x_col]:
                 groups.append([row[self._x_col], 0, cum[i]])
             groups[-1][1] += cum[i + 1] - cum[i]
         return [tuple(g) for g in groups]
-
-    def _bucket_total(self, node: int, key) -> int:
-        b = self._buckets[node].get(key)
-        return b[1][-1] if b else 0
 
     def access(self, k: int, probes: StepCounter | None = None) -> dict[str, TaggedValue]:
         """Full variable assignment of the k-th answer in <x> order."""
@@ -113,34 +127,33 @@ class LexDA:
         out: dict[str, TaggedValue] = {}
         plan = self._plan
 
-        def descend(node: int, key, local: int):
-            rows, cum = self._buckets[node][key]
+        def descend(node: int, key, cum, local: int):
             i = bisect_right(cum, local) - 1
             if probes is not None:
                 probes.add(max(1, len(cum).bit_length()))
-            row = rows[i]
+            row = self._rows[node][key][i]
             local -= cum[i]
             for v, c in zip(plan.schema[node], row):
                 out[v] = c
             kids = plan.children[node]
             if not kids:
                 return
-            totals = []
+            sub = []
+            block = 1
             for c in kids:
                 ck = tuple(row[i2] for i2 in plan.parent_key[c])
-                totals.append((c, ck, self._bucket_total(c, ck)))
-            block = 1
-            for _, _, s in totals:
-                block *= s
-            for c, ck, s in totals:
-                block //= s
+                ccum = self._cum[c][ck]
+                sub.append((c, ck, ccum))
+                block *= ccum[-1]
+            for c, ck, ccum in sub:
+                block //= ccum[-1]
                 q, local = divmod(local, block)
                 if probes is not None:
                     probes.add(1)
-                descend(c, ck, q)
+                descend(c, ck, ccum, q)
             # local is now 0: the last child consumed the remainder
 
-        descend(plan.root, (), k)
+        descend(plan.root, (), self._cum[plan.root][()], k)
         return out
 
 

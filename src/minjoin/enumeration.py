@@ -1,18 +1,24 @@
 """Constant-delay enumeration: plain full acyclic, predicate-pruned, and
 min-ranked via a parallel merge of per-variable sorted streams.
 
-Each stream is a generator of answers that adds its work to one
-StepCounter, so delay properties are assertable without clocks.
+Every stream is one odometer over join buckets. The full and ranked
+streams read the buckets of LexDA's bottom-up count pass; the predicate
+stream orders its buckets by threshold. Each stream is a generator of
+answers that adds its work to one StepCounter, so delay properties are
+assertable without clocks.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator
 
+from .access import _count_buckets
 from .errors import EngineError
 from .instrument import StepCounter
 from .model import Answer, ConjunctiveQuery, Database, MinPredicate, remove_self_joins
-from .reduce import semijoin_reduce
+# kept as a name of this module, which the benchmark's layer tracing wraps
+from .reduce import semijoin_reduce  # noqa: F401
 from .semiring import thresholds
 from .structure import TreePlan, group_by, tree_for_query
 
@@ -23,10 +29,10 @@ class AnswerStream:
 
     `steps` reads the StepCounter that the generator adds its work to;
     `max_delay` tracks the largest step gap between consecutive
-    emissions. `build_steps` counts the preprocessing rows; a predicate
-    stream runs no semijoin pass, so its `build_steps` counts every input
-    row, dangling ones included. Draining twice is not supported: the
-    cursor is consumed.
+    emissions. No stream runs a semijoin pass, so `build_steps` counts
+    every input row that preprocessing reads, dangling ones included; a
+    predicate stream adds the rows that it buckets. Draining twice is not
+    supported: the cursor is consumed.
     """
 
     def __init__(
@@ -89,17 +95,30 @@ class AnswerStream:
         return list(self)
 
 
-def _descend(buckets, parent_ix, parent_cols, root_rows, where, counter, cut, bound_col):
+def _descend(plan: TreePlan, buckets, counter: StepCounter, cut=None, bound_col=None):
     """Nested-loop descent over a bucketed join tree (the odometer).
 
-    Node i > 0 scans the bucket that its parent's row selects by the
-    values in `parent_cols[i]`. An optional cut prunes bucket scans:
-    bucket lists must then be sorted so that once one row fails, the rest
-    of the bucket fails too. `where` gives each variable, in sorted order,
-    the node and column that hold its value.
+    `buckets[n]` maps each parent key of node n to its rows; the root's
+    one key is (). Node n scans the bucket that its parent's row selects
+    by the values in `plan.parent_key[n]`. An optional cut(i, row, bound)
+    prunes the scan of the bucket at position i of `plan.order`, where
+    bound is the current root row's value in column `bound_col`: bucket
+    lists must then be sorted so that once one row fails, the rest of the
+    bucket fails too.
     """
-    last = len(buckets) - 1
-    lists = [root_rows] + [()] * last
+    order = plan.order  # any topological order works for the odometer
+    pos = {n: i for i, n in enumerate(order)}
+    tables = [buckets[n] for n in order]
+    parent_ix = [-1] + [pos[plan.parent[n]] for n in order[1:]]
+    parent_cols = [()] + [plan.parent_key[n] for n in order[1:]]
+    # each variable, in sorted order, with the node and column that hold it
+    first: dict[str, tuple[int, int]] = {}
+    for j, n in enumerate(order):
+        for c, v in enumerate(plan.schema[n]):
+            first.setdefault(v, (j, c))
+    where = [(v, *first[v]) for v in sorted(first)]
+    last = len(order) - 1
+    lists = [tables[0].get((), ())] + [()] * last
     idx = [-1] * (last + 1)
     cur = [None] * (last + 1)
     bound = None
@@ -119,7 +138,7 @@ def _descend(buckets, parent_ix, parent_cols, root_rows, where, counter, cut, bo
                 continue
             i += 1
             parent = cur[parent_ix[i]]
-            lists[i] = buckets[i].get(tuple([parent[c] for c in parent_cols[i]]), ())
+            lists[i] = tables[i].get(tuple([parent[c] for c in parent_cols[i]]), ())
             idx[i] = -1
             continue
         i -= 1
@@ -128,79 +147,18 @@ def _descend(buckets, parent_ix, parent_cols, root_rows, where, counter, cut, bo
             return
 
 
-def _build_descent(
-    plan: TreePlan,
-    db: Database,
-    counter: StepCounter,
-    *,
-    bucket_sort=None,
-    root_sort=None,
-    root_filter=None,
-    cut=None,
-    bound_var=None,
-):
-    """Shared preprocessing: bucket every non-root node, order the root.
-    Returns the descent's answers and the build steps."""
-    order = plan.order  # any topological order works for the odometer
-    pos = {n: i for i, n in enumerate(order)}
-    buckets: list[dict] = [{}]
-    build_steps = 0
-    for n in order[1:]:
-        groups = group_by(plan.rows(db, n), plan.key[n])
-        for rows in groups.values():
-            rows.sort()
-            if bucket_sort is not None:
-                rows.sort(key=lambda r: bucket_sort(n, r), reverse=True)
-            build_steps += len(rows)
-        buckets.append(groups)
-    root_rows = list(plan.rows(db, plan.root))
-    if root_filter is not None:
-        root_rows = [r for r in root_rows if root_filter(r)]
-    root_rows.sort()
-    if root_sort is not None:
-        root_rows.sort(key=root_sort)
-    build_steps += len(root_rows)
-    where: dict[str, tuple[int, int]] = {}
-    for j, n in enumerate(order):
-        for c, v in enumerate(plan.schema[n]):
-            where.setdefault(v, (j, c))
-    answers = _descend(
-        buckets,
-        [-1] + [pos[plan.parent[n]] for n in order[1:]],
-        [()] + [plan.parent_key[n] for n in order[1:]],
-        root_rows,
-        [(v, *where[v]) for v in sorted(where)],
-        counter,
-        cut,
-        plan.schema[plan.root].index(bound_var) if bound_var is not None else None,
-    )
-    return answers, build_steps
-
-
-def _full_descent(q: ConjunctiveQuery, db: Database, root_sort_var, counter: StepCounter):
-    """The answers of a full self-join-free query after the semijoin
-    reduction, sorted by `root_sort_var` when given, and the build steps."""
-    plan = TreePlan(q, tree_for_query(q, at=root_sort_var))
-    reduced = semijoin_reduce(q, db, plan.tree)
-    root_sort = None
-    if root_sort_var is not None:
-        col = plan.schema[plan.root].index(root_sort_var)
-        root_sort = lambda r: (r[col], r)
-    return _build_descent(plan, reduced, counter, root_sort=root_sort)
-
-
 def enumerate_full_acyclic(
     q: ConjunctiveQuery, db: Database, *, root_sort_var: str | None = None,
 ) -> AnswerStream:
-    """All answers of a full acyclic query, constant delay after the
-    semijoin reduction. With `root_sort_var`, answers come out in
+    """All answers of a full acyclic query, constant delay after one
+    bottom-up count pass. With `root_sort_var`, answers come out in
     non-decreasing order of that variable."""
     if not q.is_full:
         raise EngineError("enumeration needs a full query")
     q, db = remove_self_joins(q, db)
-    counter = StepCounter()
-    answers, build_steps = _full_descent(q, db, root_sort_var, counter)
-    return AnswerStream(answers, counter, build_steps)
+    counter, built = StepCounter(), StepCounter()
+    plan, buckets, _ = _count_buckets(q, db, root_sort_var, built)
+    return AnswerStream(_descend(plan, buckets, counter), counter, built.steps)
 
 
 def enumerate_with_predicate(
@@ -227,20 +185,29 @@ def enumerate_with_predicate(
     plan = TreePlan(q, tree_for_query(q, at=x0))
     ann = thresholds(q, xs, plan.tree, db)
     theta = {n: ann.as_map(n) for n in plan.order}
-    order_nodes = plan.order
-    root_id = plan.root
-    x0_col = plan.schema[root_id].index(x0)
+    root = plan.root
+    x0_col = plan.schema[root].index(x0)
     below = p.below
+    # the root's rows whose x0 passes their threshold, by (x0, row); every
+    # other bucket by decreasing threshold, ties in row order
+    root_rows = sorted(r for r in plan.rows(db, root) if below(r[x0_col], theta[root][r]))
+    root_rows.sort(key=itemgetter(x0_col))
+    buckets = {root: {(): root_rows}}
+    build_steps = db.size + len(root_rows)
+    for n in plan.order[1:]:
+        buckets[n] = group_by(plan.rows(db, n), plan.key[n])
+        for rows in buckets[n].values():
+            rows.sort()
+            rows.sort(key=theta[n].__getitem__, reverse=True)
+            build_steps += len(rows)
+    theta_at = [theta[n] for n in plan.order]
     counter = StepCounter()
-    answers, build_steps = _build_descent(
-        plan, db, counter,
-        bucket_sort=lambda n, r: theta[n][r],
-        root_sort=lambda r: (r[x0_col], r),
-        root_filter=lambda r: below(r[x0_col], theta[root_id][r]),
-        cut=lambda i, r, bound: below(bound, theta[order_nodes[i]][r]),
-        bound_var=x0,
+    answers = _descend(
+        plan, buckets, counter,
+        cut=lambda i, r, bound: below(bound, theta_at[i][r]),
+        bound_col=x0_col,
     )
-    return AnswerStream(answers, counter, db.size + build_steps)
+    return AnswerStream(answers, counter, build_steps)
 
 
 def _ranked_merge(subs, xs, counter: StepCounter, skipped: StepCounter):
@@ -284,10 +251,9 @@ def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
             raise EngineError(f"ranking variable {x!r} not in the query")
     if not xs:
         raise EngineError("ranking needs at least one variable")
-    counter, skipped = StepCounter(), StepCounter()
-    subs, build_steps = [], 0
+    counter, skipped, built = StepCounter(), StepCounter(), StepCounter()
+    subs = []
     for x in xs:
-        answers, steps = _full_descent(q, db, x, counter)
-        subs.append(answers)
-        build_steps += steps
-    return AnswerStream(_ranked_merge(subs, xs, counter, skipped), counter, build_steps, skipped)
+        plan, buckets, _ = _count_buckets(q, db, x, built)
+        subs.append(_descend(plan, buckets, counter))
+    return AnswerStream(_ranked_merge(subs, xs, counter, skipped), counter, built.steps, skipped)

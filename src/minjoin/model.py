@@ -358,15 +358,6 @@ def disjointify(db: Database, q: ConjunctiveQuery, rank_order: Iterable[str]) ->
     return Database(new_rels)
 
 
-def untag_database(db: Database) -> Database:
-    """Strip all ranks (inverse of disjointify on the base components)."""
-    new_rels = {
-        sym: Relation(sym, rel.arity, tuple(tuple(c.untagged() for c in row) for row in rel.rows))
-        for sym, rel in db.relations.items()
-    }
-    return Database(new_rels)
-
-
 def negate_database(db: Database) -> Database:
     """Negate every base value; turns MAX problems into MIN problems."""
     new_rels = {

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from minjoin import (
+    EngineError,
     MinPredicate,
     Task,
     classify,
@@ -74,6 +77,12 @@ def test_enumerate_empty_join_immediately_done():
     q, db = _star()
     s = enumerate_full_acyclic(q, db.replace(Relation("R1", 2, ())))
     assert not s.has_next()
+
+
+def test_enumerate_unknown_root_sort_var_is_engine_error():
+    q, db = _star()
+    with pytest.raises(EngineError, match="'nope' not in the query"):
+        enumerate_full_acyclic(q, db, root_sort_var="nope")
 
 
 def test_enumerate_full_random(rng):
@@ -245,6 +254,40 @@ def test_enumerate_with_predicate_needs_no_semijoin_pass(rng, monkeypatch):
             want = ref.drain()
         assert set(got) == oracle_answers(q, db, predicate=p), (q.to_text(), str(p))
         assert (got, s.steps, s.max_delay) == (want, ref.steps, ref.max_delay), (q.to_text(), str(p))
+
+
+def test_full_and_ranked_streams_need_no_semijoin_pass(rng, monkeypatch):
+    # a row in no answer is either dropped by the count pass or sits in a
+    # bucket that no kept parent looks up; the same streams over reduced
+    # data, built before the patch, are the reference for order and steps
+    def broken(*args, **kwargs):
+        raise AssertionError("full or ranked enumeration called semijoin_reduce")
+
+    def run(s):
+        return s.drain(), s.steps, s.max_delay, s.skips
+
+    instances = []
+    while len(instances) < 60:
+        q = rand_acyclic_query(rng, max_atoms=4, full=True)
+        instances.append((q, _with_dangling_rows(rng, q, rand_database(rng, q, dom=6, max_rows=7))))
+    instances += [(q, _with_dangling_rows(rng, q, db)) for q, db in edge_instances(rng, full=True)]
+    for q, db in instances:
+        xs = tuple(rng.sample(q.variables, rng.randint(1, len(q.variables))))
+        streams = [lambda q, db: enumerate_full_acyclic(q, db)]
+        streams += [
+            lambda q, db, v=v: enumerate_full_acyclic(q, db, root_sort_var=v) for v in q.variables
+        ]
+        streams.append(lambda q, db: enumerate_ranked_min(q, xs, db))
+        q1, d1 = remove_self_joins(q, db)
+        reduced = semijoin_reduce(q1, d1)
+        want = [run(make(q1, reduced)) for make in streams]
+        with monkeypatch.context() as m:
+            m.setattr("minjoin.enumeration.semijoin_reduce", broken)
+            got = [run(make(q, db)) for make in streams]
+        oracle = oracle_answers(q, db)
+        for answers, *_ in got:
+            assert set(answers) == oracle and len(answers) == len(oracle), q.to_text()
+        assert got == want, q.to_text()
 
 
 # -- ranked -------------------------------------------------------------------
