@@ -1,19 +1,19 @@
 """Direct access to query answers.
 
-LexDA answers "give me the k-th answer ordered by one variable" via
-per-tuple subtree counts and prefix-sum descent. MinDAIndex layers a
-sorted entry array over per-part LexDA structures so the k-th answer
-under a min-of-variables order comes back in logarithmically many
-probes; both read parts that the dyadic fork rewrite builds. Counting
-with a predicate partitions it into the same enforced orders but counts
-each order in one bottom-up pass over its tree, with no rewrite. The
-Boolean task is one max-min threshold pass.
+LexDA answers "give me the k-th answer ordered by one variable" by a
+prefix-sum descent over the buckets of the count pass
+(`semiring.count_buckets`). MinDAIndex layers a sorted entry array over
+per-part LexDA structures so the k-th answer under a min-of-variables
+order comes back in logarithmically many probes; both read parts that
+the dyadic fork rewrite builds. Counting with a predicate partitions it
+into the same enforced orders and counts each with the count pass over
+its tree, with no rewrite. The Boolean task is one max-min threshold
+pass.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import itemgetter
 from dataclasses import dataclass, field
 
 from .errors import EngineError, IntractableQueryError, OutOfBoundsError
@@ -35,76 +35,31 @@ from .elim import (
     min_predicate_orders,
 )
 from .partition import StrictPartialOrder
-from .semiring import count_answers
+from .semiring import count_answers, count_buckets
 # kept as a name of this module, which the benchmark's layer tracing wraps
 from .semiring import aggregate_bottom_up  # noqa: F401
-from .structure import Task, TreePlan, classify, group_by, tree_for_query
-
-
-def _count_buckets(q: ConjunctiveQuery, db: Database, x: str | None, counter: StepCounter | None = None):
-    """One bottom-up count pass over a full self-join-free query's join
-    tree, rooted at the first atom containing x (the query's own tree when
-    x is None).
-
-    Each row gets the count of the partial answers below it, the product
-    of its children's bucket totals; rows whose count is 0 are dropped,
-    and each join bucket keeps its rows sorted, the root's by (x, row).
-    Returns the plan and, per node, {parent key: kept rows} and {parent
-    key: prefix sums of their counts}; the root's one key is (). A kept
-    row has a non-empty bucket under every child, and a row in no answer
-    sits only in buckets that no kept parent looks up, so a descent from
-    the root needs no semijoin pass first.
-    """
-    if x is not None and x not in q.variables:
-        raise EngineError(f"sort variable {x!r} not in the query")
-    plan = TreePlan(q, tree_for_query(q, at=x))
-    xc = plan.schema[plan.root].index(x) if x is not None else None
-    rows_of: dict[int, dict] = {}
-    cum_of: dict[int, dict] = {}
-    for n in reversed(plan.order):
-        rows = plan.rows(db, n)
-        kids = [(cum_of[c], plan.parent_key[c]) for c in plan.children[n]]
-        kept_of = rows_of[n] = {}
-        sums_of = cum_of[n] = {}
-        for key, group in group_by(rows, plan.key.get(n, ())).items():
-            group.sort()
-            if n == plan.root and xc is not None:  # stable: by (x, row)
-                group.sort(key=itemgetter(xc))
-            kept, cum = [], [0]
-            for row in group:
-                cnt = 1
-                for sums, ck in kids:
-                    c = sums.get(tuple(row[i] for i in ck))
-                    if c is None:
-                        break
-                    cnt *= c[-1]
-                else:
-                    kept.append(row)
-                    cum.append(cum[-1] + cnt)
-            if kept:
-                kept_of[key] = kept
-                sums_of[key] = cum
-        if counter is not None:
-            counter.add(len(rows))
-    return plan, rows_of, cum_of
+from .structure import Task, classify
 
 
 class LexDA:
     """Direct access by the order <x> over a full acyclic query's answers.
 
-    Build: one bottom-up count pass (`_count_buckets`) on the join tree
-    rooted at the first atom containing x. Access descends the tree,
-    decomposing the index by child-bucket mixed radix and a binary search
-    inside each bucket. The tie order below x is the sorted-tuple bucket
-    order, fixed and deterministic.
+    Build: one count pass (`semiring.count_buckets`) on the join tree
+    rooted at the first atom containing x; `build_steps` counts the rows
+    it reads. Access descends the tree, decomposing the index by
+    child-bucket mixed radix and a binary search inside each bucket. The
+    tie order below x is the sorted-tuple bucket order, fixed and
+    deterministic.
     """
 
-    def __init__(self, q: ConjunctiveQuery, db: Database, x: str, *, counter: StepCounter | None = None):
+    def __init__(self, q: ConjunctiveQuery, db: Database, x: str):
         if not q.is_full or not q.is_self_join_free:
             raise EngineError("LexDA needs a full self-join-free query")
         self.query = q
         self.sort_var = x
-        self._plan, self._rows, self._cum = _count_buckets(q, db, x, counter)
+        built = StepCounter()
+        self._plan, self._rows, self._cum = count_buckets(q, db, x, counter=built)
+        self.build_steps = built.steps
         root = self._plan.root
         self._x_col = self._plan.schema[root].index(x)
         self.total: int = self._cum[root].get((), [0])[-1]
@@ -203,9 +158,7 @@ class MinDAIndex:
         return Answer({v: assignment[v].untagged() for v in self.source_vars})
 
 
-def build_min_da(
-    q: ConjunctiveQuery, xs, db: Database, *, counter: StepCounter | None = None
-) -> MinDAIndex:
+def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
     """Min-ranked direct access over a full acyclic self-join-free query.
 
     For each ranking variable x, the case "x attains the minimum" is
@@ -220,7 +173,7 @@ def build_min_da(
         raise IntractableQueryError(verdict)
     if not q.is_full:
         raise EngineError("build_min_da expects a full query (restrict first)")
-    counter = counter if counter is not None else StepCounter()
+    counter = StepCounter()
     q1, d1 = remove_self_joins(q, db)
     d2 = disjointify(d1, q1, q1.variables)
     counter.add(d2.size)
@@ -236,7 +189,8 @@ def build_min_da(
         for pq, pd, otp in eliminate_strict_min_tagged(
             q1, d2, x, others, part_tag=f"_m{xi}", counter=counter
         ):
-            lex = LexDA(pq, pd, x, counter=counter)
+            lex = LexDA(pq, pd, x)
+            counter.add(lex.build_steps)
             secondary[qid] = lex
             part_info.append((pq, pd, otp.order, x))
             for val, cnt, below in lex.root_groups():

@@ -66,8 +66,7 @@ def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
     for n in sizes:
         q, r, db = star_instance(n, seed)
         t0 = time.perf_counter()
-        counter = StepCounter()
-        ix = build_min_da(q, r.xs, db, counter=counter)
+        ix = build_min_da(q, r.xs, db)
         build_s = time.perf_counter() - t0
         parts_size = sum(info[1].size for info in ix.part_info)
         rng = random.Random(seed + n)
@@ -88,8 +87,8 @@ def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
             {
                 "family": "star",
                 "size": size,
-                "build_steps": counter.steps,
-                "normalized": counter.steps / (size * max(1.0, math.log2(size)) ** 2),
+                "build_steps": ix.build_steps,
+                "normalized": ix.build_steps / (size * max(1.0, math.log2(size)) ** 2),
                 "parts_size": parts_size,
                 "total": ix.total,
                 "count_check": count == ix.total,

@@ -205,8 +205,12 @@ def cmd_enumerate(args) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    """`--range a..b`, the half-open index range [a, b)."""
+    try:
+        lo, hi = text.split("..")
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a..b with integers a and b, got {text!r}") from None
 
 
 def _build_da(q, p, r, db):
@@ -229,8 +233,7 @@ def cmd_access(args) -> int:
     total = da.total
     ks = list(args.index or [])
     if args.range:
-        lo, hi = _parse_range(args.range)
-        ks.extend(range(lo, hi))
+        ks.extend(range(*args.range))
     if not ks:
         ks = [0]
     results = []
@@ -386,7 +389,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("access", help="k-th answer by the declared order")
     common(p)
     p.add_argument("--index", type=int, action="append")
-    p.add_argument("--range", help="half-open a..b")
+    p.add_argument("--range", type=_parse_range, help="half-open a..b")
     p.set_defaults(fn=cmd_access)
 
     p = sub.add_parser("oracle", help="brute-force cross-check")

@@ -236,10 +236,9 @@ def _cut_at_x0(
         p.check_vars(q)
         x0, xs, below = p.x0, [x for x in p.xs if x != p.x0], p.below
     q1, d1 = remove_self_joins(q, db)
-    qf = ConjunctiveQuery(q1.atoms, q1.variables, q1.name)
-    t = tree_for_query(qf, at=x0)
-    ann = thresholds(qf, xs, t, d1)
-    atom = qf.atoms[t.atom_of[t.root]]
+    t = tree_for_query(q1, at=x0)
+    ann = thresholds(q1, xs, t, d1)
+    atom = q1.atoms[t.atom_of[t.root]]
     xi = atom.vars.index(x0)
     kept = tuple(
         row

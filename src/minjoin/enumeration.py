@@ -2,10 +2,10 @@
 min-ranked via a parallel merge of per-variable sorted streams.
 
 Every stream is one odometer over join buckets. The full and ranked
-streams read the buckets of LexDA's bottom-up count pass; the predicate
-stream orders its buckets by threshold. Each stream is a generator of
-answers that adds its work to one StepCounter, so delay properties are
-assertable without clocks.
+streams read the buckets of the count pass (`semiring.count_buckets`),
+as LexDA does; the predicate stream orders its buckets by threshold.
+Each stream is a generator of answers that adds its work to one
+StepCounter, so delay properties are assertable without clocks.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator
 
-from .access import _count_buckets
 from .errors import EngineError
 from .instrument import StepCounter
 from .model import Answer, ConjunctiveQuery, Database, MinPredicate, remove_self_joins
 # kept as a name of this module, which the benchmark's layer tracing wraps
 from .reduce import semijoin_reduce  # noqa: F401
-from .semiring import thresholds
+from .semiring import count_buckets, thresholds
 from .structure import TreePlan, group_by, tree_for_query
 
 
@@ -157,7 +156,7 @@ def enumerate_full_acyclic(
         raise EngineError("enumeration needs a full query")
     q, db = remove_self_joins(q, db)
     counter, built = StepCounter(), StepCounter()
-    plan, buckets, _ = _count_buckets(q, db, root_sort_var, built)
+    plan, buckets, _ = count_buckets(q, db, root_sort_var, counter=built)
     return AnswerStream(_descend(plan, buckets, counter), counter, built.steps)
 
 
@@ -254,6 +253,6 @@ def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
     counter, skipped, built = StepCounter(), StepCounter(), StepCounter()
     subs = []
     for x in xs:
-        plan, buckets, _ = _count_buckets(q, db, x, built)
+        plan, buckets, _ = count_buckets(q, db, x, counter=built)
         subs.append(_descend(plan, buckets, counter))
     return AnswerStream(_ranked_merge(subs, xs, counter, skipped), counter, built.steps, skipped)

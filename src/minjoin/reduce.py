@@ -125,9 +125,8 @@ def _branch_thresholds(q: ConjunctiveQuery, group: list[str], branch: int, db: D
     """{row of atom `branch`: the best value min(group) reaches among the
     answers of the all-free query through that row}. A row whose repeated
     columns disagree is absent: it joins nothing."""
-    qf = ConjunctiveQuery(q.atoms, q.variables, q.name)
     # join-tree node ids are atom indices
-    ann = thresholds(qf, group, tree_for_query(qf).reroot(branch), db)
+    ann = thresholds(q, group, tree_for_query(q).reroot(branch), db)
     return ann.as_map(branch)
 
 
@@ -233,8 +232,7 @@ def _eliminate_with_independent_x0(q, p: MinPredicate, xs: list[str], db: Databa
     # every tuple left by the full reduction is in some answer of the
     # all-free query, so x0's best value is its smallest surviving entry
     xa, x0i = _first_atom_with(q, p.x0)
-    qf = ConjunctiveQuery(q.atoms, q.variables, q.name)
-    x0_vals = [r[x0i] for r in semijoin_reduce(qf, db).relation(xa.symbol).rows]
+    x0_vals = [r[x0i] for r in semijoin_reduce(q, db).relation(xa.symbol).rows]
     if not x0_vals:  # the all-free query has no answers at all
         return db.replace(*(Relation(a.symbol, a.arity, ()) for a in q.atoms))
     best = min(x0_vals)

@@ -286,7 +286,7 @@ def group_by(rows: Iterable[Row], cols: tuple[int, ...]) -> dict[tuple, list[Row
     """{key over `cols`: its rows}, keys and rows in first-seen order."""
     groups: dict[tuple, list[Row]] = {}
     for r in rows:
-        groups.setdefault(tuple(r[c] for c in cols), []).append(r)
+        groups.setdefault(tuple([r[c] for c in cols]), []).append(r)
     return groups
 
 

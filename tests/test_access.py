@@ -274,6 +274,36 @@ def test_count_with_predicate_needs_no_fork_rewrite(monkeypatch):
         assert count_with_predicate(q, p, db) == len(oracle_answers(q, db, predicate=p))
 
 
+def test_count_with_predicate_calls_no_aggregate_bottom_up(monkeypatch, rng):
+    # counting reads the count pass alone; on a full query no existential
+    # inequality is folded, so nothing calls thresholds either
+    def broken(*args, **kwargs):
+        raise AssertionError("counting called aggregate_bottom_up")
+
+    monkeypatch.setattr("minjoin.semiring.aggregate_bottom_up", broken)
+    monkeypatch.setattr("minjoin.access.aggregate_bottom_up", broken)
+
+    def check(q, p, db):
+        if not classify(Task.COUNTING, q, p).tractable:
+            return False
+        want = len(oracle_answers(q, db, predicate=p))
+        assert count_with_predicate(q, p, db) == want, (q.to_text(), str(p))
+        return True
+
+    checked = strict = 0
+    while checked < 80:
+        q = rand_acyclic_query(rng, max_atoms=4, max_arity=3, full=True)
+        p = rand_predicate(rng, q)
+        if check(q, p, rand_database(rng, q, dom=5, max_rows=6)):
+            checked += 1
+            strict += p.strict
+    edges = 0
+    for q, db in edge_instances(rng, full=True):
+        for p in (rand_predicate(rng, q), None):
+            edges += check(q, p, db)
+    assert strict >= 10 and edges >= 20, (strict, edges)
+
+
 def test_is_nonempty_cases():
     q, db = _star()
     p = MinPredicate("x0", ("x1", "x2"))

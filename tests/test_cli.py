@@ -107,6 +107,15 @@ def test_cli_enumerate_limit_stats(star_dir, capsys):
     assert "max_delay" in captured.err
 
 
+def test_cli_malformed_range_is_usage_error(star_dir, capsys):
+    args = ["access", "--query", str(star_dir / "q.mq"), "--data", str(star_dir / "data")]
+    for bad in ("5", "a..b"):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--range", bad])
+        assert exc.value.code == 2
+        assert "argument --range" in capsys.readouterr().err
+
+
 def test_cli_eliminate_manifest(star_dir, tmp_path, capsys):
     out = tmp_path / "parts"
     rc = main(

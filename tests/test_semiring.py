@@ -157,6 +157,11 @@ def test_thresholds_examples():
     for n in t.nodes():
         for theta in ann2.values_of[n]:
             assert theta is POS_INF or theta is NEG_INF
+    # thresholds read the body alone: a query that is not full gets the
+    # thresholds of its all-free copy
+    q1, _, _ = parse_query("Q(x1) :- R0(x0), R1(x1,y), R2(x2,y).")
+    ann3 = thresholds(q1, {"x1", "x2"}, tree_for_query(q1), db)
+    assert ann3.rows_of == ann.rows_of and ann3.values_of == ann.values_of
 
 
 def test_aggregate_step_counter_linear():
