@@ -13,7 +13,6 @@ from .errors import (
     OracleGuardError,
     OutOfBoundsError,
     QuerySyntaxError,
-    SemiringLawError,
     UnsupportedPredicateError,
 )
 from .model import (
@@ -46,13 +45,9 @@ from .structure import (
     tree_for_query,
 )
 from .semiring import (
-    COUNTING,
-    MAX_MIN,
     NEG_INF,
     POS_INF,
-    Semiring,
     aggregate_bottom_up,
-    check_semiring_laws,
     count_answers,
     thresholds,
 )

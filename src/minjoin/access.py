@@ -5,10 +5,11 @@ prefix-sum descent over the buckets of the count pass
 (`semiring.count_buckets`). MinDAIndex layers a sorted entry array over
 per-part LexDA structures so the k-th answer under a min-of-variables
 order comes back in logarithmically many probes; both read parts that
-the dyadic fork rewrite builds. Counting with a predicate partitions it
-into the same enforced orders and counts each with the count pass over
-its tree, with no rewrite. The Boolean task is one max-min threshold
-pass.
+the dyadic fork rewrite builds. Unranked direct access with a predicate
+is a MinDAIndex with one entry per part, in part order. Counting with a
+predicate partitions it into the same enforced orders and counts each
+with the count pass over its tree, with no rewrite. The Boolean task is
+one threshold pass (`semiring.thresholds`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .model import (
     remove_self_joins,
 )
 from .elim import (
-    EliminationResult,
     _cut_at_x0,
     eliminate_min_predicate,
     eliminate_strict_min_tagged,
@@ -118,7 +118,7 @@ class LexDA:
 
 @dataclass(frozen=True)
 class MinDAEntry:
-    min_val: TaggedValue
+    min_val: TaggedValue | None  # None in unranked access: entries in part order
     qid: int
     count: int
     smaller_cq: int
@@ -130,13 +130,14 @@ class MinDAIndex:
     """Sorted entry array plus per-part secondary structures.
 
     Global order: non-decreasing min-of-X value, ties by part id, then by
-    the secondary structure's internal tie order. Reads are idempotent;
-    the structure is immutable after build.
+    the secondary structure's internal tie order; with no min values
+    (unranked access), part order. Reads are idempotent; the structure
+    is immutable after build.
     """
 
     entries: list[MinDAEntry]
     secondary: dict[int, LexDA]
-    part_info: list[tuple[ConjunctiveQuery, Database, StrictPartialOrder, str]]
+    part_info: list[tuple[ConjunctiveQuery, Database, StrictPartialOrder | None, str | None]]
     source_vars: tuple[str, ...]
     total: int
     build_steps: int = 0
@@ -146,7 +147,7 @@ class MinDAIndex:
         self._smaller = [e.smaller_total for e in self.entries]
 
     def access(self, k: int, probes: StepCounter | None = None) -> Answer:
-        """The k-th answer in min-of-X order, untagged, over var(Q)."""
+        """The k-th answer in the global order, untagged, over var(Q)."""
         if k < 0 or k >= self.total:
             raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
         i = bisect_right(self._smaller, k) - 1
@@ -253,27 +254,6 @@ def count_via_access(da, probes: StepCounter | None = None) -> int:
 # Unranked direct access / counting / Boolean with a predicate
 
 
-@dataclass
-class UnrankedPredDA:
-    """Concatenation of per-part LexDA structures in part order."""
-
-    elimination: EliminationResult
-    secondary: list[LexDA]
-    total: int
-    _smaller: list[int]
-
-    def access(self, k: int, probes: StepCounter | None = None) -> Answer:
-        if k < 0 or k >= self.total:
-            raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
-        i = bisect_right(self._smaller, k) - 1
-        if probes is not None:
-            probes.add(max(1, len(self._smaller).bit_length()))
-        assignment = self.secondary[i].access(k - self._smaller[i], probes)
-        return Answer(
-            {v: assignment[v].untagged() for v in self.elimination.source_vars}
-        )
-
-
 class BooleanAnswers:
     """A Boolean query's answers, the empty assignment if the query holds
     and none otherwise, as a direct-access structure."""
@@ -289,23 +269,25 @@ class BooleanAnswers:
 
 def build_unranked_da_pred(
     q: ConjunctiveQuery, p: MinPredicate | None, db: Database
-) -> UnrankedPredDA | BooleanAnswers:
+) -> MinDAIndex | BooleanAnswers:
     """Direct access (arbitrary order) to the answers of Q AND P, or of Q
-    when p is None. A Boolean query has one (empty) answer or none."""
+    when p is None: the elimination's parts concatenated in part order,
+    one entry per part with no min value. A Boolean query has one (empty)
+    answer or none."""
     verdict = classify(Task.UNRANKED_DA_PRED, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
     if q.is_boolean:
         return BooleanAnswers(is_nonempty(q, p, db))
     res = eliminate_min_predicate(q, p, db)
-    secondary, smaller = [], []
+    entries, secondary, part_info = [], {}, []
     running = 0
-    for part in res.parts:
-        lex = LexDA(part.query, part.database, part.query.free_vars[0])
-        secondary.append(lex)
-        smaller.append(running)
+    for i, part in enumerate(res.parts):
+        lex = secondary[i] = LexDA(part.query, part.database, part.query.free_vars[0])
+        part_info.append((part.query, part.database, part.order, part.min_var))
+        entries.append(MinDAEntry(None, i, lex.total, 0, running))
         running += lex.total
-    return UnrankedPredDA(res, secondary, running, smaller)
+    return MinDAIndex(entries, secondary, part_info, res.source_vars, running)
 
 
 def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> int:

@@ -234,7 +234,7 @@ def cmd_access(args) -> int:
     ks = list(args.index or [])
     if args.range:
         ks.extend(range(*args.range))
-    if not ks:
+    elif args.index is None:
         ks = [0]
     results = []
     for k in ks:

@@ -52,9 +52,6 @@ class EliminationResult:
     parts: tuple[EliminationPart, ...]
     source_vars: tuple[str, ...]
 
-    def __len__(self):
-        return len(self.parts)
-
 
 def _fork_sides(values_a, values_b):
     """Dyadic fork ids for both sides of a strict inequality a < b.
@@ -237,14 +234,10 @@ def _cut_at_x0(
         x0, xs, below = p.x0, [x for x in p.xs if x != p.x0], p.below
     q1, d1 = remove_self_joins(q, db)
     t = tree_for_query(q1, at=x0)
-    ann = thresholds(q1, xs, t, d1)
+    theta = thresholds(q1, xs, t, d1)[t.root]
     atom = q1.atoms[t.atom_of[t.root]]
     xi = atom.vars.index(x0)
-    kept = tuple(
-        row
-        for row, theta in zip(ann.rows_of[t.root], ann.values_of[t.root])
-        if below(row[xi], theta)
-    )
+    kept = tuple(row for row, th in theta.items() if below(row[xi], th))
     return q1, d1.replace(Relation(atom.symbol, atom.arity, kept)), len(kept)
 
 

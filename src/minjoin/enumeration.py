@@ -182,8 +182,7 @@ def enumerate_with_predicate(
     x0 = p.x0
     xs = [x for x in p.xs if x != x0]
     plan = TreePlan(q, tree_for_query(q, at=x0))
-    ann = thresholds(q, xs, plan.tree, db)
-    theta = {n: ann.as_map(n) for n in plan.order}
+    theta = thresholds(q, xs, plan.tree, db)
     root = plan.root
     x0_col = plan.schema[root].index(x0)
     below = p.below

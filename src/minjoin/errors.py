@@ -15,7 +15,8 @@ class QuerySyntaxError(EngineError):
 
 
 class DataFileError(EngineError):
-    """Missing relation file, arity mismatch, or a non-integer cell."""
+    """Unreadable query file, missing relation file, arity mismatch, or a
+    non-integer cell."""
 
 
 class IntractableQueryError(EngineError):
@@ -39,10 +40,6 @@ class OutOfBoundsError(EngineError):
 
 class OracleGuardError(EngineError):
     """Brute-force oracle refused an instance above its size guard."""
-
-
-class SemiringLawError(EngineError):
-    """Sampled carrier values violated a semiring law."""
 
 
 class InternalInvariantError(EngineError):

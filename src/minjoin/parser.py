@@ -135,7 +135,15 @@ def parse_query(
 
 
 def parse_query_file(path: str | Path):
-    return parse_query(Path(path).read_text())
+    """parse_query over a file's text; a file that cannot be read as text
+    is a DataFileError naming it."""
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise DataFileError(f"cannot read query file {path}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise DataFileError(f"cannot read query file {path}: not UTF-8 text") from None
+    return parse_query(text)
 
 
 _CELL_SPLIT = re.compile(r"[,;\s]+")

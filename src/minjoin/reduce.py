@@ -22,12 +22,10 @@ from .model import (
     remove_self_joins,
 )
 from .semiring import NEG_INF, thresholds
-from .structure import RootedJoinTree, TreePlan, hypergraph_of, is_free_connex, join_tree, tree_for_query
+from .structure import TreePlan, hypergraph_of, is_free_connex, join_tree, tree_for_query
 
 
-def semijoin_reduce(
-    q: ConjunctiveQuery, db: Database, t: RootedJoinTree | None = None
-) -> Database:
+def semijoin_reduce(q: ConjunctiveQuery, db: Database) -> Database:
     """Full Yannakakis reducer: bottom-up then top-down semijoin passes.
 
     Afterwards every remaining tuple participates in at least one answer
@@ -37,7 +35,7 @@ def semijoin_reduce(
     """
     if not q.is_self_join_free:
         raise EngineError("semijoin reduction requires a self-join-free query")
-    plan = TreePlan(q, t if t is not None else tree_for_query(q))
+    plan = TreePlan(q, tree_for_query(q))
     rows = {n: plan.rows(db, n) for n in plan.order}
     edges = [(n, plan.parent[n], plan.key[n], plan.parent_key[n]) for n in plan.order[1:]]
     for n, p, cn, cp in reversed(edges):
@@ -126,8 +124,7 @@ def _branch_thresholds(q: ConjunctiveQuery, group: list[str], branch: int, db: D
     answers of the all-free query through that row}. A row whose repeated
     columns disagree is absent: it joins nothing."""
     # join-tree node ids are atom indices
-    ann = thresholds(q, group, tree_for_query(q).reroot(branch), db)
-    return ann.as_map(branch)
+    return thresholds(q, group, tree_for_query(q).reroot(branch), db)[branch]
 
 
 def _filter_atom(db: Database, atom: Atom, keep) -> Database:

@@ -1,138 +1,70 @@
-"""Bottom-up passes over rooted join trees.
+"""The two bottom-up passes over rooted join trees.
 
-`count_buckets` is the one count pass, which LexDA, the full and ranked
+`count_buckets` is the count pass, which LexDA, the full and ranked
 streams and counting read: per row, the number of answers below it, in
 join buckets with prefix sums; an enforced order enters it as filters
-and b-sorted child buckets. `aggregate_bottom_up` is the plain semiring
-fold agg(t) = PLUS over the partial answers below t of the TIMES of
-their val(.) values; the max-min thresholds are its instance.
+and b-sorted child buckets. `aggregate_bottom_up` is the threshold pass,
+the max-min fold: per row, the max over the partial answers below it of
+the min of their val(.) values. `thresholds` instantiates it for
+min(X), which the Boolean task, predicate enumeration and the
+existential folds read.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .errors import EngineError, InternalInvariantError, SemiringLawError
+from .errors import EngineError, InternalInvariantError
 from .instrument import StepCounter
 from .model import ConjunctiveQuery, Database, Row, TaggedValue
 from .partition import OrderTreePair
 from .structure import RootedJoinTree, TreePlan, group_by, tree_for_query
 
 
-# The max-min aggregation's zero and one: cells below and above every
-# cell of every rank.
+# The max-min fold's bottom and top: cells below and above every cell of
+# every rank.
 NEG_INF = TaggedValue(-math.inf)
 POS_INF = TaggedValue(math.inf)
-
-
-@dataclass(frozen=True)
-class Semiring:
-    """Commutative semiring: (carrier, plus, times, zero, one)."""
-
-    name: str
-    plus: Callable
-    times: Callable
-    zero: object
-    one: object
-
-    def __repr__(self):
-        return f"Semiring({self.name})"
-
-
-COUNTING = Semiring("counting", operator.add, operator.mul, 0, 1)
-MAX_MIN = Semiring("max-min", max, min, NEG_INF, POS_INF)
-
-
-def check_semiring_laws(s: Semiring, samples, rng: random.Random | None = None) -> None:
-    """Sample-based law check; catches wiring mistakes, not a proof."""
-    rng = rng or random.Random(0)
-    pool = list(samples) + [s.zero, s.one]
-    if len(pool) < 3:
-        return
-    for _ in range(64):
-        a, b, c = (rng.choice(pool) for _ in range(3))
-        if s.plus(a, b) != s.plus(b, a) or s.times(a, b) != s.times(b, a):
-            raise SemiringLawError(f"{s.name}: commutativity fails on {a!r},{b!r}")
-        if s.plus(s.plus(a, b), c) != s.plus(a, s.plus(b, c)):
-            raise SemiringLawError(f"{s.name}: plus associativity fails")
-        if s.times(s.times(a, b), c) != s.times(a, s.times(b, c)):
-            raise SemiringLawError(f"{s.name}: times associativity fails")
-        if s.times(a, s.plus(b, c)) != s.plus(s.times(a, b), s.times(a, c)):
-            raise SemiringLawError(f"{s.name}: distributivity fails on {a!r},{b!r},{c!r}")
-        if s.plus(a, s.zero) != a or s.times(a, s.one) != a:
-            raise SemiringLawError(f"{s.name}: identity fails on {a!r}")
-        if s.times(a, s.zero) != s.zero:
-            raise SemiringLawError(f"{s.name}: zero not absorbing on {a!r}")
-
-
-# ---------------------------------------------------------------------------
-# Aggregation
-
-
-class AggAnnotation:
-    """agg values per (node, tuple), stored as lists parallel to the rows."""
-
-    def __init__(self, rows_of, values_of):
-        self.rows_of: dict[int, Sequence[Row]] = rows_of
-        self.values_of: dict[int, list] = values_of
-
-    def as_map(self, node: int) -> dict[Row, object]:
-        return dict(zip(self.rows_of[node], self.values_of[node]))
 
 
 def aggregate_bottom_up(
     q: ConjunctiveQuery,
     db: Database,
     t: RootedJoinTree,
-    val: Callable[[int, Row], object],
-    s: Semiring,
-    *,
-    counter: StepCounter | None = None,
-) -> AggAnnotation:
-    """Children-to-parent message passing over the join tree.
+    val: Callable[[int, Row], TaggedValue],
+) -> dict[int, dict[Row, TaggedValue]]:
+    """The max-min fold, children to parent over the join tree: per node,
+    {row: the max over the partial answers below the row of the min of
+    their val(.) values}, -inf for a row with no partial answer below it.
 
     Each child relation is grouped into join buckets keyed by the
-    variables shared with its parent; bucket messages fold with PLUS and
-    a tuple combines its received messages with its own val via TIMES.
-    Linear in the database size.
+    variables shared with its parent; a bucket sends the max of its rows'
+    values, and a row takes the min of its own val and what its children
+    send. Linear in the database size.
     """
     if not q.is_self_join_free:
         raise EngineError("aggregation requires a self-join-free query")
     plan = TreePlan(q, t)
-    plus, times, zero = s.plus, s.times, s.zero
-
-    rows_of: dict[int, Sequence[Row]] = {}
-    values_of: dict[int, list] = {}
-    messages: dict[int, dict] = {}  # child id -> {key: folded message}
-
+    out: dict[int, dict[Row, TaggedValue]] = {}
+    messages: dict[int, dict] = {}  # child id -> {key: max of its bucket}
     for n in reversed(plan.order):
-        rows = rows_of[n] = plan.rows(db, n)
-        vals = [val(n, r) for r in rows]
-        for c in plan.children[n]:
-            idx = plan.parent_key[c]
-            cmsg = messages.pop(c)
-            for i, r in enumerate(rows):
-                vals[i] = times(vals[i], cmsg.get(tuple([r[j] for j in idx]), zero))
-        values_of[n] = vals
-        if counter is not None:
-            counter.add(len(rows))
+        kids = [(plan.parent_key[c], messages.pop(c)) for c in plan.children[n]]
+        agg = out[n] = {}
+        for r in plan.rows(db, n):
+            v = val(n, r)
+            for idx, cmsg in kids:
+                v = min(v, cmsg.get(tuple([r[j] for j in idx]), NEG_INF))
+            agg[r] = v
         if n != plan.root:
             idx = plan.key[n]
-            msg: dict = {}
-            for r, v in zip(rows, vals):
+            msg = messages[n] = {}
+            for r, v in agg.items():
                 key = tuple([r[j] for j in idx])
-                prev = msg.get(key)
-                msg[key] = v if prev is None else plus(prev, v)
-            messages[n] = msg
-            if counter is not None:
-                counter.add(len(rows))
-
-    return AggAnnotation(rows_of, values_of)
+                msg[key] = max(msg.get(key, NEG_INF), v)
+    return out
 
 
 def count_buckets(
@@ -248,9 +180,9 @@ def count_answers(q: ConjunctiveQuery, db: Database, pair: OrderTreePair | None 
 
 def thresholds(
     q: ConjunctiveQuery, xr: Iterable[str], t: RootedJoinTree, db: Database
-) -> AggAnnotation:
-    """Max-min aggregation: per tuple, the best (largest) value that the
-    minimum over `xr` can reach among the partial answers below it.
+) -> dict[int, dict[Row, TaggedValue]]:
+    """Max-min thresholds: per node, {row: the best (largest) value that
+    the minimum over `xr` can reach among the partial answers below it}.
 
     val(t) is the minimum over the xr-variables present in that relation,
     +inf when none occurs there.
@@ -266,4 +198,4 @@ def thresholds(
             return POS_INF
         return min(row[i] for i in cols)
 
-    return aggregate_bottom_up(q, db, t, val, MAX_MIN)
+    return aggregate_bottom_up(q, db, t, val)

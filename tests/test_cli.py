@@ -137,6 +137,26 @@ def test_cli_eliminate_manifest(star_dir, tmp_path, capsys):
             assert (out / fname).exists()
 
 
+def test_cli_empty_range_prints_no_answers(star_dir, capsys):
+    args = ["access", "--query", str(star_dir / "q.mq"), "--data", str(star_dir / "data")]
+    for empty in ("1..1", "5..2"):
+        assert main([*args, "--range", empty]) == 0
+        assert capsys.readouterr().out == ""
+        assert main([*args, "--range", empty, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"total": 6, "answers": []}
+    # with neither --index nor --range, index 0
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("[0] ")
+
+
+def test_cli_unreadable_query_file_is_a_data_error(star_dir, capsys):
+    for query in (star_dir / "nope.mq", star_dir / "data"):
+        rc = main(["count", "--query", str(query), "--data", str(star_dir / "data")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ") and str(query) in err[0]
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.mq"
     bad.write_text("Q(x) :- R(x)\n")  # missing period
