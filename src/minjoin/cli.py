@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: classify, eliminate, count, bool, enumerate, access, oracle,
-bench. Exit codes: 0 ok, 1 query syntax error, 2 intractable or
-unsupported instance, 3 data error, 4 engine/oracle divergence, 5
-internal error.
+bench. Exit codes: 0 ok, 1 query syntax error or a missing declaration
+the command needs, 2 intractable or unsupported instance, 3 data error,
+4 engine/oracle divergence, 5 internal error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     QuerySyntaxError,
     UnsupportedPredicateError,
 )
-from .model import Answer, ConjunctiveQuery, Database, TaggedValue, negate_database
+from .model import Answer, TaggedValue, negate_database
 from .oracle import oracle_answers, oracle_sorted
 from .parser import load_database_dir, parse_query_file
 from .reduce import restrict_predicate_to_free, restrict_to_free
@@ -56,12 +56,6 @@ def _print_answer(a, *, negate=False, json_mode=False):
     if json_mode:
         return items
     return ", ".join(f"{k}={v}" for k, v in sorted(items.items()))
-
-
-def _restricted_plain(q: ConjunctiveQuery, db: Database):
-    if q.is_full:
-        return q, db
-    return restrict_to_free(q, db)
 
 
 def cmd_classify(args) -> int:
@@ -146,15 +140,13 @@ def cmd_bool(args) -> int:
 def _build_stream(q, p, r, db, ranked: bool):
     """Restriction plus dispatch; returns (stream, negate_output)."""
     if ranked:
-        if r is None:
-            raise EngineError("--ranked needs an ORDER BY declaration")
         if p is not None:
             raise EngineError("ranked enumeration with a predicate is not supported")
         verdict = classify(Task.RANKED_ENUM, q, r.xs)
         if not verdict.tractable:
             raise IntractableQueryError(verdict)
         work_db = negate_database(db) if r.maximize else db
-        qf, dbf = _restricted_plain(q, work_db)
+        qf, dbf = restrict_to_free(q, work_db)
         return enumerate_ranked_min(qf, r.xs, dbf), r.maximize
     verdict = classify(Task.ENUM_PRED, q, p)
     if not verdict.tractable:
@@ -169,18 +161,19 @@ def _build_stream(q, p, r, db, ranked: bool):
 
 def cmd_enumerate(args) -> int:
     q, p, r, db = _load(args)
+    if args.ranked and r is None:
+        print("enumerate --ranked: the query declares no ORDER BY", file=sys.stderr)
+        return EXIT_SYNTAX
     try:
         stream, negate = _build_stream(q, p, r, db, args.ranked)
     except (IntractableQueryError, UnsupportedPredicateError):
         if not args.force_oracle:
             raise
         answers = oracle_answers(q, db, predicate=p)
-        ordered = oracle_sorted(answers, r.xs, maximize=r.maximize) if (args.ranked and r) else sorted(
+        ordered = oracle_sorted(answers, r.xs, maximize=r.maximize) if args.ranked else sorted(
             answers, key=lambda a: sorted(a.assignment.items())
         )
-        for i, a in enumerate(ordered):
-            if args.limit is not None and i >= args.limit:
-                break
+        for a in ordered[: args.limit]:
             print(_print_answer(a))
         return EXIT_OK
     out = []
@@ -213,6 +206,13 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected a..b with integers a and b, got {text!r}") from None
 
 
+def _parse_limit(text: str) -> int:
+    """`--limit n`, at most n answers, n >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_da(q, p, r, db):
     """(direct-access structure, negate flag)."""
     if r is not None:
@@ -222,7 +222,7 @@ def _build_da(q, p, r, db):
         if not verdict.tractable:
             raise IntractableQueryError(verdict)
         work_db = negate_database(db) if r.maximize else db
-        qf, dbf = _restricted_plain(q, work_db)
+        qf, dbf = restrict_to_free(q, work_db)
         return build_min_da(qf, r.xs, dbf), r.maximize
     return build_unranked_da_pred(q, p, db), False
 
@@ -381,7 +381,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream answers")
     common(p)
     p.add_argument("--ranked", action="store_true")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_parse_limit)
     p.add_argument("--stats", action="store_true")
     p.add_argument("--force-oracle", action="store_true")
     p.set_defaults(fn=cmd_enumerate)
@@ -396,7 +396,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("task", choices=["count", "bool", "enumerate", "access"])
     common(p)
     p.add_argument("--index", type=int, action="append")
-    p.add_argument("--limit", type=int, default=50)
+    p.add_argument("--limit", type=_parse_limit, default=50)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("bench", help="scaling families")

@@ -105,14 +105,15 @@ def partition_min_orders(
     t: RootedJoinTree,
     x0: str,
     xs: Iterable[str],
-    var_order: Sequence[str] | None = None,
+    var_order: Sequence[str],
 ) -> list[OrderTreePair]:
     """All the ways x0 can be the strict minimum of {x0} | xs, partitioned
     into enforceable strict partial orders with their enforcing trees.
 
     Preconditions: x0 occurs in the root node; x0 not in xs; no chordless
     path of length >= 3 between two of the participating variables (the
-    caller checks via classify). Violations surface loudly.
+    caller checks via classify). Violations surface loudly. A branch's
+    variables are tried in `var_order`, the query's declaration order.
     """
     xs = list(dict.fromkeys(xs))
     if x0 in xs:
@@ -123,10 +124,7 @@ def partition_min_orders(
     for x in xs:
         if x not in tree_vars:
             raise EngineError(f"variable {x!r} not in the tree")
-    order_of = {v: i for i, v in enumerate(var_order)} if var_order else None
-
-    def rank(v: str):
-        return order_of[v] if order_of is not None else v
+    position = {v: i for i, v in enumerate(var_order)}
 
     def rec(tree: RootedJoinTree, x0: str, xs: list[str]) -> list[tuple[frozenset, set]]:
         # returns [(pair set, undirected edge set over node ids)]
@@ -152,7 +150,7 @@ def partition_min_orders(
                 sub_vars |= tree.vars_of[i]
             hit = residual_set & sub_vars
             if hit:
-                branch_roots.append((r, sorted(hit, key=rank)))
+                branch_roots.append((r, sorted(hit, key=position.__getitem__)))
                 covered |= hit
         if covered != residual_set:
             raise InternalInvariantError(

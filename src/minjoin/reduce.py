@@ -56,9 +56,12 @@ def restrict_to_free(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQuer
     """Rewrite an acyclic free-connex query to a full one over its free
     variables, with fresh relation symbols and the same answer set.
 
-    Relations are fully reduced first, then projected per-atom; atoms left
-    with no free variables are dropped (their only residual effect,
-    emptiness, has already propagated through the reduction).
+    A full query is only renamed: each atom keeps its rows as given, and
+    the passes that read them drop the rows that join nothing. Otherwise
+    relations are fully reduced first, which only projection needs, then
+    projected per-atom; atoms left with no free variables are dropped
+    (their only residual effect, emptiness, has already propagated through
+    the reduction to every relation).
     """
     if q.is_boolean:
         raise EngineError("cannot restrict a Boolean query to free variables")
@@ -66,23 +69,22 @@ def restrict_to_free(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQuer
         raise EngineError("restriction requires an acyclic free-connex query")
     q, db = remove_self_joins(q, db)
 
-    reduced = semijoin_reduce(q, db)
-    empty = any(len(reduced.relation(a.symbol)) == 0 for a in q.atoms)
-    free = set(q.free_vars)
     taken = set(db.relations) | {a.symbol for a in q.atoms}
+    full = q.is_full
+    if not full:
+        db = semijoin_reduce(q, db)
+    free = set(q.free_vars)
     new_atoms: list[Atom] = []
     new_rels: dict[str, Relation] = {}
     for a in q.atoms:
         keep_cols = tuple(i for i, v in enumerate(a.vars) if v in free)
-        if not keep_cols:
+        if not keep_cols and not full:
             continue
         sym = fresh_symbol(f"{a.symbol}_f", taken)
         vars_ = tuple(a.vars[i] for i in keep_cols)
-        if empty:
-            rows: tuple = ()
-        else:
-            src = reduced.relation(a.symbol).rows
-            rows = tuple(dict.fromkeys(tuple(r[i] for i in keep_cols) for r in src))
+        rows = db.relation(a.symbol).rows
+        if len(keep_cols) < a.arity:
+            rows = tuple(tuple(r[i] for i in keep_cols) for r in rows)
         new_atoms.append(Atom(sym, vars_))
         new_rels[sym] = Relation(sym, len(vars_), rows)
     q2 = ConjunctiveQuery(tuple(new_atoms), q.free_vars, q.name)

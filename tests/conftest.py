@@ -79,6 +79,18 @@ def rand_predicate(rng: random.Random, q: ConjunctiveQuery, *, strict_ok: bool =
     return MinPredicate(x0, xs, strict=strict)
 
 
+def with_dangling_rows(rng, q, db):
+    """db plus, in every relation of q, one row of values no other
+    relation holds and one random row."""
+    rels = []
+    for k, sym in enumerate(dict.fromkeys(a.symbol for a in q.atoms)):
+        rel = db.relation(sym)
+        rows = [[c.base for c in row] for row in rel.rows]
+        rows += [[100 + k] * rel.arity, [rng.randrange(6) for _ in range(rel.arity)]]
+        rels.append(Relation.from_ints(sym, rel.arity, rows))
+    return db.replace(*rels)
+
+
 # Inputs the random generator never makes: a variable repeated in an
 # atom, a relation symbol used by two atoms, and a Boolean head.
 EDGE_QUERIES = (

@@ -116,6 +116,23 @@ def test_cli_malformed_range_is_usage_error(star_dir, capsys):
         assert "argument --range" in capsys.readouterr().err
 
 
+def test_cli_negative_limit_is_usage_error(star_dir, capsys):
+    args = ["--query", str(star_dir / "q.mq"), "--data", str(star_dir / "data")]
+    for cmd in (["enumerate"], ["oracle", "enumerate"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, *args, "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "argument --limit" in capsys.readouterr().err
+        assert main([*cmd, *args, "--limit", "0"]) == 0
+        assert capsys.readouterr().out == ""
+
+
+def test_cli_ranked_enumerate_needs_order_by(star_dir, capsys):
+    args = ["--query", str(star_dir / "q.mq"), "--data", str(star_dir / "data")]
+    assert main(["enumerate", "--ranked", *args]) == 1
+    assert "enumerate --ranked: the query declares no ORDER BY" in capsys.readouterr().err
+
+
 def test_cli_eliminate_manifest(star_dir, tmp_path, capsys):
     out = tmp_path / "parts"
     rc = main(

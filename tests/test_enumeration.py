@@ -17,7 +17,13 @@ from minjoin import (
 )
 from minjoin.model import Database, Relation
 
-from conftest import edge_instances, rand_acyclic_query, rand_database, rand_predicate
+from conftest import (
+    edge_instances,
+    rand_acyclic_query,
+    rand_database,
+    rand_predicate,
+    with_dangling_rows,
+)
 
 PATH = "Q(x0,u,v,x1,x2) :- R0(x0,u), R1(u,v), R2(v,x1), R3(x1,x2).\nPREDICATE x0 <= MIN(x1,x2).\n"
 
@@ -218,18 +224,6 @@ def test_enumerate_with_predicate_random(rng):
         assert set(got) == want and len(got) == len(want), (q.to_text(), str(p))
 
 
-def _with_dangling_rows(rng, q, db):
-    """db plus, in every relation of q, one row of values no other
-    relation holds and one random row."""
-    rels = []
-    for k, sym in enumerate(dict.fromkeys(a.symbol for a in q.atoms)):
-        rel = db.relation(sym)
-        rows = [[c.base for c in row] for row in rel.rows]
-        rows += [[100 + k] * rel.arity, [rng.randrange(6) for _ in range(rel.arity)]]
-        rels.append(Relation.from_ints(sym, rel.arity, rows))
-    return db.replace(*rels)
-
-
 def test_enumerate_with_predicate_needs_no_semijoin_pass(rng, monkeypatch):
     # a row with no full extension below has threshold -inf, so the root
     # filter and the cut drop it; the same stream over reduced data is
@@ -240,8 +234,8 @@ def test_enumerate_with_predicate_needs_no_semijoin_pass(rng, monkeypatch):
     instances = []
     while len(instances) < 60:
         q = rand_acyclic_query(rng, max_atoms=4, full=True)
-        instances.append((q, _with_dangling_rows(rng, q, rand_database(rng, q, dom=6, max_rows=7))))
-    instances += [(q, _with_dangling_rows(rng, q, db)) for q, db in edge_instances(rng, full=True)]
+        instances.append((q, with_dangling_rows(rng, q, rand_database(rng, q, dom=6, max_rows=7))))
+    instances += [(q, with_dangling_rows(rng, q, db)) for q, db in edge_instances(rng, full=True)]
     for q, db in instances:
         p = rand_predicate(rng, q)
         q1, d1 = remove_self_joins(q, db)
@@ -269,8 +263,8 @@ def test_full_and_ranked_streams_need_no_semijoin_pass(rng, monkeypatch):
     instances = []
     while len(instances) < 60:
         q = rand_acyclic_query(rng, max_atoms=4, full=True)
-        instances.append((q, _with_dangling_rows(rng, q, rand_database(rng, q, dom=6, max_rows=7))))
-    instances += [(q, _with_dangling_rows(rng, q, db)) for q, db in edge_instances(rng, full=True)]
+        instances.append((q, with_dangling_rows(rng, q, rand_database(rng, q, dom=6, max_rows=7))))
+    instances += [(q, with_dangling_rows(rng, q, db)) for q, db in edge_instances(rng, full=True)]
     for q, db in instances:
         xs = tuple(rng.sample(q.variables, rng.randint(1, len(q.variables))))
         streams = [lambda q, db: enumerate_full_acyclic(q, db)]

@@ -140,7 +140,7 @@ def test_partition_requires_x0_in_root():
     q, _, _ = parse_query("Q(x0,x1,y) :- R0(x0), R1(x1,y).")
     t = _root_at(tree_for_query(q), "x1")
     with pytest.raises(EngineError):
-        partition_min_orders(t, "x0", ["x1"])
+        partition_min_orders(t, "x0", ["x1"], var_order=q.variables)
 
 
 def _cross_edge_pairs(otp):

@@ -1,19 +1,34 @@
+import json
+
 import pytest
 
 from minjoin import (
     MinPredicate,
     TaggedValue,
+    Task,
     UnsupportedPredicateError,
+    build_unranked_da_pred,
+    classify,
+    count_with_predicate,
+    eliminate_min_predicate,
     is_free_connex,
     oracle_answers,
+    oracle_sorted,
     parse_query,
     restrict_predicate_to_free,
     restrict_to_free,
     semijoin_reduce,
 )
+from minjoin.cli import main
 from minjoin.model import Database, Relation
 
-from conftest import rand_acyclic_query, rand_database, rand_predicate
+from conftest import (
+    edge_instances,
+    rand_acyclic_query,
+    rand_database,
+    rand_predicate,
+    with_dangling_rows,
+)
 
 
 def test_semijoin_reduce_disjoint_keys_empty_both():
@@ -100,6 +115,52 @@ def test_restrict_drops_disconnected_existential_atom():
     db2 = db.replace(Relation.from_ints("S", 1, [[9]]))
     q3, d3 = restrict_to_free(q, db2)
     assert oracle_answers(q3, d3) == oracle_answers(q, db2)
+
+
+def test_restrict_full_query_needs_no_semijoin_pass(rng, monkeypatch, tmp_path, capsys):
+    # a full query projects nothing, so restriction only renames it; the
+    # passes that read the renamed data drop the rows that join nothing
+    def broken(*args, **kwargs):
+        raise AssertionError("restricting a full query called semijoin_reduce")
+
+    monkeypatch.setattr("minjoin.reduce.semijoin_reduce", broken)
+    instances = []
+    while len(instances) < 60:
+        q = rand_acyclic_query(rng, max_atoms=4, full=True)
+        instances.append((q, with_dangling_rows(rng, q, rand_database(rng, q, dom=6, max_rows=7))))
+    instances += [(q, with_dangling_rows(rng, q, db)) for q, db in edge_instances(rng, full=True)]
+    checked = ranked = 0
+    for i, (q, db) in enumerate(instances):
+        for p in (rand_predicate(rng, q), None):
+            if not classify(Task.ELIMINATION, q, p).tractable:
+                continue
+            want = oracle_answers(q, db, predicate=p)
+            assert count_with_predicate(q, p, db) == len(want), (q.to_text(), str(p))
+            res = eliminate_min_predicate(q, p, db)
+            parts = [
+                {a.project(res.source_vars).untagged() for a in oracle_answers(part.query, part.database)}
+                for part in res.parts
+            ]
+            assert sum(map(len, parts)) == len(want) and set().union(*parts) == want, (q.to_text(), str(p))
+            da = build_unranked_da_pred(q, p, db)
+            assert da.total == len(want) and {da.access(k) for k in range(da.total)} == want
+            checked += 1
+        xs = tuple(rng.sample(q.variables, rng.randint(1, len(q.variables))))
+        if not classify(Task.RANKED_DA, q, xs).tractable:
+            continue
+        d = tmp_path / f"i{i}"
+        d.mkdir()
+        for sym, rel in db.relations.items():
+            (d / sym).write_text("".join(",".join(str(c.base) for c in r) + "\n" for r in rel.rows))
+        (tmp_path / f"i{i}.mq").write_text(f"{q.to_text()}\nORDER BY MIN({','.join(xs)}).\n")
+        want = [min(a[x].base for x in xs) for a in oracle_sorted(oracle_answers(q, db), xs)]
+        args = ["--query", str(tmp_path / f"i{i}.mq"), "--data", str(d), "--json"]
+        assert main(["access", *args, "--range", f"0..{len(want)}"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["total"] == len(want)
+        assert [min(a["answer"][x] for x in xs) for a in out["answers"]] == want, q.to_text()
+        ranked += 1
+    assert checked >= 100 and ranked >= 40
 
 
 # -- existential inequalities folded by restrict_predicate_to_free -------------
