@@ -30,7 +30,7 @@ db = Database({s: workers(s) for s in ("W1", "W2", "W3")})
 ix = build_min_da(q, r.xs, db)
 print(f"query: {q}")
 print(f"|D| = {db.size} worker rows -> {ix.total} candidate teams")
-print(f"index: {len(ix.entries)} entries over {len(ix.part_info)} rewritten queries\n")
+print(f"index: {len(ix.entries)} entries over {len(ix.part_info)} parts\n")
 
 print("the five weakest teams:")
 for k in range(min(5, ix.total)):

@@ -1,9 +1,9 @@
 """Step counts across doublings of the database.
 
-Build work for the ranked index tracks |D| * log^2 |D| (one log from
-the dyadic fork variables, one from the domain growth), probe counts
-per access grow by a couple per doubling, and enumeration delay does
-not move at all.
+Build work for the ranked index stays within |D| * log^2 |D| (a sort of
+every join bucket, and per row a logarithmic set of fork-block cuts),
+probe counts per access grow by a couple per doubling, and enumeration
+delay does not move at all.
 """
 
 from minjoin.bench import bench_enum_pred, bench_min_da, default_sizes

@@ -2,20 +2,26 @@
 
 LexDA answers "give me the k-th answer ordered by one variable" by a
 prefix-sum descent over the buckets of the count pass
-(`semiring.count_buckets`). MinDAIndex layers a sorted entry array over
-per-part LexDA structures so the k-th answer under a min-of-variables
-order comes back in logarithmically many probes; both read parts that
-the dyadic fork rewrite builds. Unranked direct access with a predicate
-is a MinDAIndex with one entry per part, in part order. Counting with a
-predicate partitions it into the same enforced orders and counts each
-with the count pass over its tree, with no rewrite. The Boolean task is
-one threshold pass (`semiring.thresholds`).
+(`semiring.count_buckets`). Given an order-tree pair, it accesses only
+the answers that satisfy the pair's strict order, in the order that the
+dyadic fork rewrite would give them, without forking a row: a parent
+row reads its bounded children in fork blocks, each a run of the
+child's bucket. MinDAIndex layers a sorted entry array over per-part
+LexDA structures, one per enforced order, so the k-th answer under a
+min-of-variables order comes back in logarithmically many probes.
+Unranked direct access with a predicate is a MinDAIndex with one entry
+per part, in part order. Counting with a predicate counts each enforced
+order with the count pass over its tree. The Boolean task is one
+threshold pass (`semiring.thresholds`). No entry point here builds
+forked parts.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate
 
 from .errors import EngineError, IntractableQueryError, OutOfBoundsError
 from .instrument import StepCounter
@@ -24,21 +30,83 @@ from .model import (
     ConjunctiveQuery,
     Database,
     MinPredicate,
+    MinRanking,
     TaggedValue,
     disjointify,
+    negate_database,
     remove_self_joins,
 )
-from .elim import (
-    _cut_at_x0,
-    eliminate_min_predicate,
-    eliminate_strict_min_tagged,
-    min_predicate_orders,
-)
-from .partition import StrictPartialOrder
+from .elim import _cut_at_x0, fork_domains, fork_tree, min_orders, min_predicate_orders
+from .partition import OrderTreePair, StrictPartialOrder
 from .semiring import count_answers, count_buckets
 # kept as a name of this module, which the benchmark's layer tracing wraps
 from .semiring import aggregate_bottom_up  # noqa: F401
 from .structure import Task, classify
+
+
+class _Fence:
+    """A bounded child's side of an order pair across its parent edge.
+
+    The child's variable w is above the parent's u when the parent holds
+    a (`up`), below it otherwise. `dom` is the pair's fork domain
+    (`elim.fork_domains`), and `ranks[key]` lists the ranks of w in it
+    along the child's bucket, which is sorted by (w, row). A cell that a
+    fork drops is missing from the domain and takes the rank of the next
+    larger cell: such a row is in no answer, and its rank keeps it on
+    the far side of the parents of every answer.
+
+    Per parent row, the child rows on u's side come in the dyadic blocks
+    that the fork rewrite cuts: a block holds the ranks that agree with
+    u's above their highest differing bit, and blocks come farthest
+    first. Each block is a run of the bucket, and `cuts` gives the runs'
+    bounds. When every column before w holds a variable of the parent
+    key (`runs` None), row order is w order, so a run is read as it is.
+    Otherwise `runs[key, lo, hi]` holds the bucket positions of every
+    dyadic run in row order, with their prefix sums: a merge-sort tree
+    of row references.
+    """
+
+    __slots__ = ("u_col", "up", "dom", "rank", "levels", "ranks", "runs")
+
+    def __init__(self, u_col, up, dom, rows_of, cum_of, w_col, contiguous):
+        self.u_col, self.up, self.dom = u_col, up, dom
+        self.rank = {v: i for i, v in enumerate(dom)}
+        bits = max(1, (len(dom) - 1).bit_length())  # fork levels, L
+        # per rank of u: the ranks at which its blocks start, then the end
+        # of its side. Up, a block at each clear bit h of u's rank r holds
+        # the ranks from ((r >> h) + 1) << h; down, a block at each set bit,
+        # highest first, holds the ranks from ((r >> h) - 1) << h.
+        if up:
+            self.levels = [[((r >> h) + 1) << h for h in range(bits) if not r >> h & 1] + [1 << bits]
+                           for r in range(len(dom) + 1)]
+        else:
+            self.levels = [[((r >> h) - 1) << h for h in reversed(range(r.bit_length())) if r >> h & 1] + [r]
+                           for r in range(len(dom) + 1)]
+        self.ranks = {key: [self.rank_of(r[w_col]) for r in rows] for key, rows in rows_of.items()}
+        self.runs = None
+        if contiguous:
+            return
+        self.runs = {}
+        for key, rows in rows_of.items():
+            wr, cum = self.ranks[key], cum_of[key]
+            for hb in range(bits):
+                lo = 0
+                while lo < len(wr):
+                    hi = bisect_left(wr, ((wr[lo] >> hb) + 1) << hb, lo)
+                    at = sorted(range(lo, hi), key=rows.__getitem__)
+                    self.runs[key, lo, hi] = at, list(accumulate((cum[i + 1] - cum[i] for i in at), initial=0))
+                    lo = hi
+
+    def rank_of(self, cell) -> int:
+        got = self.rank.get(cell)
+        return bisect_left(self.dom, cell) if got is None else got
+
+    def cuts(self, key, row) -> tuple[int, ...]:
+        """The bucket positions that bound the blocks of a parent row,
+        ascending, from the first row on its u's side to the end of that
+        side."""
+        at = partial(bisect_left, self.ranks[key])
+        return tuple(dict.fromkeys(map(at, self.levels[self.rank_of(row[self.u_col])])))
 
 
 class LexDA:
@@ -50,19 +118,64 @@ class LexDA:
     child-bucket mixed radix and a binary search inside each bucket. The
     tie order below x is the sorted-tuple bucket order, fixed and
     deterministic.
+
+    With an order-tree pair over a disjointified database, only the
+    answers that satisfy the pair's strict order are accessed, in the
+    order that LexDA over `elim.eliminate_enforced_order`'s part gives,
+    with no rows forked. The count pass then runs on `elim.fork_tree`,
+    the tree that LexDA over the part would descend; `build_steps` adds
+    its bucket sorts and the block cuts of each row with bounded
+    children. A row's bounded children come in fork blocks (see
+    `_Fence`). Their blocks, first order pair outermost, are chosen
+    before the mixed radix over its children.
     """
 
-    def __init__(self, q: ConjunctiveQuery, db: Database, x: str):
+    def __init__(self, q: ConjunctiveQuery, db: Database, x: str, pair: OrderTreePair | None = None):
         if not q.is_full or not q.is_self_join_free:
             raise EngineError("LexDA needs a full self-join-free query")
         self.query = q
         self.sort_var = x
         built = StepCounter()
-        self._plan, self._rows, self._cum = count_buckets(q, db, x, counter=built)
-        self.build_steps = built.steps
-        root = self._plan.root
-        self._x_col = self._plan.schema[root].index(x)
+        if pair is not None:
+            pair = OrderTreePair(pair.order, fork_tree(q, pair, x))
+        plan, self._rows, self._cum = count_buckets(q, db, x, pair, counter=built)
+        self._plan = plan
+        root = plan.root
+        self._x_col = plan.schema[root].index(x)
         self.total: int = self._cum[root].get((), [0])[-1]
+        fences: dict[int, _Fence] = {}  # bounded child -> its fence, needed at build only
+        fenced: dict[int, list[int]] = {}  # node -> its bounded children, first pair first
+        if pair is not None:
+            doms = fork_domains(q, db, pair)
+            placed = pair.placements()
+            var_pos = {v: i for i, v in enumerate(q.variables)}
+            for a, b in sorted(doms, key=lambda ab: (var_pos[ab[0]], var_pos[ab[1]])):
+                p, c = placed[a, b].edge
+                up = a in plan.tree.vars_of[p]
+                u, w = (a, b) if up else (b, a)
+                w_col = plan.schema[c].index(w)
+                key_vars = plan.tree.vars_of[c] & plan.tree.vars_of[p]
+                contiguous = all(v in key_vars for v in plan.schema[c][:w_col])
+                fences[c] = _Fence(plan.schema[p].index(u), up, doms[a, b],
+                                   self._rows[c], self._cum[c], w_col, contiguous)
+                fenced.setdefault(p, []).append(c)
+        # per node: (child, parent key columns, the child's index among the
+        # bounded children or None) in child order; per node with bounded
+        # children: (child's index, up, runs) first pair first, and per
+        # bucket key, per kept row, the block cuts of each bounded child
+        self._kids = {n: [(c, plan.parent_key[c], fenced[n].index(c) if c in fences else None)
+                          for c in plan.children[n]] for n in plan.order}
+        self._fenced = {n: [(plan.children[n].index(c), fences[c].up, fences[c].runs) for c in kids]
+                        for n, kids in fenced.items()}
+        self._cuts: dict[int, dict] = {}
+        for n, kids in fenced.items():
+            bounded = [(fences[c], plan.parent_key[c]) for c in kids]
+            cuts = self._cuts[n] = {}
+            for key, rows in self._rows[n].items():
+                cuts[key] = [tuple(f.cuts(tuple([row[i] for i in ck]), row) for f, ck in bounded)
+                             for row in rows]
+                built.add(sum(len(bounds) for row_cuts in cuts[key] for bounds in row_cuts))
+        self.build_steps = built.steps
 
     def root_groups(self):
         """[(x value, answer count, answers strictly below)] in x order."""
@@ -80,35 +193,65 @@ class LexDA:
         if k < 0 or k >= self.total:
             raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
         out: dict[str, TaggedValue] = {}
-        plan = self._plan
-
-        def descend(node: int, key, cum, local: int):
-            i = bisect_right(cum, local) - 1
+        rows_of, cum_of, schema = self._rows, self._cum, self._plan.schema
+        kids_of, fenced, cuts_of = self._kids, self._fenced, self._cuts
+        root = self._plan.root
+        cum = cum_of[root][()]
+        # (node, bucket key, prefix sums, bucket positions of a run or None,
+        #  the range [lo, hi) of the prefix sums to read, index in that range)
+        todo = [(root, (), cum, None, 0, len(cum) - 1, k)]
+        while todo:
+            node, key, cum, at, lo, hi, local = todo.pop()
+            local += cum[lo]
+            i = bisect_right(cum, local, lo, hi) - 1
             if probes is not None:
-                probes.add(max(1, len(cum).bit_length()))
-            row = self._rows[node][key][i]
+                probes.add(max(1, (hi - lo + 1).bit_length()))
             local -= cum[i]
-            for v, c in zip(plan.schema[node], row):
-                out[v] = c
-            kids = plan.children[node]
+            if at is not None:
+                i = at[i]
+            row = rows_of[node][key][i]
+            out.update(zip(schema[node], row))
+            kids = kids_of[node]
             if not kids:
-                return
-            sub = []
-            block = 1
-            for c in kids:
-                ck = tuple(row[i2] for i2 in plan.parent_key[c])
-                ccum = self._cum[c][ck]
-                sub.append((c, ck, ccum))
-                block *= ccum[-1]
-            for c, ck, ccum in sub:
-                block //= ccum[-1]
-                q, local = divmod(local, block)
+                continue
+            cuts = cuts_of[node][key][i] if node in cuts_of else None
+            reads = []  # per child: [child, key, prefix sums, run positions, lo, hi]
+            size = 1
+            for c, pk, f in kids:
+                ck = tuple([row[j] for j in pk])
+                ccum = cum_of[c][ck]
+                clo, chi = (0, len(ccum) - 1) if f is None else (cuts[f][0], cuts[f][-1])
+                size *= ccum[chi] - ccum[clo]
+                reads.append([c, ck, ccum, None, clo, chi])
+            for (ci, up, runs), bounds in zip(fenced.get(node, ()), cuts or ()):
+                read = reads[ci]
+                _, ck, ccum, _, clo, chi = read
+                rest = size // (ccum[chi] - ccum[clo])
+                t, local = divmod(local, rest)
+                # the block that holds index t of the blocks read in order
+                if up:  # from the side's end, each block forward
+                    j = bisect_right(bounds, ccum[chi] - 1 - t, key=ccum.__getitem__) - 1
+                    start = ccum[chi] - ccum[bounds[j + 1]]
+                else:
+                    j = bisect_right(bounds, ccum[clo] + t, key=ccum.__getitem__) - 1
+                    start = ccum[bounds[j]] - ccum[clo]
+                if probes is not None:
+                    probes.add(max(1, len(bounds).bit_length()))
+                blo, bhi = bounds[j], bounds[j + 1]
+                local += (t - start) * rest
+                size = rest * (ccum[bhi] - ccum[blo])
+                if runs is None:
+                    read[4:] = blo, bhi
+                else:
+                    run, rcum = runs[ck, blo, bhi]
+                    read[2:] = rcum, run, 0, len(run)
+            for c, ck, ccum, run, clo, chi in reads:
+                size //= ccum[chi] - ccum[clo]
+                digit, local = divmod(local, size)
                 if probes is not None:
                     probes.add(1)
-                descend(c, ck, ccum, q)
+                todo.append((c, ck, ccum, run, clo, chi, digit))
             # local is now 0: the last child consumed the remainder
-
-        descend(plan.root, (), self._cum[plan.root][()], k)
         return out
 
 
@@ -141,10 +284,13 @@ class MinDAIndex:
     source_vars: tuple[str, ...]
     total: int
     build_steps: int = 0
+    negated: bool = False  # built over the negated database: answers negate back
     _smaller: list[int] = field(default_factory=list)
+    _sorted_vars: tuple[str, ...] = ()
 
     def __post_init__(self):
         self._smaller = [e.smaller_total for e in self.entries]
+        self._sorted_vars = tuple(sorted(self.source_vars))
 
     def access(self, k: int, probes: StepCounter | None = None) -> Answer:
         """The k-th answer in the global order, untagged, over var(Q)."""
@@ -156,17 +302,24 @@ class MinDAIndex:
         e = self.entries[i]
         j = k - e.smaller_total + e.smaller_cq
         assignment = self.secondary[e.qid].access(j, probes)
-        return Answer({v: assignment[v].untagged() for v in self.source_vars})
+        answer = Answer._of_sorted(tuple([(v, assignment[v].untagged()) for v in self._sorted_vars]))
+        return answer.negated() if self.negated else answer
 
 
 def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
     """Min-ranked direct access over a full acyclic self-join-free query.
 
-    For each ranking variable x, the case "x attains the minimum" is
-    eliminated into full acyclic parts over the disjointified database;
-    each part gets a LexDA on its designated minimum variable, and the
-    per-value counts merge into one prefix-summed entry array.
+    `xs` is the ranking's variables, which means MIN, or a MinRanking; a
+    MAX ranking is served as MIN over the negated database, and the
+    answers carry the original values. For each ranking variable x, the
+    case "x attains the minimum" is partitioned into enforced strict
+    orders over the disjointified database; each order gets a LexDA on x
+    that enforces it, and the per-value counts merge into one
+    prefix-summed entry array.
     """
+    maximize = isinstance(xs, MinRanking) and xs.maximize
+    if isinstance(xs, MinRanking):
+        xs = xs.xs
     if not xs:
         raise EngineError("ranking needs at least one variable")
     verdict = classify(Task.RANKED_DA, q, xs)
@@ -175,7 +328,7 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
     if not q.is_full:
         raise EngineError("build_min_da expects a full query (restrict first)")
     counter = StepCounter()
-    q1, d1 = remove_self_joins(q, db)
+    q1, d1 = remove_self_joins(q, negate_database(db) if maximize else db)
     d2 = disjointify(d1, q1, q1.variables)
     counter.add(d2.size)
 
@@ -185,15 +338,12 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
     secondary: dict[int, LexDA] = {}
     raw_entries: list[tuple[TaggedValue, int, int, int]] = []
     qid = 0
-    for xi, x in enumerate(xs):
-        others = [v for v in xs if v != x]
-        for pq, pd, otp in eliminate_strict_min_tagged(
-            q1, d2, x, others, part_tag=f"_m{xi}", counter=counter
-        ):
-            lex = LexDA(pq, pd, x)
+    for x in xs:
+        for otp in min_orders(q1, x, [v for v in xs if v != x]):
+            lex = LexDA(q1, d2, x, otp)
             counter.add(lex.build_steps)
             secondary[qid] = lex
-            part_info.append((pq, pd, otp.order, x))
+            part_info.append((q1, d2, otp.order, x))
             for val, cnt, below in lex.root_groups():
                 raw_entries.append((val, qid, cnt, below))
             qid += 1
@@ -211,6 +361,7 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
         source_vars=q.free_vars,
         total=running,
         build_steps=counter.steps,
+        negated=maximize,
     )
 
 
@@ -271,23 +422,25 @@ def build_unranked_da_pred(
     q: ConjunctiveQuery, p: MinPredicate | None, db: Database
 ) -> MinDAIndex | BooleanAnswers:
     """Direct access (arbitrary order) to the answers of Q AND P, or of Q
-    when p is None: the elimination's parts concatenated in part order,
-    one entry per part with no min value. A Boolean query has one (empty)
+    when p is None: the parts of the predicate's enforced orders
+    concatenated in part order, one entry per part with no min value, each
+    a LexDA that enforces its order. A Boolean query has one (empty)
     answer or none."""
     verdict = classify(Task.UNRANKED_DA_PRED, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
     if q.is_boolean:
         return BooleanAnswers(is_nonempty(q, p, db))
-    res = eliminate_min_predicate(q, p, db)
+    q2, d, otps = min_predicate_orders(q, p, db)
+    x = q2.free_vars[0]
     entries, secondary, part_info = [], {}, []
     running = 0
-    for i, part in enumerate(res.parts):
-        lex = secondary[i] = LexDA(part.query, part.database, part.query.free_vars[0])
-        part_info.append((part.query, part.database, part.order, part.min_var))
+    for i, otp in enumerate(otps or [None]):
+        lex = secondary[i] = LexDA(q2, d, x, otp)
+        part_info.append((q2, d, otp.order, p.x0) if otp else (q2, d, None, None))
         entries.append(MinDAEntry(None, i, lex.total, 0, running))
         running += lex.total
-    return MinDAIndex(entries, secondary, part_info, res.source_vars, running)
+    return MinDAIndex(entries, secondary, part_info, q.free_vars, running)
 
 
 def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> int:

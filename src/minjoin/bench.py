@@ -60,8 +60,9 @@ def path_instance(total_size: int, seed: int = 0):
 
 
 def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
-    """Build the star-family index per size; record build steps, part data
-    blowup, and per-access probe counts."""
+    """Build the star-family index per size; record build steps, the rows
+    of the part databases summed over parts (every part reads the one
+    disjointified database, unforked), and per-access probe counts."""
     rows = []
     for n in sizes:
         q, r, db = star_instance(n, seed)

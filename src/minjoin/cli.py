@@ -36,7 +36,7 @@ from .errors import (
     QuerySyntaxError,
     UnsupportedPredicateError,
 )
-from .model import Answer, TaggedValue, negate_database
+from .model import Answer
 from .oracle import oracle_answers, oracle_sorted
 from .parser import load_database_dir, parse_query_file
 from .reduce import restrict_predicate_to_free, restrict_to_free
@@ -51,8 +51,8 @@ def _load(args):
     return q, p, r, db
 
 
-def _print_answer(a, *, negate=False, json_mode=False):
-    items = {k: (-v.base if negate else v.base) for k, v in a.assignment.items()}
+def _print_answer(a, *, json_mode=False):
+    items = {k: v.base for k, v in a.assignment.items()}
     if json_mode:
         return items
     return ", ".join(f"{k}={v}" for k, v in sorted(items.items()))
@@ -138,25 +138,24 @@ def cmd_bool(args) -> int:
 
 
 def _build_stream(q, p, r, db, ranked: bool):
-    """Restriction plus dispatch; returns (stream, negate_output)."""
+    """Restriction plus dispatch; returns the answer stream."""
     if ranked:
         if p is not None:
             raise EngineError("ranked enumeration with a predicate is not supported")
         verdict = classify(Task.RANKED_ENUM, q, r.xs)
         if not verdict.tractable:
             raise IntractableQueryError(verdict)
-        work_db = negate_database(db) if r.maximize else db
-        qf, dbf = restrict_to_free(q, work_db)
-        return enumerate_ranked_min(qf, r.xs, dbf), r.maximize
+        qf, dbf = restrict_to_free(q, db)
+        return enumerate_ranked_min(qf, r, dbf)
     verdict = classify(Task.ENUM_PRED, q, p)
     if not verdict.tractable:
         raise IntractableQueryError(verdict)
     if q.is_boolean:
-        return AnswerStream(iter([Answer({})] if is_nonempty(q, p, db) else [])), False
+        return AnswerStream(iter([Answer({})] if is_nonempty(q, p, db) else []))
     qf, residual, dbf = (q, p, db) if q.is_full else restrict_predicate_to_free(q, p, db)
     if residual is None:
-        return enumerate_full_acyclic(qf, dbf), False
-    return enumerate_with_predicate(qf, residual, dbf), False
+        return enumerate_full_acyclic(qf, dbf)
+    return enumerate_with_predicate(qf, residual, dbf)
 
 
 def cmd_enumerate(args) -> int:
@@ -165,7 +164,7 @@ def cmd_enumerate(args) -> int:
         print("enumerate --ranked: the query declares no ORDER BY", file=sys.stderr)
         return EXIT_SYNTAX
     try:
-        stream, negate = _build_stream(q, p, r, db, args.ranked)
+        stream = _build_stream(q, p, r, db, args.ranked)
     except (IntractableQueryError, UnsupportedPredicateError):
         if not args.force_oracle:
             raise
@@ -181,7 +180,7 @@ def cmd_enumerate(args) -> int:
     while stream.has_next() and (args.limit is None or n < args.limit):
         a = stream.peek()
         stream.advance()
-        out.append(_print_answer(a, negate=negate, json_mode=args.json))
+        out.append(_print_answer(a, json_mode=args.json))
         n += 1
     if args.json:
         print(json.dumps({"answers": out}, indent=2))
@@ -214,22 +213,21 @@ def _parse_limit(text: str) -> int:
 
 
 def _build_da(q, p, r, db):
-    """(direct-access structure, negate flag)."""
+    """The direct-access structure for the declared order or predicate."""
     if r is not None:
         if p is not None:
             raise EngineError("ranked access with a predicate is not supported")
         verdict = classify(Task.RANKED_DA, q, r.xs)
         if not verdict.tractable:
             raise IntractableQueryError(verdict)
-        work_db = negate_database(db) if r.maximize else db
-        qf, dbf = restrict_to_free(q, work_db)
-        return build_min_da(qf, r.xs, dbf), r.maximize
-    return build_unranked_da_pred(q, p, db), False
+        qf, dbf = restrict_to_free(q, db)
+        return build_min_da(qf, r, dbf)
+    return build_unranked_da_pred(q, p, db)
 
 
 def cmd_access(args) -> int:
     q, p, r, db = _load(args)
-    da, negate = _build_da(q, p, r, db)
+    da = _build_da(q, p, r, db)
     total = da.total
     ks = list(args.index or [])
     if args.range:
@@ -240,7 +238,7 @@ def cmd_access(args) -> int:
     for k in ks:
         try:
             a = da.access(k)
-            results.append((k, _print_answer(a, negate=negate, json_mode=args.json)))
+            results.append((k, _print_answer(a, json_mode=args.json)))
         except OutOfBoundsError:
             results.append((k, None))
     if args.json:
@@ -294,7 +292,7 @@ def cmd_oracle(args) -> int:
         for a in sorted(answers, key=lambda a: sorted(a.assignment.items()))[: args.limit]:
             print(_print_answer(a))
         try:
-            stream, negate = _build_stream(q, p, r, db, ranked=False)
+            stream = _build_stream(q, p, r, db, ranked=False)
         except (IntractableQueryError, UnsupportedPredicateError) as err:
             print(f"# engine refused: {err}", file=sys.stderr)
             return EXIT_OK
@@ -316,14 +314,12 @@ def cmd_oracle(args) -> int:
             print(f"[{k}] out of bounds (total {len(ordered)})")
         else:
             print(f"[{k}] {_print_answer(ordered[k])}")
-        da, negate = _build_da(q, p, r, db)
+        da = _build_da(q, p, r, db)
         if da.total != len(ordered):
             print(f"DIVERGENCE: engine total={da.total} oracle={len(ordered)}", file=sys.stderr)
             return EXIT_DIVERGENCE
         if k < da.total:
             got = da.access(k)
-            if negate:
-                got = Answer({v: TaggedValue(-c.base, c.rank) for v, c in got.assignment.items()})
             if r.key(got) != r.key(ordered[k]):
                 print("DIVERGENCE: rank key mismatch at index", k, file=sys.stderr)
                 return EXIT_DIVERGENCE

@@ -15,7 +15,15 @@ from typing import Iterator
 
 from .errors import EngineError
 from .instrument import StepCounter
-from .model import Answer, ConjunctiveQuery, Database, MinPredicate, remove_self_joins
+from .model import (
+    Answer,
+    ConjunctiveQuery,
+    Database,
+    MinPredicate,
+    MinRanking,
+    negate_database,
+    remove_self_joins,
+)
 # kept as a name of this module, which the benchmark's layer tracing wraps
 from .reduce import semijoin_reduce  # noqa: F401
 from .semiring import count_buckets, thresholds
@@ -235,13 +243,19 @@ def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
     """Answers of a full acyclic query in non-decreasing min-over-xs
     order, one parallel sorted stream per ranking variable.
 
-    Total work to the k-th emission is O(|D| + k*|xs|): an answer is
-    skipped by a stream only if its responsible stream emits it, so skips
-    are bounded by (|xs|-1) per emission.
+    `xs` is the ranking's variables, which means MIN, or a MinRanking; a
+    MAX ranking runs as MIN over the negated database, and the answers
+    carry the original values. Total work to the k-th emission is
+    O(|D| + k*|xs|): an answer is skipped by a stream only if its
+    responsible stream emits it, so skips are bounded by (|xs|-1) per
+    emission.
     """
     if not q.is_full:
         raise EngineError("enumeration needs a full query")
-    q, db = remove_self_joins(q, db)
+    maximize = isinstance(xs, MinRanking) and xs.maximize
+    if isinstance(xs, MinRanking):
+        xs = xs.xs
+    q, db = remove_self_joins(q, negate_database(db) if maximize else db)
     xs = tuple(dict.fromkeys(xs))
     qvars = set(q.variables)
     for x in xs:
@@ -254,4 +268,7 @@ def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
     for x in xs:
         plan, buckets, _ = count_buckets(q, db, x, counter=built)
         subs.append(_descend(plan, buckets, counter))
-    return AnswerStream(_ranked_merge(subs, xs, counter, skipped), counter, built.steps, skipped)
+    answers = _ranked_merge(subs, xs, counter, skipped)
+    if maximize:
+        answers = (a.negated() for a in answers)
+    return AnswerStream(answers, counter, built.steps, skipped)

@@ -256,6 +256,10 @@ class Answer:
     def untagged(self) -> "Answer":
         return Answer({k: v.untagged() for k, v in self._items})
 
+    def negated(self) -> "Answer":
+        """Every base value negated, as `negate_database` does to cells."""
+        return Answer._of_sorted(tuple((k, TaggedValue(-v.base, v.rank)) for k, v in self._items))
+
     def project(self, vars: Iterable[str]) -> "Answer":
         keep = set(vars)
         return Answer({k: v for k, v in self._items if k in keep})

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable
 
 from .errors import EngineError, InternalInvariantError
@@ -89,16 +89,22 @@ def count_buckets(
 
     With a pair, only the partial answers that satisfy its strict order
     are counted. A pair a<b inside a node filters that node's rows. A
-    pair across an edge has a in the parent and b in the child: the
-    child's buckets are sorted by b alone, and a parent row takes the
-    bucket's total minus the prefix sum at `bisect_right` of its a.
-    Other buckets keep the input order.
+    pair across an edge bounds the child's variable w by the parent's
+    variable u: from below when the parent holds a, from above when it
+    holds b, which only LexDA's build (x given) asks for. The child's
+    buckets are sorted by w, and a parent row takes the part of the
+    bucket's prefix sums on its side of u. With no x, the bounded
+    buckets are sorted by w alone and the others keep the input order.
+    With x, every bucket is sorted by row, the bounded ones then by w,
+    and the counter also gets each bucket sort as len*ceil(log2 len)
+    steps, since rows read alone understate that build.
     """
     if x is not None and x not in q.variables:
         raise EngineError(f"sort variable {x!r} not in the query")
     plan = TreePlan(q, tree_for_query(q, at=x) if pair is None else pair.tree)
     filters: dict[int, list[tuple[int, int]]] = {}  # node -> [(a col, b col)]
-    bounded: dict[int, tuple] = {}  # child -> (a col in the parent, b getter)
+    # child -> (u col in the parent, w getter, whether the parent holds a)
+    bounded: dict[int, tuple] = {}
     for (a, b), site in (pair.placements() if pair is not None else {}).items():
         if site is None:
             raise InternalInvariantError(f"tree does not enforce {a}<{b}")
@@ -106,12 +112,14 @@ def count_buckets(
             filters.setdefault(n, []).append((plan.schema[n].index(a), plan.schema[n].index(b)))
         if site.edge is not None:
             p, c = site.edge
-            if a not in plan.tree.vars_of[p] or c in bounded:
+            up = a in plan.tree.vars_of[p]
+            if c in bounded or (not up and x is None):
                 raise InternalInvariantError(
-                    f"{a}<{b} across edge {p}-{c}: need the smaller variable "
-                    "in the parent and one pair per edge"
+                    f"{a}<{b} across edge {p}-{c}: need one pair per edge, and to "
+                    "count, the smaller variable in the parent"
                 )
-            bounded[c] = (plan.schema[p].index(a), operator.itemgetter(plan.schema[c].index(b)))
+            u, w = (a, b) if up else (b, a)
+            bounded[c] = (plan.schema[p].index(u), operator.itemgetter(plan.schema[c].index(w)), up)
     root = plan.root
     x_of = operator.itemgetter(plan.schema[root].index(x)) if x is not None else None
     rows_of: dict[int, dict] = {}
@@ -122,14 +130,16 @@ def count_buckets(
             rows = [r for r in rows if r[ai] < r[bi]]
         groups = group_by(rows, plan.key.get(n, ()))
         for group in groups.values():
-            if n in bounded:
-                group.sort(key=bounded[n][1])
-            elif pair is None:
+            if x is not None or pair is None:
                 group.sort()
                 if n == root and x_of is not None:  # stable: by (x, row)
                     group.sort(key=x_of)
-        # per child: parent key columns, prefix sums, rows, and (a col, b getter) if bounded
-        kids = [(plan.parent_key[c], cum_of[c], rows_of[c], *bounded.get(c, (None, None)))
+                if x is not None and pair is not None and counter is not None:
+                    counter.add(len(group) * (len(group) - 1).bit_length())
+            if n in bounded:  # stable: by (w, row) with x
+                group.sort(key=bounded[n][1])
+        # per child: parent key columns, prefix sums, rows, and (u col, w getter, up) if bounded
+        kids = [(plan.parent_key[c], cum_of[c], rows_of[c], *bounded.get(c, (None, None, None)))
                 for c in plan.children[n]]
         kept_of = rows_of[n] = {}
         sums_of = cum_of[n] = {}
@@ -141,15 +151,18 @@ def count_buckets(
             kept, cum = [], [0]
             for row in group:
                 cnt = 1
-                for ck, sums, brows, ai, by_b in kids:
+                for ck, sums, brows, ui, by_w, up in kids:
                     ckey = tuple([row[i] for i in ck])
                     s = sums.get(ckey)
                     if s is None:
                         break
-                    if by_b is None:
+                    if by_w is None:
                         cnt *= s[-1]
                     else:
-                        m = s[-1] - s[bisect_right(brows[ckey], row[ai], key=by_b)]
+                        if up:  # the rows with w > u
+                            m = s[-1] - s[bisect_right(brows[ckey], row[ui], key=by_w)]
+                        else:  # the rows with w < u
+                            m = s[bisect_left(brows[ckey], row[ui], key=by_w)]
                         if not m:
                             break
                         cnt *= m

@@ -5,22 +5,37 @@ from minjoin import (
     IntractableQueryError,
     LexDA,
     MinPredicate,
+    MinRanking,
     OutOfBoundsError,
     StepCounter,
     Task,
+    UnsupportedPredicateError,
     build_min_da,
     build_unranked_da_pred,
     classify,
     count_via_access,
     count_with_predicate,
+    disjointify,
+    eliminate_enforced_order,
+    enumerate_ranked_min,
     is_nonempty,
+    min_predicate_orders,
     oracle_answers,
+    oracle_sorted,
     parse_query,
+    remove_self_joins,
     single_access,
 )
+from minjoin.elim import fork_tree, min_orders
 from minjoin.model import Database, Relation
 
-from conftest import edge_instances, rand_acyclic_query, rand_database, rand_predicate
+from conftest import (
+    edge_instances,
+    rand_acyclic_query,
+    rand_database,
+    rand_predicate,
+    with_dangling_rows,
+)
 
 
 def _star():
@@ -116,6 +131,139 @@ def test_access_sequences_pinned_with_ties():
     assert seq(build_unranked_da_pred(q, MinPredicate("x0", ("x1", "x2")), db)) == [
         (1, 2, 2, 0), (1, 1, 2, 0), (1, 1, 1, 0), (1, 1, 3, 1), (2, 2, 2, 0), (1, 2, 1, 0),
     ]
+
+
+# -- LexDA with an enforced order ---------------------------------------------
+
+
+def _tally():
+    return dict.fromkeys(("parts", "other tree", "b in the parent", "rows not in b order"), 0)
+
+
+def _check_against_forked_part(q, db, x, otp, seen):
+    """LexDA that enforces otp's order returns, for every k, the answer
+    that LexDA over the fork rewrite's part returns."""
+    forked = LexDA(*eliminate_enforced_order(q, db, otp, "_f"), x)
+    direct = LexDA(q, db, x, otp)
+    assert direct.total == forked.total, (q.to_text(), x, str(otp.order))
+    for k in range(forked.total):
+        want = forked.access(k)
+        assert direct.access(k) == {v: want[v] for v in q.variables}, (q.to_text(), x, str(otp.order), k)
+    seen["parts"] += 1
+    seen["other tree"] += fork_tree(q, otp, x).edges() != otp.tree.edges()
+    for _, up, runs in (f for fs in direct._fenced.values() for f in fs):
+        seen["b in the parent"] += not up
+        seen["rows not in b order"] += runs is not None
+
+
+def _check_ranked_parts(q, xs, db, seen):
+    q1, d1 = remove_self_joins(q, db)
+    d2 = disjointify(d1, q1, q1.variables)
+    for x in xs:
+        for otp in min_orders(q1, x, [v for v in xs if v != x]):
+            _check_against_forked_part(q1, d2, x, otp, seen)
+
+
+def _check_predicate_parts(q, p, db, seen):
+    # every variable as the sort variable, so that b's side of an edge
+    # also lands in the parent
+    try:
+        q2, d, otps = min_predicate_orders(q, p, db)
+    except UnsupportedPredicateError:
+        return
+    for otp in otps or ():
+        for x in q2.variables:
+            _check_against_forked_part(q2, d, x, otp, seen)
+
+
+def test_lexda_with_order_matches_forked_part(rng):
+    seen = _tally()
+    done = 0
+    while done < 60:
+        q = rand_acyclic_query(rng, max_atoms=4, max_arity=3, full=True)
+        if not q.is_self_join_free:
+            continue
+        xs = tuple(rng.sample(q.variables, rng.randint(1, min(4, len(q.variables)))))
+        if not classify(Task.RANKED_DA, q, xs).tractable:
+            continue
+        db = with_dangling_rows(rng, q, rand_database(rng, q, dom=8, max_rows=8))
+        _check_ranked_parts(q, xs, db, seen)
+        p = rand_predicate(rng, q)
+        if classify(Task.UNRANKED_DA_PRED, q, p).tractable:
+            _check_predicate_parts(q, p, db, seen)
+        done += 1
+    for q, db in edge_instances(rng, full=True):
+        if classify(Task.RANKED_DA, q, q.variables).tractable:
+            _check_ranked_parts(q, q.variables, db, seen)
+        p = rand_predicate(rng, q)
+        if classify(Task.UNRANKED_DA_PRED, q, p).tractable:
+            _check_predicate_parts(q, p, db, seen)
+    # b behind a column outside the join key: row order is not b order
+    q, _, _ = parse_query("Q(x0,z,x1,y) :- R0(x0,y), R1(z,x1,y).")
+    shape = _tally()
+    for _ in range(5):
+        _check_ranked_parts(q, ("x0", "x1"), rand_database(rng, q, dom=6, max_rows=12), shape)
+    assert shape["rows not in b order"] == 5
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("dangling", [False, True])
+def test_lexda_with_order_keeps_the_tie_order_of_rows_that_join_nothing(dangling):
+    # the S row (9,1) joins no R row but enters the fork domain of x<z,
+    # which moves the order of (2,0,3) and (2,0,5)
+    q, _, _ = parse_query("Q(x,y,z) :- R(x,y), S(y,z).")
+    s_rows = [[0, 3], [0, 5], [1, 0], [1, 3], [1, 5]] + [[9, 1]] * dangling
+    db = Database(
+        {
+            "R": Relation.from_ints("R", 2, [[0, 1], [1, 1], [2, 0]]),
+            "S": Relation.from_ints("S", 2, s_rows),
+        }
+    )
+    seen = _tally()
+    _check_ranked_parts(q, ("x", "z"), db, seen)
+    assert seen["parts"] == 2
+    ix = build_min_da(q, ("x", "z"), db)
+    at = [tuple(ix.access(k)[v].base for v in "xyz") for k in (6, 7)]
+    assert at == ([(2, 0, 5), (2, 0, 3)] if dangling else [(2, 0, 3), (2, 0, 5)])
+
+
+def test_build_min_da_needs_no_fork_rewrite(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("direct access called the fork rewrite")
+
+    monkeypatch.setattr("minjoin.elim.eliminate_enforced_order", broken)
+    q, db = _star()
+    ix = build_min_da(q, ("x0", "x1", "x2"), db)
+    assert {ix.access(k) for k in range(ix.total)} == oracle_answers(q, db)
+    p = MinPredicate("x0", ("x1", "x2"))
+    da = build_unranked_da_pred(q, p, db)
+    assert {da.access(k) for k in range(da.total)} == oracle_answers(q, db, predicate=p)
+
+
+def test_order_by_max_in_the_library(rng):
+    # a MinRanking is served as it says; its MAX answers carry the data's
+    # own values, in oracle_sorted's MAX order of keys
+    checked = 0
+    while checked < 25:
+        q = rand_acyclic_query(rng, max_atoms=3, max_arity=3, full=True)
+        if not q.is_self_join_free:
+            continue
+        r = MinRanking(tuple(q.variables[: rng.randint(1, min(3, len(q.variables)))]), maximize=True)
+        if not classify(Task.RANKED_DA, q, r).tractable:
+            continue
+        db = rand_database(rng, q, dom=6, max_rows=6)
+        want = oracle_sorted(oracle_answers(q, db), r.xs, maximize=True)
+        ix = build_min_da(q, r, db)
+        for got in ([ix.access(k) for k in range(ix.total)], enumerate_ranked_min(q, r, db).drain()):
+            assert len(got) == len(want) and set(got) == set(want), q.to_text()
+            assert [r.key(a) for a in got] == [r.key(a) for a in want], q.to_text()
+        checked += 1
+    # the README's call, and a bare tuple of names, which means MIN
+    q, _, r = parse_query("Q(x0,x1,x2,y) :- R0(x0), R1(x1,y), R2(x2,y).\nORDER BY MAX(x0,x1,x2).\n")
+    _, db = _star()
+    for ranking, top in ((r, [3, 3, 3, 3, 2, 2, 2, 2]), (r.xs, [1, 1, 1, 1, 1, 1, 2, 2])):
+        ix = build_min_da(q, ranking, db)
+        assert [(max if ranking is r else min)(ix.access(k)[x].base for x in r.xs) for k in range(8)] == top
 
 
 # -- MinDA --------------------------------------------------------------------
