@@ -12,8 +12,12 @@ min-of-variables order comes back in logarithmically many probes.
 Unranked direct access with a predicate is a MinDAIndex with one entry
 per part, in part order. Counting with a predicate counts each enforced
 order with the count pass over its tree. The Boolean task is one
-threshold pass (`semiring.thresholds`). No entry point here builds
-forked parts.
+threshold pass, the cut at x0 (`reduce.cut_at_x0`). No entry point here
+builds forked parts.
+
+Each task function takes the query as declared: it checks its verdict
+(`Verdict.require`), prepares the instance with one call to
+`reduce.restrict_predicate_to_free`, then runs its pass.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
 
-from .errors import EngineError, IntractableQueryError, OutOfBoundsError
+from .errors import EngineError, OutOfBoundsError
 from .instrument import StepCounter
 from .model import (
     Answer,
@@ -34,10 +38,10 @@ from .model import (
     TaggedValue,
     disjointify,
     negate_database,
-    remove_self_joins,
 )
-from .elim import _cut_at_x0, fork_domains, fork_tree, min_orders, min_predicate_orders
+from .elim import fork_domains, fork_tree, min_orders, min_predicate_orders
 from .partition import OrderTreePair, StrictPartialOrder
+from .reduce import cut_at_x0, restrict_predicate_to_free
 from .semiring import count_answers, count_buckets
 # kept as a name of this module, which the benchmark's layer tracing wraps
 from .semiring import aggregate_bottom_up  # noqa: F401
@@ -113,8 +117,9 @@ class LexDA:
     """Direct access by the order <x> over a full acyclic query's answers.
 
     Build: one count pass (`semiring.count_buckets`) on the join tree
-    rooted at the first atom containing x; `build_steps` counts the rows
-    it reads. Access descends the tree, decomposing the index by
+    rooted at the first atom containing x (at the tree's root when x is
+    None, as for a nullary query); `build_steps` counts the rows it
+    reads. Access descends the tree, decomposing the index by
     child-bucket mixed radix and a binary search inside each bucket. The
     tie order below x is the sorted-tuple bucket order, fixed and
     deterministic.
@@ -130,7 +135,7 @@ class LexDA:
     before the mixed radix over its children.
     """
 
-    def __init__(self, q: ConjunctiveQuery, db: Database, x: str, pair: OrderTreePair | None = None):
+    def __init__(self, q: ConjunctiveQuery, db: Database, x: str | None, pair: OrderTreePair | None = None):
         if not q.is_full or not q.is_self_join_free:
             raise EngineError("LexDA needs a full self-join-free query")
         self.query = q
@@ -140,9 +145,7 @@ class LexDA:
             pair = OrderTreePair(pair.order, fork_tree(q, pair, x))
         plan, self._rows, self._cum = count_buckets(q, db, x, pair, counter=built)
         self._plan = plan
-        root = plan.root
-        self._x_col = plan.schema[root].index(x)
-        self.total: int = self._cum[root].get((), [0])[-1]
+        self.total: int = self._cum[plan.root].get((), [0])[-1]
         fences: dict[int, _Fence] = {}  # bounded child -> its fence, needed at build only
         fenced: dict[int, list[int]] = {}  # node -> its bounded children, first pair first
         if pair is not None:
@@ -181,10 +184,11 @@ class LexDA:
         """[(x value, answer count, answers strictly below)] in x order."""
         root = self._plan.root
         rows, cum = self._rows[root].get((), []), self._cum[root].get((), [0])
+        x_col = self._plan.schema[root].index(self.sort_var)
         groups: list[list] = []
         for i, row in enumerate(rows):
-            if not groups or groups[-1][0] != row[self._x_col]:
-                groups.append([row[self._x_col], 0, cum[i]])
+            if not groups or groups[-1][0] != row[x_col]:
+                groups.append([row[x_col], 0, cum[i]])
             groups[-1][1] += cum[i + 1] - cum[i]
         return [tuple(g) for g in groups]
 
@@ -307,7 +311,8 @@ class MinDAIndex:
 
 
 def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
-    """Min-ranked direct access over a full acyclic self-join-free query.
+    """Min-ranked direct access over an acyclic free-connex query's
+    answers, the query restricted to its free variables first.
 
     `xs` is the ranking's variables, which means MIN, or a MinRanking; a
     MAX ranking is served as MIN over the negated database, and the
@@ -322,13 +327,9 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
         xs = xs.xs
     if not xs:
         raise EngineError("ranking needs at least one variable")
-    verdict = classify(Task.RANKED_DA, q, xs)
-    if not verdict.tractable:
-        raise IntractableQueryError(verdict)
-    if not q.is_full:
-        raise EngineError("build_min_da expects a full query (restrict first)")
+    classify(Task.RANKED_DA, q, xs).require()
     counter = StepCounter()
-    q1, d1 = remove_self_joins(q, negate_database(db) if maximize else db)
+    q1, _, d1 = restrict_predicate_to_free(q, None, negate_database(db) if maximize else db)
     d2 = disjointify(d1, q1, q1.variables)
     counter.add(d2.size)
 
@@ -405,34 +406,15 @@ def count_via_access(da, probes: StepCounter | None = None) -> int:
 # Unranked direct access / counting / Boolean with a predicate
 
 
-class BooleanAnswers:
-    """A Boolean query's answers, the empty assignment if the query holds
-    and none otherwise, as a direct-access structure."""
-
-    def __init__(self, holds: bool):
-        self.total = int(holds)
-
-    def access(self, k: int, probes: StepCounter | None = None) -> Answer:
-        if not 0 <= k < self.total:
-            raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
-        return Answer({})
-
-
-def build_unranked_da_pred(
-    q: ConjunctiveQuery, p: MinPredicate | None, db: Database
-) -> MinDAIndex | BooleanAnswers:
+def build_unranked_da_pred(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> MinDAIndex:
     """Direct access (arbitrary order) to the answers of Q AND P, or of Q
     when p is None: the parts of the predicate's enforced orders
     concatenated in part order, one entry per part with no min value, each
     a LexDA that enforces its order. A Boolean query has one (empty)
     answer or none."""
-    verdict = classify(Task.UNRANKED_DA_PRED, q, p)
-    if not verdict.tractable:
-        raise IntractableQueryError(verdict)
-    if q.is_boolean:
-        return BooleanAnswers(is_nonempty(q, p, db))
+    classify(Task.UNRANKED_DA_PRED, q, p).require()
     q2, d, otps = min_predicate_orders(q, p, db)
-    x = q2.free_vars[0]
+    x = next(iter(q2.free_vars), None)
     entries, secondary, part_info = [], {}, []
     running = 0
     for i, otp in enumerate(otps or [None]):
@@ -452,11 +434,7 @@ def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Databa
     satisfies exactly one order, and each order is counted by one
     bottom-up pass over its enforcing tree, with no fork rewrite.
     """
-    verdict = classify(Task.COUNTING, q, p)
-    if not verdict.tractable:
-        raise IntractableQueryError(verdict)
-    if q.is_boolean:
-        return int(is_nonempty(q, p, db))
+    classify(Task.COUNTING, q, p).require()
     q2, d, otps = min_predicate_orders(q, p, db)
     if otps is None:
         return count_answers(q2, d)
@@ -466,8 +444,6 @@ def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Databa
 def is_nonempty(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> bool:
     """Boolean task for Q AND P (for Q when p is None); needs only
     acyclicity. Q AND P holds when the cut of an atom holding x0 keeps a
-    row (see `elim._cut_at_x0`)."""
-    verdict = classify(Task.BOOLEAN, q, p)
-    if not verdict.tractable:
-        raise IntractableQueryError(verdict)
-    return _cut_at_x0(q, p, db)[2] > 0
+    row (see `reduce.cut_at_x0`)."""
+    classify(Task.BOOLEAN, q, p).require()
+    return cut_at_x0(q, p, db)[2] > 0

@@ -21,12 +21,7 @@ from .access import (
 )
 from .bench import bench_enum_pred, bench_min_da, bench_ranked, default_sizes
 from .elim import eliminate_min_predicate
-from .enumeration import (
-    AnswerStream,
-    enumerate_full_acyclic,
-    enumerate_ranked_min,
-    enumerate_with_predicate,
-)
+from .enumeration import enumerate_ranked_min, enumerate_with_predicate
 from .errors import (
     DataFileError,
     EngineError,
@@ -36,11 +31,9 @@ from .errors import (
     QuerySyntaxError,
     UnsupportedPredicateError,
 )
-from .model import Answer
 from .oracle import oracle_answers, oracle_sorted
 from .parser import load_database_dir, parse_query_file
-from .reduce import restrict_predicate_to_free, restrict_to_free
-from .structure import Task, classify, classify_all
+from .structure import classify_all
 
 EXIT_OK, EXIT_SYNTAX, EXIT_INTRACTABLE, EXIT_DATA, EXIT_DIVERGENCE, EXIT_INTERNAL = 0, 1, 2, 3, 4, 5
 
@@ -137,25 +130,13 @@ def cmd_bool(args) -> int:
     return EXIT_OK
 
 
-def _build_stream(q, p, r, db, ranked: bool):
-    """Restriction plus dispatch; returns the answer stream."""
-    if ranked:
-        if p is not None:
-            raise EngineError("ranked enumeration with a predicate is not supported")
-        verdict = classify(Task.RANKED_ENUM, q, r.xs)
-        if not verdict.tractable:
-            raise IntractableQueryError(verdict)
-        qf, dbf = restrict_to_free(q, db)
-        return enumerate_ranked_min(qf, r, dbf)
-    verdict = classify(Task.ENUM_PRED, q, p)
-    if not verdict.tractable:
-        raise IntractableQueryError(verdict)
-    if q.is_boolean:
-        return AnswerStream(iter([Answer({})] if is_nonempty(q, p, db) else []))
-    qf, residual, dbf = (q, p, db) if q.is_full else restrict_predicate_to_free(q, p, db)
-    if residual is None:
-        return enumerate_full_acyclic(qf, dbf)
-    return enumerate_with_predicate(qf, residual, dbf)
+def _refuse_ranking_with_predicate(p, r) -> None:
+    """A ranked task over a query that declares a predicate too is refused."""
+    if p is not None and r is not None:
+        raise UnsupportedPredicateError(
+            f"the query declares both PREDICATE {p} and ORDER BY {r}; "
+            "a ranking combined with a predicate is not supported"
+        )
 
 
 def cmd_enumerate(args) -> int:
@@ -163,8 +144,10 @@ def cmd_enumerate(args) -> int:
     if args.ranked and r is None:
         print("enumerate --ranked: the query declares no ORDER BY", file=sys.stderr)
         return EXIT_SYNTAX
+    if args.ranked:
+        _refuse_ranking_with_predicate(p, r)
     try:
-        stream = _build_stream(q, p, r, db, args.ranked)
+        stream = enumerate_ranked_min(q, r, db) if args.ranked else enumerate_with_predicate(q, p, db)
     except (IntractableQueryError, UnsupportedPredicateError):
         if not args.force_oracle:
             raise
@@ -214,15 +197,10 @@ def _parse_limit(text: str) -> int:
 
 def _build_da(q, p, r, db):
     """The direct-access structure for the declared order or predicate."""
-    if r is not None:
-        if p is not None:
-            raise EngineError("ranked access with a predicate is not supported")
-        verdict = classify(Task.RANKED_DA, q, r.xs)
-        if not verdict.tractable:
-            raise IntractableQueryError(verdict)
-        qf, dbf = restrict_to_free(q, db)
-        return build_min_da(qf, r, dbf)
-    return build_unranked_da_pred(q, p, db)
+    if r is None:
+        return build_unranked_da_pred(q, p, db)
+    _refuse_ranking_with_predicate(p, r)
+    return build_min_da(q, r, db)
 
 
 def cmd_access(args) -> int:
@@ -292,7 +270,7 @@ def cmd_oracle(args) -> int:
         for a in sorted(answers, key=lambda a: sorted(a.assignment.items()))[: args.limit]:
             print(_print_answer(a))
         try:
-            stream = _build_stream(q, p, r, db, ranked=False)
+            stream = enumerate_with_predicate(q, p, db)
         except (IntractableQueryError, UnsupportedPredicateError) as err:
             print(f"# engine refused: {err}", file=sys.stderr)
             return EXIT_OK
@@ -310,7 +288,7 @@ def cmd_oracle(args) -> int:
             return EXIT_SYNTAX
         ordered = oracle_sorted(answers, r.xs, maximize=r.maximize)
         k = args.index[0] if args.index else 0
-        if k >= len(ordered):
+        if not 0 <= k < len(ordered):
             print(f"[{k}] out of bounds (total {len(ordered)})")
         else:
             print(f"[{k}] {_print_answer(ordered[k])}")
@@ -318,7 +296,7 @@ def cmd_oracle(args) -> int:
         if da.total != len(ordered):
             print(f"DIVERGENCE: engine total={da.total} oracle={len(ordered)}", file=sys.stderr)
             return EXIT_DIVERGENCE
-        if k < da.total:
+        if 0 <= k < da.total:
             got = da.access(k)
             if r.key(got) != r.key(ordered[k]):
                 print("DIVERGENCE: rank key mismatch at index", k, file=sys.stderr)

@@ -17,10 +17,9 @@ part, and the domains that its fork blocks are cut over.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .errors import EngineError, InternalInvariantError, IntractableQueryError
+from .errors import EngineError, InternalInvariantError
 from .model import (
     Atom,
     ConjunctiveQuery,
@@ -30,11 +29,9 @@ from .model import (
     TaggedValue,
     disjointify,
     fresh_symbol,
-    remove_self_joins,
 )
 from .partition import OrderTreePair, StrictPartialOrder, partition_min_orders
-from .reduce import restrict_predicate_to_free
-from .semiring import thresholds
+from .reduce import cut_at_x0, restrict_predicate_to_free
 from .structure import (
     Hypergraph,
     RootedJoinTree,
@@ -254,7 +251,8 @@ def min_predicate_orders(
     free variables, then disjointifies (x0 gets the smallest rank, or the
     largest for the strict variant, so that every comparison is strict)
     and partitions. With no residual predicate the orders are None and
-    the database is not disjointified.
+    the database is not disjointified; a Boolean head is one nullary atom
+    that holds the empty row or none.
     """
     q2, residual, d2 = restrict_predicate_to_free(q, p, db)
     if residual is None:
@@ -266,33 +264,6 @@ def min_predicate_orders(
     return q2, d3, min_orders(q2, x0, residual.xs)
 
 
-def _cut_at_x0(
-    q: ConjunctiveQuery, p: MinPredicate | None, db: Database
-) -> tuple[ConjunctiveQuery, Database, int]:
-    """Q after self-join removal; its database with the relation of an
-    atom holding x0 cut to the rows through which some homomorphism of
-    Q's body satisfies P; and the number of rows kept.
-
-    All variables are treated as existential: per row, the max-min
-    threshold says how large min(X) can get among the homomorphisms
-    through it, so the cut is one scan of that atom. Without a predicate,
-    x0 is Q's first variable, X is empty and the threshold is +inf
-    exactly for the rows that extend to a homomorphism.
-    """
-    if p is None:
-        x0, xs, below = q.variables[0], [], operator.le
-    else:
-        p.check_vars(q)
-        x0, xs, below = p.x0, [x for x in p.xs if x != p.x0], p.below
-    q1, d1 = remove_self_joins(q, db)
-    t = tree_for_query(q1, at=x0)
-    theta = thresholds(q1, xs, t, d1)[t.root]
-    atom = q1.atoms[t.atom_of[t.root]]
-    xi = atom.vars.index(x0)
-    kept = tuple(row for row, th in theta.items() if below(row[xi], th))
-    return q1, d1.replace(Relation(atom.symbol, atom.arity, kept)), len(kept)
-
-
 def eliminate_min_predicate(
     q: ConjunctiveQuery, p: MinPredicate | None, db: Database
 ) -> EliminationResult:
@@ -301,16 +272,14 @@ def eliminate_min_predicate(
     With p None the result is the single part (Q, D) restricted to the
     free variables. A Boolean head gives one Boolean part with no order:
     Q after self-join removal, with an atom holding x0 cut to the rows
-    through which Q AND P holds (see `_cut_at_x0`).
+    through which Q AND P holds (see `reduce.cut_at_x0`).
 
     Pipeline: `min_predicate_orders` (remove self-joins, fold, restrict,
     disjointify, partition), then eliminate each enforced order.
     """
-    verdict = classify(Task.ELIMINATION, q, p)
-    if not verdict.tractable:
-        raise IntractableQueryError(verdict)
+    classify(Task.ELIMINATION, q, p).require()
     if q.is_boolean:
-        q1, d1, _ = _cut_at_x0(q, p, db)
+        q1, d1, _ = cut_at_x0(q, p, db)
         return EliminationResult((EliminationPart(q1, d1, None, None),), ())
 
     q2, d, otps = min_predicate_orders(q, p, db)

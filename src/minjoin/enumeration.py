@@ -6,6 +6,11 @@ streams read the buckets of the count pass (`semiring.count_buckets`),
 as LexDA does; the predicate stream orders its buckets by threshold.
 Each stream is a generator of answers that adds its work to one
 StepCounter, so delay properties are assertable without clocks.
+
+The task functions, `enumerate_with_predicate` (p None: the plain
+stream) and `enumerate_ranked_min`, take the query as declared, check
+its verdict and restrict it (`reduce.restrict_predicate_to_free`);
+`enumerate_with_predicate` reads a full query as declared.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from .model import (
     negate_database,
     remove_self_joins,
 )
+from .reduce import restrict_predicate_to_free
 # kept as a name of this module, which the benchmark's layer tracing wraps
 from .reduce import semijoin_reduce  # noqa: F401
 from .semiring import count_buckets, thresholds
-from .structure import TreePlan, group_by, tree_for_query
+from .structure import Task, TreePlan, classify, group_by, tree_for_query
 
 
 class AnswerStream:
@@ -163,19 +169,30 @@ def enumerate_full_acyclic(
     if not q.is_full:
         raise EngineError("enumeration needs a full query")
     q, db = remove_self_joins(q, db)
+    return _full_stream(q, db, root_sort_var)
+
+
+def _full_stream(q: ConjunctiveQuery, db: Database, root_sort_var: str | None = None) -> AnswerStream:
+    """`enumerate_full_acyclic` over a full self-join-free query."""
     counter, built = StepCounter(), StepCounter()
     plan, buckets, _ = count_buckets(q, db, root_sort_var, counter=built)
     return AnswerStream(_descend(plan, buckets, counter), counter, built.steps)
 
 
 def enumerate_with_predicate(
-    q: ConjunctiveQuery, p: MinPredicate, db: Database
+    q: ConjunctiveQuery, p: MinPredicate | None, db: Database
 ) -> AnswerStream:
-    """Answers of Q AND (x0 <= min X) for any full acyclic query: no
-    structural side condition.
+    """Answers of Q AND (x0 <= min X), or of Q when p is None, for any
+    acyclic free-connex query: no side condition on the predicate.
 
-    The tree is rooted at an atom containing x0; every tuple carries the
-    best min-over-X value reachable below it (its threshold), buckets are
+    A query that is not full is restricted to its free variables first,
+    a Boolean head to one nullary atom. A full query is enumerated as
+    declared: restriction would only rename its relations, and would drop
+    a predicate such as x <= MIN(x), which changes the emission order.
+    With no predicate left, this is the plain stream of
+    `enumerate_full_acyclic`. Otherwise the tree is
+    rooted at an atom containing x0; every tuple carries the best
+    min-over-X value reachable below it (its threshold), buckets are
     scanned in decreasing threshold order, and a descent stops as soon as
     a threshold drops under the current x0 value.
 
@@ -183,10 +200,15 @@ def enumerate_with_predicate(
     has threshold -inf, so the root filter and the cut drop it, and a row
     with no partner above is never looked up.
     """
-    if not q.is_full:
-        raise EngineError("enumeration needs a full query")
-    p.check_vars(q)
-    q, db = remove_self_joins(q, db)
+    classify(Task.ENUM_PRED, q, p).require()
+    if q.is_full:
+        if p is not None:
+            p.check_vars(q)
+        q, db = remove_self_joins(q, db)
+    else:
+        q, p, db = restrict_predicate_to_free(q, p, db)
+    if p is None:
+        return _full_stream(q, db)
     x0 = p.x0
     xs = [x for x in p.xs if x != x0]
     plan = TreePlan(q, tree_for_query(q, at=x0))
@@ -240,8 +262,9 @@ def _ranked_merge(subs, xs, counter: StepCounter, skipped: StepCounter):
 
 
 def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
-    """Answers of a full acyclic query in non-decreasing min-over-xs
-    order, one parallel sorted stream per ranking variable.
+    """Answers of an acyclic free-connex query in non-decreasing
+    min-over-xs order, one parallel sorted stream per ranking variable
+    over the query restricted to its free variables.
 
     `xs` is the ranking's variables, which means MIN, or a MinRanking; a
     MAX ranking runs as MIN over the negated database, and the answers
@@ -250,12 +273,9 @@ def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
     responsible stream emits it, so skips are bounded by (|xs|-1) per
     emission.
     """
-    if not q.is_full:
-        raise EngineError("enumeration needs a full query")
     maximize = isinstance(xs, MinRanking) and xs.maximize
     if isinstance(xs, MinRanking):
         xs = xs.xs
-    q, db = remove_self_joins(q, negate_database(db) if maximize else db)
     xs = tuple(dict.fromkeys(xs))
     qvars = set(q.variables)
     for x in xs:
@@ -263,6 +283,8 @@ def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
             raise EngineError(f"ranking variable {x!r} not in the query")
     if not xs:
         raise EngineError("ranking needs at least one variable")
+    classify(Task.RANKED_ENUM, q, xs).require()
+    q, _, db = restrict_predicate_to_free(q, None, negate_database(db) if maximize else db)
     counter, skipped, built = StepCounter(), StepCounter(), StepCounter()
     subs = []
     for x in xs:

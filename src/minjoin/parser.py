@@ -81,6 +81,8 @@ def parse_query(
             for v in xs:
                 if v not in qvars:
                     raise QuerySyntaxError(f"ranking variable {v!r} not in the query", line_no, 1)
+                if v not in query.free_vars:
+                    raise QuerySyntaxError(f"ranking variable {v!r} is not a head variable", line_no, 1)
             continue
 
         m = _HEAD_RE.match(line)

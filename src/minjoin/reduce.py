@@ -1,6 +1,9 @@
 """Semijoin reduction, restriction to free variables, and elimination of
 predicate inequalities that touch existential variables.
 
+`restrict_predicate_to_free` prepares every task function's instance:
+it alone checks free-connexity and removes self-joins.
+
 The existential eliminations here filter tuples of carefully chosen
 relations. A filter on relation R is sound only when the predicate's
 truth, restricted to answers through a tuple of R, is a function of that
@@ -10,6 +13,8 @@ with UnsupportedPredicateError instead of being answered incorrectly.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import EngineError, UnsupportedPredicateError
 from .model import (
@@ -53,8 +58,15 @@ def semijoin_reduce(q: ConjunctiveQuery, db: Database) -> Database:
 
 
 def restrict_to_free(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQuery, Database]:
-    """Rewrite an acyclic free-connex query to a full one over its free
-    variables, with fresh relation symbols and the same answer set.
+    """`restrict_predicate_to_free` with no predicate: an acyclic
+    free-connex query as a full one over its free variables, with fresh
+    relation symbols and the same answer set."""
+    q2, _, d2 = restrict_predicate_to_free(q, None, db)
+    return q2, d2
+
+
+def _project_to_free(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQuery, Database]:
+    """`restrict_to_free` over a prepared (self-join-free) instance.
 
     A full query is only renamed: each atom keeps its rows as given, and
     the passes that read them drop the rows that join nothing. Otherwise
@@ -63,12 +75,6 @@ def restrict_to_free(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQuer
     (their only residual effect, emptiness, has already propagated through
     the reduction to every relation).
     """
-    if q.is_boolean:
-        raise EngineError("cannot restrict a Boolean query to free variables")
-    if not is_free_connex(q):
-        raise EngineError("restriction requires an acyclic free-connex query")
-    q, db = remove_self_joins(q, db)
-
     taken = set(db.relations) | {a.symbol for a in q.atoms}
     full = q.is_full
     if not full:
@@ -89,6 +95,33 @@ def restrict_to_free(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQuer
         new_rels[sym] = Relation(sym, len(vars_), rows)
     q2 = ConjunctiveQuery(tuple(new_atoms), q.free_vars, q.name)
     return q2, Database(new_rels)
+
+
+def cut_at_x0(
+    q: ConjunctiveQuery, p: MinPredicate | None, db: Database
+) -> tuple[ConjunctiveQuery, Database, int]:
+    """Q after self-join removal; its database with the relation of an
+    atom holding x0 cut to the rows through which some homomorphism of
+    Q's body satisfies P; and the number of rows kept.
+
+    All variables are treated as existential: per row, the max-min
+    threshold says how large min(X) can get among the homomorphisms
+    through it, so the cut is one scan of that atom. Without a predicate,
+    x0 is Q's first variable, X is empty and the threshold is +inf
+    exactly for the rows that extend to a homomorphism.
+    """
+    if p is None:
+        x0, xs, below = q.variables[0], [], operator.le
+    else:
+        p.check_vars(q)
+        x0, xs, below = p.x0, [x for x in p.xs if x != p.x0], p.below
+    q1, d1 = remove_self_joins(q, db)
+    t = tree_for_query(q1, at=x0)
+    theta = thresholds(q1, xs, t, d1)[t.root]
+    atom = q1.atoms[t.atom_of[t.root]]
+    xi = atom.vars.index(x0)
+    kept = tuple(row for row, th in theta.items() if below(row[xi], th))
+    return q1, d1.replace(Relation(atom.symbol, atom.arity, kept)), len(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +191,24 @@ def restrict_predicate_to_free(
     variable with the rest has one best value overall, which bounds x0.
     Configurations without a sound filtering site are refused with
     UnsupportedPredicateError. With p None this is restrict_to_free.
+
+    A Boolean head restricts to one nullary atom, which holds the empty
+    row exactly when the cut of an atom holding x0 keeps a row (see
+    `cut_at_x0`).
     """
-    if q.is_boolean:
-        raise EngineError("restrict the Boolean task via is_nonempty instead")
     if not is_free_connex(q):
         raise EngineError("restriction requires an acyclic free-connex query")
-    if p is None:
-        q2, d2 = restrict_to_free(q, db)
-        return q2, None, d2
-    p.check_vars(q)
+    if q.is_boolean:
+        holds = cut_at_x0(q, p, db)[2] > 0
+        sym = fresh_symbol(f"{q.name}_f", set(db.relations))
+        return (ConjunctiveQuery((Atom(sym, ()),), (), q.name), None,
+                Database({sym: Relation(sym, 0, ((),) if holds else ())}))
+    if p is not None:
+        p.check_vars(q)
     q, db = remove_self_joins(q, db)
+    if p is None:
+        q2, d2 = _project_to_free(q, db)
+        return q2, None, d2
 
     free = set(q.free_vars)
     x0, below = p.x0, p.below
@@ -212,7 +253,7 @@ def restrict_predicate_to_free(
             d = _eliminate_with_independent_x0(q, p, xs, d)
         residual = None
 
-    q2, d2 = restrict_to_free(q, d)
+    q2, d2 = _project_to_free(q, d)
     return q2, residual, d2
 
 

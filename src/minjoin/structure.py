@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import EngineError, InternalInvariantError
+from .errors import EngineError, InternalInvariantError, IntractableQueryError
 from .model import ConjunctiveQuery, Database, MinPredicate, MinRanking, Row
 
 
@@ -468,6 +468,12 @@ class Verdict:
             "tractable": self.tractable,
             "witness": self.witness.to_json() if self.witness else None,
         }
+
+    def require(self) -> None:
+        """Refuse an intractable task: raise IntractableQueryError with
+        this verdict and its witness."""
+        if not self.tractable:
+            raise IntractableQueryError(self)
 
     def __str__(self):
         if self.tractable:

@@ -79,7 +79,7 @@ def test_cli_access_and_out_of_bounds(star_dir, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["total"] == 6
     assert len({json.dumps(a["answer"], sort_keys=True) for a in out["answers"]}) == 6
-    # declaring both orders and predicates is ambiguous for access
+    # declaring both orders and predicates is ambiguous for access: refused
     rc = main(
         [
             "access",
@@ -88,7 +88,7 @@ def test_cli_access_and_out_of_bounds(star_dir, capsys):
             "--index", "0",
         ]
     )
-    assert rc == 3
+    assert rc == 2
 
 
 def test_cli_enumerate_limit_stats(star_dir, capsys):
@@ -348,3 +348,31 @@ def test_cli_bench_small(capsys):
     assert rc == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 2 and all(r["family"] == "path" for r in rows)
+
+
+def test_cli_order_by_a_variable_that_is_not_free_is_a_syntax_error(tmp_path, capsys):
+    args = _instance(tmp_path, "q", "Q(x) :- R(x,y).\nORDER BY MIN(y).\n", {"R": "1,2\n"})
+    assert main(["classify", "--query", args[1]]) == 1
+    assert main(["access", *args]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["query error: line 2, col 1: ranking variable 'y' is not a head variable"] * 2
+
+
+def test_cli_ranking_with_a_predicate_is_refused(star_dir, capsys):
+    args = ["--query", str(star_dir / "q_both.mq"), "--data", str(star_dir / "data")]
+    for cmd in (["access"], ["enumerate", "--ranked"], ["oracle", "access"]):
+        assert main([*cmd, *args]) == 2, cmd
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("refused: "), cmd
+        assert "PREDICATE x0 <= MIN(x1,x2)" in err[0] and "ORDER BY MIN(x0,x1,x2)" in err[0], cmd
+    # the tasks that read no ranking ignore the ORDER BY
+    for cmd in (["count"], ["bool"], ["enumerate"], ["eliminate", "--out", str(star_dir / "parts")]):
+        assert main([*cmd, *args]) == 0, cmd
+
+
+def test_cli_negative_index_is_out_of_bounds_on_both_sides(tmp_path, capsys):
+    args = _instance(tmp_path, "q", "Q(x,y) :- R(x,y).\nORDER BY MIN(x,y).\n", {"R": "1,2\n3,4\n"})
+    for cmd in (["access"], ["oracle", "access"]):
+        assert main([*cmd, *args, "--index", "-1"]) == 0, cmd
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("[-1] out of bounds (total 2)\n", ""), cmd

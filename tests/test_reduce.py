@@ -3,14 +3,21 @@ import json
 import pytest
 
 from minjoin import (
+    EngineError,
+    IntractableQueryError,
     MinPredicate,
+    MinRanking,
     TaggedValue,
     Task,
     UnsupportedPredicateError,
+    build_min_da,
     build_unranked_da_pred,
     classify,
     count_with_predicate,
     eliminate_min_predicate,
+    enumerate_ranked_min,
+    enumerate_with_predicate,
+    is_nonempty,
     is_free_connex,
     oracle_answers,
     oracle_sorted,
@@ -23,6 +30,7 @@ from minjoin.cli import main
 from minjoin.model import Database, Relation
 
 from conftest import (
+    EDGE_QUERIES,
     edge_instances,
     rand_acyclic_query,
     rand_database,
@@ -287,3 +295,119 @@ def test_restrict_predicate_mixed_random(rng):
         assert got == want, (q.to_text(), str(p))
         done += 1
     assert done >= 120
+
+
+# -- every task function takes the query as declared --------------------------
+
+
+def _raises(exc, run):
+    with pytest.raises(exc) as info:
+        run()
+    return info.value
+
+
+def _check_front_doors(rng, q, db):
+    """Each task function over (q, db) as declared, against the oracle;
+    a refusal must be the verdict's, with its witness."""
+    p = rand_predicate(rng, q)
+    answers = oracle_answers(q, db)
+    filtered = oracle_answers(q, db, predicate=p)
+    tried = 0
+
+    def check(task, spec, run):
+        nonlocal tried
+        if not classify(task, q, spec).tractable:
+            err = _raises(IntractableQueryError, run)
+            assert err.verdict.task is task and err.verdict.witness is not None
+            return
+        try:
+            run()
+        except UnsupportedPredicateError:
+            return
+        tried += 1
+
+    def same_set(got, want):
+        assert len(got) == len(set(got)) and set(got) == want, (q.to_text(), str(p))
+
+    def unranked(pred, want):
+        ix = build_unranked_da_pred(q, pred, db)
+        assert ix.total == len(want)
+        same_set([ix.access(k) for k in range(ix.total)], want)
+
+    def count(pred, want):
+        assert count_with_predicate(q, pred, db) == len(want), (q.to_text(), str(pred))
+
+    def stream(pred, want):
+        same_set(enumerate_with_predicate(q, pred, db).drain(), want)
+
+    for pred, want in ((p, filtered), (None, answers)):
+        check(Task.COUNTING, pred, lambda: count(pred, want))
+        check(Task.UNRANKED_DA_PRED, pred, lambda: unranked(pred, want))
+        check(Task.ENUM_PRED, pred, lambda: stream(pred, want))
+    if q.free_vars:
+        xs = rng.sample(q.free_vars, rng.randint(1, len(q.free_vars)))
+        r = MinRanking(tuple(xs), maximize=rng.random() < 0.5)
+        keys = [r.key(a) for a in oracle_sorted(answers, r.xs, maximize=r.maximize)]
+
+        def ranked(seq):
+            same_set(seq, answers)
+            assert [r.key(a) for a in seq] == keys, (q.to_text(), str(r))
+
+        def min_da():
+            ix = build_min_da(q, r, db)
+            ranked([ix.access(k) for k in range(ix.total)])
+
+        check(Task.RANKED_DA, r.xs, min_da)
+        check(Task.RANKED_ENUM, r.xs, lambda: ranked(enumerate_ranked_min(q, r, db).drain()))
+    return tried
+
+
+def test_task_functions_take_declared_queries(rng):
+    # projected and Boolean heads and self-joins go in as declared: each
+    # task function checks its verdict and restricts on its own
+    tried = boolean = 0
+    for _ in range(150):
+        q = rand_acyclic_query(rng, max_atoms=4, min_free=0)
+        boolean += q.is_boolean
+        db = with_dangling_rows(rng, q, rand_database(rng, q, dom=5, max_rows=6))
+        tried += _check_front_doors(rng, q, db)
+    for q, db in edge_instances(rng):
+        tried += _check_front_doors(rng, q, db)
+    assert tried >= 1000 and boolean >= 20
+
+    # a cyclic or a non-free-connex query is refused with a witness
+    for text in ("Q(x,y,z) :- R(x,y), S(y,z), T(z,x).", "Q(x,z) :- R(x,y), S(y,z)."):
+        q = parse_query(text)[0]
+        db = rand_database(rng, q, dom=4, max_rows=5)
+        p, r = MinPredicate("x", ("z",)), MinRanking(("x", "z"))
+        for run in (
+            lambda: build_min_da(q, r, db),
+            lambda: build_min_da(q, MinRanking(r.xs, maximize=True), db),
+            lambda: enumerate_ranked_min(q, r, db),
+            lambda: enumerate_with_predicate(q, p, db),
+            lambda: enumerate_with_predicate(q, None, db),
+            lambda: build_unranked_da_pred(q, p, db),
+            lambda: count_with_predicate(q, p, db),
+            lambda: eliminate_min_predicate(q, p, db),
+        ):
+            assert _raises(IntractableQueryError, run).verdict.witness is not None, text
+
+    # an unknown predicate or ranking variable is an engine error
+    for text in ("Q(x,y) :- R(x,y), S(y,z).", "Q(x,y,z) :- R(x,y), R(y,z).", EDGE_QUERIES[4]):
+        q = parse_query(text)[0]
+        db = rand_database(rng, q, dom=4, max_rows=5)
+        p = MinPredicate("nope", ("y",))
+        doors = [
+            lambda: count_with_predicate(q, p, db),
+            lambda: build_unranked_da_pred(q, p, db),
+            lambda: enumerate_with_predicate(q, p, db),
+            lambda: eliminate_min_predicate(q, p, db),
+            lambda: is_nonempty(q, p, db),
+        ]
+        if q.free_vars:
+            doors += [
+                lambda: build_min_da(q, ("x", "nope"), db),
+                lambda: enumerate_ranked_min(q, ("nope",), db),
+            ]
+        for run in doors:
+            assert not isinstance(_raises(EngineError, run), IntractableQueryError), text
