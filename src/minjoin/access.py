@@ -35,7 +35,7 @@ from .model import (
     Database,
     MinPredicate,
     MinRanking,
-    TaggedValue,
+    W,
     disjointify,
     negate_database,
 )
@@ -192,11 +192,15 @@ class LexDA:
             groups[-1][1] += cum[i + 1] - cum[i]
         return [tuple(g) for g in groups]
 
-    def access(self, k: int, probes: StepCounter | None = None) -> dict[str, TaggedValue]:
-        """Full variable assignment of the k-th answer in <x> order."""
+    def access(self, k: int, probes: StepCounter | None = None) -> Answer:
+        """The k-th answer in <x> order, over var(Q), its cells as stored."""
+        return Answer(self._cells(k, probes))
+
+    def _cells(self, k: int, probes: StepCounter | None = None) -> dict[str, int]:
+        """{variable: cell} of the k-th answer in <x> order."""
         if k < 0 or k >= self.total:
             raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
-        out: dict[str, TaggedValue] = {}
+        out: dict[str, int] = {}
         rows_of, cum_of, schema = self._rows, self._cum, self._plan.schema
         kids_of, fenced, cuts_of = self._kids, self._fenced, self._cuts
         root = self._plan.root
@@ -265,7 +269,7 @@ class LexDA:
 
 @dataclass(frozen=True)
 class MinDAEntry:
-    min_val: TaggedValue | None  # None in unranked access: entries in part order
+    min_val: int | None  # None in unranked access: entries in part order
     qid: int
     count: int
     smaller_cq: int
@@ -305,8 +309,8 @@ class MinDAIndex:
             probes.add(max(1, len(self._smaller).bit_length()))
         e = self.entries[i]
         j = k - e.smaller_total + e.smaller_cq
-        assignment = self.secondary[e.qid].access(j, probes)
-        answer = Answer._of_sorted(tuple([(v, assignment[v].untagged()) for v in self._sorted_vars]))
+        cells = self.secondary[e.qid]._cells(j, probes)
+        answer = Answer._of_sorted(tuple([(v, cells[v] - cells[v] % W) for v in self._sorted_vars]))
         return answer.negated() if self.negated else answer
 
 
@@ -337,7 +341,7 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
     xs = sorted(dict.fromkeys(xs), key=lambda v: var_pos[v])
     part_info = []
     secondary: dict[int, LexDA] = {}
-    raw_entries: list[tuple[TaggedValue, int, int, int]] = []
+    raw_entries: list[tuple[int, int, int, int]] = []
     qid = 0
     for x in xs:
         for otp in min_orders(q1, x, [v for v in xs if v != x]):

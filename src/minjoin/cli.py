@@ -31,6 +31,7 @@ from .errors import (
     QuerySyntaxError,
     UnsupportedPredicateError,
 )
+from .model import W
 from .oracle import oracle_answers, oracle_sorted
 from .parser import load_database_dir, parse_query_file
 from .structure import classify_all
@@ -83,7 +84,7 @@ def cmd_eliminate(args) -> int:
             files[sym] = fname
             with open(out / fname, "w") as fh:
                 for row in rel.rows:
-                    fh.write(",".join(str(c.base * width + c.rank) for c in row) + "\n")
+                    fh.write(",".join(str(c // W * width + c % W) for c in row) + "\n")
         manifest["parts"].append(
             {
                 "query": part.query.to_text(),

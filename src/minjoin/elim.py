@@ -26,7 +26,7 @@ from .model import (
     Database,
     MinPredicate,
     Relation,
-    TaggedValue,
+    W,
     disjointify,
     fresh_symbol,
 )
@@ -73,25 +73,12 @@ def _fork_sides(values_a, values_b):
     dom = sorted(set(values_a) | set(values_b))
     rank = {v: i for i, v in enumerate(dom)}
     L = max(1, (len(dom) - 1).bit_length())
-    fork_cache: dict[int, TaggedValue] = {}
-
-    def fid(i: int, prefix: int) -> TaggedValue:
-        code = (1 << i) | prefix
-        got = fork_cache.get(code)
-        if got is None:
-            got = fork_cache[code] = TaggedValue(code, 0)
-        return got
-
-    a_side: dict = {}
-    b_side: dict = {}
+    a_side, b_side = {}, {}
     for v, r in rank.items():
         a_ids, b_ids = [], []
         for i in range(L):
-            prefix = r >> (L - i)
-            if (r >> (L - i - 1)) & 1:
-                b_ids.append(fid(i, prefix))
-            else:
-                a_ids.append(fid(i, prefix))
+            fid = ((1 << i) | r >> (L - i)) * W  # an untagged cell
+            (b_ids if r >> (L - i - 1) & 1 else a_ids).append(fid)
         a_side[v] = tuple(a_ids)
         b_side[v] = tuple(b_ids)
     return a_side, b_side, L

@@ -247,15 +247,15 @@ def _ranked_merge(subs, xs, counter: StepCounter, skipped: StepCounter):
         best = None
         for i in ids:
             a = heads[i]
-            if a is not None and (best is None or (a[xs[i]], i) < best):
-                best = (a[xs[i]], i)
+            if a is not None and (best is None or (a._cell(xs[i]), i) < best):
+                best = (a._cell(xs[i]), i)
         counter.add(1)
         if best is None:
             return
         r = best[1]
         a = heads[r]
         heads[r] = next(subs[r], None)
-        if min(ids, key=lambda j: (a[xs[j]], j)) == r:
+        if min(ids, key=lambda j: (a._cell(xs[j]), j)) == r:
             yield a
         else:
             skipped.add(1)

@@ -1,6 +1,8 @@
 """Core data model: values, relations, databases, queries, predicates.
 
-Every algorithm in the engine works over these types. Databases are
+Every algorithm in the engine works over these types. A cell is one
+int, `base * W + rank`, whose order is that of (base, rank); an Answer
+decodes it to a TaggedValue only when it is read. Databases are
 immutable after construction and safe to share across threads; the
 transformations here (self-join removal, domain disjointification,
 negation) return new databases instead of mutating.
@@ -10,20 +12,23 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EngineError
 
-Row = tuple  # tuple[TaggedValue, ...]
+Row = tuple  # tuple[int, ...], one cell per column
+
+W = 1 << 16  # the rank width: a cell is base * W + rank, 0 <= rank < W
 
 
 class TaggedValue(NamedTuple):
-    """A domain value paired with a variable rank.
+    """The decoded view of one cell: its domain value and variable rank.
 
     Rank 0 is reserved for untagged data; a disjointified database gives
     each variable a distinct rank >= 1 so two distinct variables can never
     be assigned equal values. The total order is lexicographic (base,
-    then rank), which NamedTuple comparison provides directly.
+    then rank), the order of the cells themselves.
     """
 
     base: int
@@ -38,7 +43,7 @@ class TaggedValue(NamedTuple):
 
 @dataclass(frozen=True)
 class Relation:
-    """A named, set-semantics relation over TaggedValue rows.
+    """A named, set-semantics relation over rows of cells.
 
     Duplicate rows are dropped on construction (first occurrence kept);
     every row must have exactly `arity` entries.
@@ -64,7 +69,15 @@ class Relation:
 
     @classmethod
     def from_ints(cls, symbol: str, arity: int, rows: Iterable[Iterable[int]]) -> "Relation":
-        return cls(symbol, arity, tuple(tuple(TaggedValue(c) for c in r) for r in rows))
+        cells = []  # each an untagged cell
+        for r in map(tuple, rows):
+            if len(r) != arity:
+                raise EngineError(f"relation {symbol}: row {r} has {len(r)} entries, arity is {arity}")
+            try:
+                cells.append(tuple([operator.index(c) * W for c in r]))
+            except TypeError:
+                raise EngineError(f"relation {symbol}: row {r!r} holds a non-integer value") from None
+        return cls(symbol, arity, tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -194,7 +207,7 @@ class MinPredicate:
         `<` when strict, `<=` otherwise."""
         return operator.lt if self.strict else operator.le
 
-    def holds(self, assignment: Mapping[str, TaggedValue]) -> bool:
+    def holds(self, assignment: Mapping[str, int]) -> bool:
         v0, below = assignment[self.x0], self.below
         return all(below(v0, assignment[x]) for x in self.xs)
 
@@ -216,7 +229,7 @@ class MinRanking:
         if len(set(self.xs)) != len(self.xs):
             raise EngineError("duplicate variable in ranking set")
 
-    def key(self, assignment: Mapping[str, TaggedValue]) -> TaggedValue:
+    def key(self, assignment: Mapping[str, int]) -> int:
         vals = [assignment[x] for x in self.xs]
         return max(vals) if self.maximize else min(vals)
 
@@ -225,16 +238,20 @@ class MinRanking:
 
 
 class Answer:
-    """An assignment of the free variables, hashable and order-insensitive."""
+    """An assignment of the free variables, hashable and order-insensitive.
+
+    Built from cells or TaggedValues, it holds cells; `answer[x]` and
+    `answer.assignment` decode them to TaggedValues."""
 
     __slots__ = ("_items",)
 
-    def __init__(self, assignment: Mapping[str, TaggedValue]):
-        self._items = tuple(sorted(assignment.items()))
+    def __init__(self, assignment: Mapping[str, int | TaggedValue]):
+        self._items = tuple(sorted((k, v if isinstance(v, int) else v.base * W + v.rank)
+                                   for k, v in assignment.items()))
 
     @classmethod
-    def _of_sorted(cls, items: tuple[tuple[str, TaggedValue], ...]) -> "Answer":
-        """The answer whose (variable, value) items, sorted by variable,
+    def _of_sorted(cls, items: tuple[tuple[str, int], ...]) -> "Answer":
+        """The answer whose (variable, cell) items, sorted by variable,
         are `items`; the tuple is kept as it is."""
         a = object.__new__(cls)
         a._items = items
@@ -242,27 +259,27 @@ class Answer:
 
     @property
     def assignment(self) -> dict[str, TaggedValue]:
-        return dict(self._items)
+        return {k: TaggedValue(*divmod(c, W)) for k, c in self._items}
 
-    def __getitem__(self, var: str) -> TaggedValue:
-        for k, v in self._items:
+    def _cell(self, var: str) -> int:
+        for k, c in self._items:
             if k == var:
-                return v
+                return c
         raise KeyError(var)
 
-    def keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self._items)
+    def __getitem__(self, var: str) -> TaggedValue:
+        return TaggedValue(*divmod(self._cell(var), W))
 
     def untagged(self) -> "Answer":
-        return Answer({k: v.untagged() for k, v in self._items})
+        return Answer._of_sorted(tuple((k, c - c % W) for k, c in self._items))
 
     def negated(self) -> "Answer":
         """Every base value negated, as `negate_database` does to cells."""
-        return Answer._of_sorted(tuple((k, TaggedValue(-v.base, v.rank)) for k, v in self._items))
+        return Answer._of_sorted(tuple((k, -c) for k, c in self._items))
 
     def project(self, vars: Iterable[str]) -> "Answer":
         keep = set(vars)
-        return Answer({k: v for k, v in self._items if k in keep})
+        return Answer._of_sorted(tuple((k, c) for k, c in self._items if k in keep))
 
     def __eq__(self, other):
         return isinstance(other, Answer) and self._items == other._items
@@ -271,7 +288,7 @@ class Answer:
         return hash(self._items)
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._items)
+        inner = ", ".join(f"{k}={TaggedValue(*divmod(c, W))!r}" for k, c in self._items)
         return f"Answer({inner})"
 
 
@@ -333,29 +350,19 @@ def disjointify(db: Database, q: ConjunctiveQuery, rank_order: Iterable[str]) ->
     if not q.is_self_join_free:
         raise EngineError("disjointify requires a self-join-free query")
     ranks = {v: i + 1 for i, v in enumerate(rank_order)}
+    if len(ranks) >= W:
+        raise EngineError(f"disjointify supports fewer than {W} variables")
     for v in q.variables:
         if v not in ranks:
             raise EngineError(f"rank order misses variable {v!r}")
-    cache: dict[tuple[int, int], TaggedValue] = {}
-
-    def tag(cell: TaggedValue, rank: int) -> TaggedValue:
-        key = (cell.base, rank)
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = TaggedValue(cell.base, rank)
-        return got
-
     new_rels = {}
     for a in q.atoms:
         rel = db.relation(a.symbol)
+        if any(map(W.__rmod__, chain.from_iterable(rel.rows))):  # a cell c % W != 0
+            raise EngineError("disjointify expects an untagged database")
         col_ranks = tuple(ranks[v] for v in a.vars)
-        rows = []
-        for row in rel.rows:
-            for cell in row:
-                if cell.rank:
-                    raise EngineError("disjointify expects an untagged database")
-            rows.append(tuple(tag(c, r) for c, r in zip(row, col_ranks)))
-        new_rels[a.symbol] = Relation(a.symbol, rel.arity, tuple(rows))
+        rows = tuple([tuple(map(operator.add, row, col_ranks)) for row in rel.rows])
+        new_rels[a.symbol] = Relation(a.symbol, rel.arity, rows)
     # relations not referenced by the query pass through untouched
     for sym, rel in db.relations.items():
         new_rels.setdefault(sym, rel)
@@ -363,11 +370,10 @@ def disjointify(db: Database, q: ConjunctiveQuery, rank_order: Iterable[str]) ->
 
 
 def negate_database(db: Database) -> Database:
-    """Negate every base value; turns MAX problems into MIN problems."""
+    """Negate every cell of an untagged database, that is every base
+    value; turns MAX problems into MIN problems."""
     new_rels = {
-        sym: Relation(
-            sym, rel.arity, tuple(tuple(TaggedValue(-c.base, c.rank) for c in row) for row in rel.rows)
-        )
+        sym: Relation(sym, rel.arity, tuple([tuple(map(operator.neg, row)) for row in rel.rows]))
         for sym, rel in db.relations.items()
     }
     return Database(new_rels)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import OracleGuardError
-from .model import Answer, ConjunctiveQuery, Database, MinPredicate, TaggedValue
+from .model import Answer, ConjunctiveQuery, Database, MinPredicate
 
 CROSS_PRODUCT_GUARD = 10**7
 
@@ -37,7 +37,7 @@ def oracle_answers(
     free = q.free_vars
     atoms = q.atoms
 
-    def extend(i: int, assignment: dict[str, TaggedValue]):
+    def extend(i: int, assignment: dict[str, int]):
         if i == len(atoms):
             if predicate is None or predicate.holds(assignment):
                 answers.add(Answer({v: assignment[v] for v in free}))

@@ -6,8 +6,9 @@ Grammar, one statement per line, `#` starts a comment:
     PREDICATE v <= MIN(v1,...,vm).      # or:  PREDICATE v < MIN(...)
     ORDER BY MIN(v1,...,vm).            # or:  ORDER BY MAX(...)
 
-Data files: one delimiter-separated text file per relation symbol, no
-header, one integer per column, file name equal to the symbol name.
+Data files: one text file per relation symbol, no header, file name equal
+to the symbol name; a row is a line of integers `[+-]?[0-9]+` separated
+by commas, semicolons or whitespace.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 from pathlib import Path
 
 from .errors import DataFileError, EngineError, QuerySyntaxError
-from .model import Atom, ConjunctiveQuery, Database, MinPredicate, MinRanking, Relation
+from .model import W, Atom, ConjunctiveQuery, Database, MinPredicate, MinRanking, Relation
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _HEAD_RE = re.compile(rf"^({_IDENT})\s*\(([^)]*)\)\s*:-\s*(.*)$")
@@ -148,7 +149,9 @@ def parse_query_file(path: str | Path):
     return parse_query(text)
 
 
-_CELL_SPLIT = re.compile(r"[,;\s]+")
+_SEPARATORS = str.maketrans(",;", "  ")
+# a character that no cell [+-]?[0-9]+ and no separator holds
+_NOT_CELL_TEXT = re.compile(r"[^0-9+\-,;\s]")
 
 
 def load_database(paths: list[str | Path], query: ConjunctiveQuery) -> Database:
@@ -168,21 +171,26 @@ def load_database(paths: list[str | Path], query: ConjunctiveQuery) -> Database:
         path = by_name.get(sym)
         if path is None:
             raise DataFileError(f"no data file for relation {sym!r}")
+        text = path.read_text()
+        # int() also takes "1_0" and non-ASCII digits: check lines if need be
+        checked = _NOT_CELL_TEXT.search(text) is not None
         rows: list[tuple[int, ...]] = []
-        for ln, raw in enumerate(path.read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line:
+        lines = zip(text.splitlines(), text.translate(_SEPARATORS).splitlines())
+        for ln, (raw, line) in enumerate(lines, start=1):
+            cells = line.split()
+            if not cells and not raw.strip():
                 continue
-            cells = [c for c in _CELL_SPLIT.split(line) if c]
             if len(cells) != arity:
                 raise DataFileError(
                     f"{path.name}:{ln}: row has {len(cells)} columns, {sym} has arity {arity}"
                 )
             try:
-                rows.append(tuple(int(c) for c in cells))
+                if checked and _NOT_CELL_TEXT.search(line):
+                    raise ValueError
+                rows.append(tuple(map(W.__mul__, map(int, cells))))
             except ValueError:
                 raise DataFileError(f"{path.name}:{ln}: non-integer cell") from None
-        relations[sym] = Relation.from_ints(sym, arity, rows)
+        relations[sym] = Relation(sym, arity, tuple(rows))
     return Database(relations)
 
 

@@ -19,23 +19,23 @@ from typing import Callable, Iterable
 
 from .errors import EngineError, InternalInvariantError
 from .instrument import StepCounter
-from .model import ConjunctiveQuery, Database, Row, TaggedValue
+from .model import ConjunctiveQuery, Database, Row
 from .partition import OrderTreePair
 from .structure import RootedJoinTree, TreePlan, group_by, tree_for_query
 
 
 # The max-min fold's bottom and top: cells below and above every cell of
 # every rank.
-NEG_INF = TaggedValue(-math.inf)
-POS_INF = TaggedValue(math.inf)
+NEG_INF = -math.inf
+POS_INF = math.inf
 
 
 def aggregate_bottom_up(
     q: ConjunctiveQuery,
     db: Database,
     t: RootedJoinTree,
-    val: Callable[[int, Row], TaggedValue],
-) -> dict[int, dict[Row, TaggedValue]]:
+    val: Callable[[int, Row], int | float],
+) -> dict[int, dict[Row, int | float]]:
     """The max-min fold, children to parent over the join tree: per node,
     {row: the max over the partial answers below the row of the min of
     their val(.) values}, -inf for a row with no partial answer below it.
@@ -48,7 +48,7 @@ def aggregate_bottom_up(
     if not q.is_self_join_free:
         raise EngineError("aggregation requires a self-join-free query")
     plan = TreePlan(q, t)
-    out: dict[int, dict[Row, TaggedValue]] = {}
+    out: dict[int, dict[Row, int | float]] = {}
     messages: dict[int, dict] = {}  # child id -> {key: max of its bucket}
     for n in reversed(plan.order):
         kids = [(plan.parent_key[c], messages.pop(c)) for c in plan.children[n]]
@@ -193,7 +193,7 @@ def count_answers(q: ConjunctiveQuery, db: Database, pair: OrderTreePair | None 
 
 def thresholds(
     q: ConjunctiveQuery, xr: Iterable[str], t: RootedJoinTree, db: Database
-) -> dict[int, dict[Row, TaggedValue]]:
+) -> dict[int, dict[Row, int | float]]:
     """Max-min thresholds: per node, {row: the best (largest) value that
     the minimum over `xr` can reach among the partial answers below it}.
 

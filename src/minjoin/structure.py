@@ -72,12 +72,7 @@ class RootedJoinTree:
         return ch
 
     def bfs_order(self) -> list[int]:
-        ch = self.children()
-        order, queue = [], [self.root]
-        while queue:
-            n = queue.pop(0)
-            order.append(n)
-            queue.extend(ch[n])
+        order = self.subtree_ids(self.root)
         if len(order) != len(self.vars_of):
             raise InternalInvariantError("tree is disconnected")
         return order
@@ -189,7 +184,6 @@ class RootedJoinTree:
         return sep <= self.vars_of[target]
 
     def is_maximally_branching(self) -> bool:
-        depths = self.depths()
         for n in self.nodes():
             p = self.parent[n]
             if p is None or self.parent[p] is None:

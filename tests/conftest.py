@@ -7,6 +7,7 @@ import random
 import pytest
 
 from minjoin import Atom, ConjunctiveQuery, Database, MinPredicate, Relation, parse_query
+from minjoin.model import W
 
 
 def rand_acyclic_query(
@@ -85,7 +86,7 @@ def with_dangling_rows(rng, q, db):
     rels = []
     for k, sym in enumerate(dict.fromkeys(a.symbol for a in q.atoms)):
         rel = db.relation(sym)
-        rows = [[c.base for c in row] for row in rel.rows]
+        rows = [[c // W for c in row] for row in rel.rows]
         rows += [[100 + k] * rel.arity, [rng.randrange(6) for _ in range(rel.arity)]]
         rels.append(Relation.from_ints(sym, rel.arity, rows))
     return db.replace(*rels)

@@ -376,3 +376,31 @@ def test_cli_negative_index_is_out_of_bounds_on_both_sides(tmp_path, capsys):
         assert main([*cmd, *args, "--index", "-1"]) == 0, cmd
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("[-1] out of bounds (total 2)\n", ""), cmd
+
+
+def test_cli_data_cells_are_ascii_integers(tmp_path, capsys):
+    # a cell is [+-]?[0-9]+; separators are ',', ';' and whitespace, and a
+    # blank line is skipped; int() alone would also take digit separators
+    # and non-ASCII digits
+    (tmp_path / "q.mq").write_text("Q(x) :- R(x).\n")
+    d = tmp_path / "data"
+    d.mkdir()
+    args = ["enumerate", "--query", str(tmp_path / "q.mq"), "--data", str(d)]
+    (d / "R").write_text("+4\n\n-007\n 12 \n0\n")
+    assert main(args) == 0
+    assert capsys.readouterr().out.split() == ["x=-7", "x=0", "x=4", "x=12"]
+    for text, line in (("1_0\n", 1), ("2\n٣\n", 2), ("3\n+-4\n", 2), ("5,\n7-\n", 2), ("８\n", 1)):
+        (d / "R").write_text(text)
+        assert main(args) == 3, text
+        assert capsys.readouterr().err.strip() == f"data error: R:{line}: non-integer cell", text
+    (tmp_path / "q2.mq").write_text("Q(x,y) :- R(x,y).\n")
+    args2 = ["count", "--query", str(tmp_path / "q2.mq"), "--data", str(d)]
+    (d / "R").write_text("1, 2\n3;4\n5\t6\n\n1 2\n")
+    assert main(args2) == 0
+    assert capsys.readouterr().out.strip() == "3"
+    for text, msg in ((";\n", "R:1: row has 0 columns, R has arity 2"),
+                      ("1,2\n3 x 4\n", "R:2: row has 3 columns, R has arity 2"),
+                      ("1,2\n3,x\n", "R:2: non-integer cell")):
+        (d / "R").write_text(text)
+        assert main(args2) == 3, text
+        assert capsys.readouterr().err.strip() == f"data error: {msg}", text

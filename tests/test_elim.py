@@ -26,7 +26,7 @@ from minjoin import (
     tree_for_query,
 )
 from minjoin.elim import _fork_sides
-from minjoin.model import Database, Relation, TaggedValue
+from minjoin.model import W, Database, Relation
 
 from conftest import edge_instances, rand_acyclic_query, rand_database, rand_predicate
 
@@ -50,8 +50,8 @@ def test_fork_sides_unique_join(rng):
     for _ in range(20):
         n_a = rng.randint(1, 12)
         n_b = rng.randint(1, 12)
-        avals = [TaggedValue(rng.randrange(40), 1) for _ in range(n_a)]
-        bvals = [TaggedValue(rng.randrange(40), 2) for _ in range(n_b)]
+        avals = [rng.randrange(40) * W + 1 for _ in range(n_a)]
+        bvals = [rng.randrange(40) * W + 2 for _ in range(n_b)]
         a_side, b_side, L = _fork_sides(set(avals), set(bvals))
         for a in set(avals):
             assert len(a_side[a]) <= L

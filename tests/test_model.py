@@ -3,6 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minjoin import (
+    NEG_INF,
+    POS_INF,
+    Answer,
     ConjunctiveQuery,
     Database,
     EngineError,
@@ -14,6 +17,7 @@ from minjoin import (
     oracle_answers,
     remove_self_joins,
 )
+from minjoin.model import W
 from minjoin.parser import parse_query
 
 from conftest import rand_acyclic_query, rand_database
@@ -30,6 +34,26 @@ def test_tagged_value_order_is_lexicographic(a, b):
 def test_untagged_strips_rank_only(a):
     u = a.untagged()
     assert u.base == a.base and u.rank == 0
+
+
+@given(st.integers(-(2**70), 2**70), st.integers(0, W - 1), st.integers(-(2**70), 2**70), st.integers(0, W - 1))
+def test_cells_encode_base_and_rank_in_order(b1, r1, b2, r2):
+    c1, c2 = b1 * W + r1, b2 * W + r2
+    assert divmod(c1, W) == (b1, r1)
+    assert Answer({"x": c1})["x"] == TaggedValue(b1, r1)
+    assert Answer({"x": TaggedValue(b1, r1)}) == Answer({"x": c1})
+    assert (c1 < c2) == ((b1, r1) < (b2, r2)) and (c1 == c2) == ((b1, r1) == (b2, r2))
+    assert NEG_INF < c1 < POS_INF
+
+
+def test_from_ints_rejects_non_integers():
+    assert Relation.from_ints("R", 1, [[True], [-3]]).rows == ((1 * W,), (-3 * W,))
+    for bad in (1.5, "2", None, TaggedValue(1)):
+        with pytest.raises(EngineError, match=r"relation R: row \(.*\) holds a non-integer value"):
+            Relation.from_ints("R", 1, [[0], [bad]])
+    # the arity error names the row as given, not as encoded
+    with pytest.raises(EngineError, match=r"relation R: row \(1,\) has 1 entries, arity is 2"):
+        Relation.from_ints("R", 2, [[1]])
 
 
 def test_relation_dedup_and_arity():
@@ -112,7 +136,7 @@ def test_disjointify_per_cell_rewrite():
     q, _, _ = parse_query("Q(x1,y) :- R1(x1,y).")
     db = Database({"R1": Relation.from_ints("R1", 2, [[1, 0]])})
     d2 = disjointify(db, q, ["x1", "y"])
-    assert d2.relation("R1").rows[0] == (TaggedValue(1, 1), TaggedValue(0, 2))
+    assert d2.relation("R1").rows[0] == (1 * W + 1, 0 * W + 2)
 
 
 def test_disjointify_requires_untagged_and_self_join_free():
@@ -121,7 +145,7 @@ def test_disjointify_requires_untagged_and_self_join_free():
     with pytest.raises(EngineError):
         disjointify(db, q, ["x", "y"])
     q2, _, _ = parse_query("Q(x) :- R(x).")
-    tagged = Database({"R": Relation("R", 1, ((TaggedValue(1, 3),),))})
+    tagged = Database({"R": Relation("R", 1, ((1 * W + 3,),))})
     with pytest.raises(EngineError):
         disjointify(tagged, q2, ["x"])
 

@@ -7,7 +7,6 @@ from minjoin import (
     IntractableQueryError,
     MinPredicate,
     MinRanking,
-    TaggedValue,
     Task,
     UnsupportedPredicateError,
     build_min_da,
@@ -27,7 +26,7 @@ from minjoin import (
     semijoin_reduce,
 )
 from minjoin.cli import main
-from minjoin.model import Database, Relation
+from minjoin.model import W, Database, Relation
 
 from conftest import (
     EDGE_QUERIES,
@@ -74,7 +73,7 @@ def test_semijoin_reduce_survivors_participate(rng):
         answers = oracle_answers(q, db)
         used = {a.symbol: set() for a in q.atoms}
         for ans in answers:
-            m = ans.assignment
+            m = {v: c.base * W + c.rank for v, c in ans.assignment.items()}
             for a in q.atoms:
                 used[a.symbol].add(tuple(m[v] for v in a.vars))
         for a in q.atoms:
@@ -159,7 +158,7 @@ def test_restrict_full_query_needs_no_semijoin_pass(rng, monkeypatch, tmp_path, 
         d = tmp_path / f"i{i}"
         d.mkdir()
         for sym, rel in db.relations.items():
-            (d / sym).write_text("".join(",".join(str(c.base) for c in r) + "\n" for r in rel.rows))
+            (d / sym).write_text("".join(",".join(str(c // W) for c in r) + "\n" for r in rel.rows))
         (tmp_path / f"i{i}.mq").write_text(f"{q.to_text()}\nORDER BY MIN({','.join(xs)}).\n")
         want = [min(a[x].base for x in xs) for a in oracle_sorted(oracle_answers(q, db), xs)]
         args = ["--query", str(tmp_path / f"i{i}.mq"), "--data", str(d), "--json"]
@@ -187,7 +186,7 @@ def _fold(text, rows, p):
 def test_eliminate_existential_basic_removal():
     # x lives in y's branch atom: plain per-tuple comparison
     q2, p2, d2 = _fold("Q(x) :- R(x,y).", {"R": [[5, 3], [5, 9], [7, 1]]}, MinPredicate("x", ("y",)))
-    assert p2 is None and d2.relation(q2.atoms[0].symbol).rows == ((TaggedValue(5),),)
+    assert p2 is None and d2.relation(q2.atoms[0].symbol).rows == ((5 * W,),)
 
 
 def test_eliminate_existential_boundary_strict():
