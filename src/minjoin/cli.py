@@ -196,6 +196,21 @@ def _parse_limit(text: str) -> int:
     return int(text)
 
 
+def _parse_sizes(text: str) -> list[int]:
+    """`--sizes n,n,...`, database sizes, each a positive integer."""
+    sizes = text.split(",")
+    if not all(n.isdecimal() and int(n) > 0 for n in sizes):
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
+    return [int(n) for n in sizes]
+
+
+def _parse_max_exp(text: str) -> int:
+    """`--max-exp e`, the largest size 2^e of the default sweep 2^10..2^e."""
+    if not text.isdecimal() or int(text) < 10:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 10, got {text!r}")
+    return int(text)
+
+
 def _build_da(q, p, r, db):
     """The direct-access structure for the declared order or predicate."""
     if r is None:
@@ -275,7 +290,14 @@ def cmd_oracle(args) -> int:
         except (IntractableQueryError, UnsupportedPredicateError) as err:
             print(f"# engine refused: {err}", file=sys.stderr)
             return EXIT_OK
-        got = set(stream.drain())
+        emitted = stream.drain()
+        got = set(emitted)
+        if len(emitted) != len(got):
+            print(
+                f"DIVERGENCE: engine emitted {len(emitted)} answers, {len(got)} distinct",
+                file=sys.stderr,
+            )
+            return EXIT_DIVERGENCE
         if got != answers:
             print(
                 f"DIVERGENCE: engine has {len(got)} answers, oracle {len(answers)}",
@@ -299,6 +321,9 @@ def cmd_oracle(args) -> int:
             return EXIT_DIVERGENCE
         if 0 <= k < da.total:
             got = da.access(k)
+            if got not in answers:
+                print(f"DIVERGENCE: engine answer at index {k} is no answer: {got}", file=sys.stderr)
+                return EXIT_DIVERGENCE
             if r.key(got) != r.key(ordered[k]):
                 print("DIVERGENCE: rank key mismatch at index", k, file=sys.stderr)
                 return EXIT_DIVERGENCE
@@ -307,7 +332,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else default_sizes(10, args.max_exp)
+    sizes = args.sizes or default_sizes(10, args.max_exp)
     rows = []
     if args.family in ("star", "both"):
         rows += bench_min_da(sizes, seed=args.seed)
@@ -376,8 +401,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="scaling families")
     p.add_argument("--family", choices=["star", "path", "both"], default="both")
-    p.add_argument("--sizes", help="comma-separated |D| values")
-    p.add_argument("--max-exp", type=int, default=14, dest="max_exp")
+    p.add_argument("--sizes", type=_parse_sizes, help="comma-separated |D| values")
+    p.add_argument("--max-exp", type=_parse_max_exp, default=14, dest="max_exp")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)

@@ -15,6 +15,7 @@ its verdict and restrict it (`reduce.restrict_predicate_to_free`);
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterator
 
@@ -108,16 +109,27 @@ class AnswerStream:
         return list(self)
 
 
-def _descend(plan: TreePlan, buckets, counter: StepCounter, cut=None, bound_col=None):
+def _descend(plan: TreePlan, buckets, counter: StepCounter, cut=None):
     """Nested-loop descent over a bucketed join tree (the odometer).
 
     `buckets[n]` maps each parent key of node n to its rows; the root's
     one key is (). Node n scans the bucket that its parent's row selects
-    by the values in `plan.parent_key[n]`. An optional cut(i, row, bound)
-    prunes the scan of the bucket at position i of `plan.order`, where
-    bound is the current root row's value in column `bound_col`: bucket
-    lists must then be sorted so that once one row fails, the rest of the
-    bucket fails too.
+    by the values in `plan.parent_key[n]`.
+
+    Each visit to a bucket first computes `stop`, how many of its leading
+    rows pass; with no cut that is the whole bucket. A cut is a triple
+    (col, keys, search): col is the root column holding the bound, keys[i]
+    the sort key of the buckets at position i > 0 of `plan.order`, and
+    search a bisect function. Each such bucket must be sorted by its key,
+    and `stop` is search(bucket, -bound, key=keys[i]), where bound is the
+    current root row's value in col. The root is never cut.
+
+    The upper levels step through their rows one at a time. The last node
+    of `plan.order` emits its bucket's first `stop` rows as one run: the
+    answer's cells from the upper levels are filled once per visit, and
+    each row fills only the leaf's own variables. Every test of a row
+    costs one step, as in a plain odometer: one per emission, and one for
+    the test that fails (or finds the bucket's end) and closes a run.
     """
     order = plan.order  # any topological order works for the odometer
     pos = {n: i for i, n in enumerate(order)}
@@ -129,31 +141,47 @@ def _descend(plan: TreePlan, buckets, counter: StepCounter, cut=None, bound_col=
     for j, n in enumerate(order):
         for c, v in enumerate(plan.schema[n]):
             first.setdefault(v, (j, c))
-    where = [(v, *first[v]) for v in sorted(first)]
     last = len(order) - 1
+    where = [(p, v, *first[v]) for p, v in enumerate(sorted(first))]
+    upper = [(p, v, j, c) for p, v, j, c in where if j < last]
+    leaf = [(p, v, c) for p, v, j, c in where if j == last]
+    items: list = [None] * len(where)
+    if cut is not None:
+        bound_col, keys, search = cut
+    of_sorted = Answer._of_sorted
     lists = [tables[0].get((), ())] + [()] * last
+    stops = [len(lists[0])] + [0] * last
     idx = [-1] * (last + 1)
     cur = [None] * (last + 1)
-    bound = None
+    neg_bound = None
     i = steps = 0
     while True:
-        steps += 1
-        k = idx[i] = idx[i] + 1
-        lst = lists[i]
-        if k < len(lst) and (i == 0 or cut is None or cut(i, lst[k], bound)):
-            row = cur[i] = lst[k]
-            if i == 0 and bound_col is not None:
-                bound = row[bound_col]
-            if i == last:
-                counter.add(steps)
-                steps = 0
-                yield Answer._of_sorted(tuple([(v, cur[j][c]) for v, j, c in where]))
+        if i < last:
+            steps += 1
+            k = idx[i] = idx[i] + 1
+            if k < stops[i]:
+                row = cur[i] = lists[i][k]
+                if i == 0 and cut is not None:
+                    neg_bound = -row[bound_col]
+                i += 1
+                parent = cur[parent_ix[i]]
+                lst = lists[i] = tables[i].get(tuple([parent[c] for c in parent_cols[i]]), ())
+                stops[i] = len(lst) if cut is None else search(lst, neg_bound, key=keys[i])
+                idx[i] = -1
                 continue
-            i += 1
-            parent = cur[parent_ix[i]]
-            lists[i] = tables[i].get(tuple([parent[c] for c in parent_cols[i]]), ())
-            idx[i] = -1
-            continue
+        else:
+            # the leaf run: one step per emission, and one to close it
+            lst, stop = lists[i], stops[i]
+            for p, v, j, c in upper:
+                items[p] = (v, cur[j][c])
+            counter.add(steps)
+            steps = 0
+            for row in (lst if stop == len(lst) else lst[:stop]):
+                counter.steps += 1
+                for p, v, c in leaf:
+                    items[p] = (v, row[c])
+                yield of_sorted(tuple(items))
+            steps = 1
         i -= 1
         if i < 0:
             counter.add(steps)
@@ -228,12 +256,11 @@ def enumerate_with_predicate(
             rows.sort()
             rows.sort(key=theta[n].__getitem__, reverse=True)
             build_steps += len(rows)
-    theta_at = [theta[n] for n in plan.order]
+    # a bucket sorted by decreasing threshold is sorted by its negation
+    keys = [None] + [(lambda r, t=theta[n]: -t[r]) for n in plan.order[1:]]
     counter = StepCounter()
     answers = _descend(
-        plan, buckets, counter,
-        cut=lambda i, r, bound: below(bound, theta_at[i][r]),
-        bound_col=x0_col,
+        plan, buckets, counter, cut=(x0_col, keys, bisect_left if p.strict else bisect_right),
     )
     return AnswerStream(answers, counter, build_steps)
 

@@ -348,6 +348,61 @@ def test_cli_bench_small(capsys):
     assert rc == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 2 and all(r["family"] == "path" for r in rows)
+    assert main(["bench", "--family", "star", "--sizes", "256", "--json"]) == 0
+    star_rows = json.loads(capsys.readouterr().out)
+    ranked = [r for r in star_rows if "envelope_ratio" in r]
+    assert len(star_rows) == 2 and len(ranked) == 1
+    # build time and emission time are reported apart
+    for r in rows + ranked:
+        assert "seconds" not in r
+        assert r["build_seconds"] > 0 and r["emit_1k_ms"] > 0
+    assert star_rows[0]["build_seconds"] > 0
+
+
+def test_cli_bench_sizes_and_max_exp_are_usage_errors(capsys):
+    for flag, bad in (("--sizes", "1,x"), ("--sizes", "-5"), ("--sizes", "0"), ("--max-exp", "9")):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "path", flag, bad])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_cli_oracle_enumerate_fails_a_repeated_answer(star_dir, monkeypatch, capsys):
+    from minjoin.enumeration import AnswerStream, enumerate_with_predicate
+
+    def repeating(q, p, db):
+        got = enumerate_with_predicate(q, p, db).drain()
+        return AnswerStream(iter(got + got[:1]))
+
+    args = ["--query", str(star_dir / "q.mq"), "--data", str(star_dir / "data")]
+    assert main(["oracle", "enumerate", *args]) == 0
+    n = len(capsys.readouterr().out.splitlines())
+    monkeypatch.setattr("minjoin.cli.enumerate_with_predicate", repeating)
+    assert main(["oracle", "enumerate", *args]) == 4
+    assert capsys.readouterr().err == f"DIVERGENCE: engine emitted {n + 1} answers, {n} distinct\n"
+
+
+def test_cli_oracle_access_fails_an_answer_that_is_not_one(star_dir, monkeypatch, capsys):
+    # the stub keeps every rank key (y is not ranked) but answers with a y
+    # that no answer holds
+    from minjoin import cli
+    from minjoin.model import Answer, TaggedValue
+
+    build = cli._build_da
+
+    class Stub:
+        def __init__(self, da):
+            self.total = da.total
+            self._da = da
+
+        def access(self, k):
+            return Answer({**self._da.access(k).assignment, "y": TaggedValue(99, 0)})
+
+    monkeypatch.setattr("minjoin.cli._build_da", lambda *args: Stub(build(*args)))
+    args = ["--query", str(star_dir / "q_ranked.mq"), "--data", str(star_dir / "data")]
+    assert main(["oracle", "access", *args, "--index", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("DIVERGENCE: engine answer at index 2 is no answer: ")
 
 
 def test_cli_order_by_a_variable_that_is_not_free_is_a_syntax_error(tmp_path, capsys):

@@ -202,6 +202,58 @@ def test_streams_emission_order_and_steps_pinned():
     assert run(enumerate_ranked_min(q, ("x0", "z"), db)) == (ranked, 28, 181, 34, 152 / 24, 24)
 
 
+def test_step_count_after_every_emission_pinned():
+    # s.steps before the first advance, after each one, and at exhaustion,
+    # so every gap between emissions is pinned, not only the total and the
+    # largest; a single atom is its own root and leaf
+    q, db = _ties()
+    single, _, _ = parse_query("Q(x0,y) :- R(x0,y).")
+    boolean, _, _ = parse_query("Q() :- R(x0,y), S(y,z,u), T(y,w).")
+
+    def trace(s):
+        seen = [s.steps]
+        while s.has_next():
+            s.advance()
+            seen.append(s.steps)
+        return seen
+
+    streams = {
+        "plain": enumerate_full_acyclic(q, db),
+        "root_sorted": enumerate_full_acyclic(q, db, root_sort_var="z"),
+        "ranked": enumerate_ranked_min(q, ("x0", "z"), db),
+        "predicate": enumerate_with_predicate(q, MinPredicate("x0", ("z",)), db),
+        "strict": enumerate_with_predicate(q, MinPredicate("x0", ("z",), True), db),
+        "single": enumerate_full_acyclic(single, db),
+        "single_predicate": enumerate_with_predicate(single, MinPredicate("y", ("x0",)), db),
+        "single_ranked": enumerate_ranked_min(single, ("x0", "y"), db),
+        "boolean": enumerate_with_predicate(boolean, None, db),
+        "boolean_predicate": enumerate_with_predicate(boolean, MinPredicate("x0", ("z",)), db),
+    }
+    assert {name: trace(s) for name, s in streams.items()} == {
+        "plain": [
+            3, 4, 5, 8, 9, 10, 13, 14, 15, 20, 21, 22, 25,
+            26, 27, 30, 31, 32, 37, 38, 41, 42, 45, 46, 49,
+        ],
+        "root_sorted": [
+            3, 4, 7, 8, 11, 12, 17, 18, 21, 22, 25, 26, 31,
+            34, 39, 42, 47, 48, 51, 52, 55, 56, 61, 64, 67,
+        ],
+        "ranked": [
+            8, 12, 14, 18, 20, 26, 28, 32, 34, 38, 40, 46, 50,
+            54, 60, 74, 80, 94, 100, 104, 108, 114, 148, 152, 181,
+        ],
+        "predicate": [
+            3, 4, 7, 8, 11, 12, 17, 18, 21, 22, 25, 26, 31, 34, 37, 42, 45, 48, 53, 54, 57,
+        ],
+        "strict": [3, 4, 7, 8, 11, 12, 17, 18, 23, 26, 29, 34, 37],
+        "single": [1, 2, 3, 4, 5, 6],
+        "single_predicate": [1, 2, 3, 4, 5, 6],
+        "single_ranked": [4, 8, 10, 12, 14, 23],
+        "boolean": [1, 2],
+        "boolean_predicate": [1, 2],
+    }
+
+
 def test_enumerate_with_predicate_random(rng):
     done = 0
     while done < 50:
