@@ -162,7 +162,7 @@ class LexDA:
                 fences[c] = _Fence(plan.schema[p].index(u), up, doms[a, b],
                                    self._rows[c], self._cum[c], w_col, contiguous)
                 fenced.setdefault(p, []).append(c)
-        # per node: (child, parent key columns, the child's index among the
+        # per node: (child, parent key, the child's index among the
         # bounded children or None) in child order; per node with bounded
         # children: (child's index, up, runs) first pair first, and per
         # bucket key, per kept row, the block cuts of each bounded child
@@ -175,7 +175,7 @@ class LexDA:
             bounded = [(fences[c], plan.parent_key[c]) for c in kids]
             cuts = self._cuts[n] = {}
             for key, rows in self._rows[n].items():
-                cuts[key] = [tuple(f.cuts(tuple([row[i] for i in ck]), row) for f, ck in bounded)
+                cuts[key] = [tuple(f.cuts(pk(row), row) for f, pk in bounded)
                              for row in rows]
                 built.add(sum(len(bounds) for row_cuts in cuts[key] for bounds in row_cuts))
         self.build_steps = built.steps
@@ -226,7 +226,7 @@ class LexDA:
             reads = []  # per child: [child, key, prefix sums, run positions, lo, hi]
             size = 1
             for c, pk, f in kids:
-                ck = tuple([row[j] for j in pk])
+                ck = pk(row)
                 ccum = cum_of[c][ck]
                 clo, chi = (0, len(ccum) - 1) if f is None else (cuts[f][0], cuts[f][-1])
                 size *= ccum[chi] - ccum[clo]
@@ -349,8 +349,7 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
             counter.add(lex.build_steps)
             secondary[qid] = lex
             part_info.append((q1, d2, otp.order, x))
-            for val, cnt, below in lex.root_groups():
-                raw_entries.append((val, qid, cnt, below))
+            raw_entries += [(val, qid, cnt, below) for val, cnt, below in lex.root_groups()]
             qid += 1
 
     raw_entries.sort(key=lambda e: (e[0], e[1]))
@@ -440,9 +439,7 @@ def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Databa
     """
     classify(Task.COUNTING, q, p).require()
     q2, d, otps = min_predicate_orders(q, p, db)
-    if otps is None:
-        return count_answers(q2, d)
-    return sum(count_answers(q2, d, otp) for otp in otps)
+    return sum(count_answers(q2, d, otp) for otp in otps or [None])
 
 
 def is_nonempty(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> bool:

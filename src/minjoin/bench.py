@@ -2,7 +2,8 @@
 
 Two shipped families:
   * star: three relations sharing one join variable, ranked by the
-    minimum of three per-relation score variables;
+    minimum of three per-relation score variables; each star row also
+    times one count with PREDICATE r1 <= MIN(r2,r3) (`pred_count_ms`);
   * path: a four-atom chain with a min-predicate from one end to the two
     variables at the other end (enumeration-only territory).
 
@@ -16,47 +17,39 @@ import math
 import random
 import time
 
-from .access import build_min_da, count_via_access
+from .access import build_min_da, count_via_access, count_with_predicate
 from .enumeration import enumerate_ranked_min, enumerate_with_predicate
 from .instrument import StepCounter
 from .model import Database, Relation
 from .parser import parse_query
 
-STAR_TEXT = "Q(r1,r2,r3,s) :- W1(r1,s), W2(r2,s), W3(r3,s).\nORDER BY MIN(r1,r2,r3).\n"
+STAR_BODY = "Q(r1,r2,r3,s) :- W1(r1,s), W2(r2,s), W3(r3,s).\n"
+STAR_TEXT = STAR_BODY + "ORDER BY MIN(r1,r2,r3).\n"
+STAR_PRED_TEXT = STAR_BODY + "PREDICATE r1 <= MIN(r2,r3).\n"
 PATH_TEXT = (
     "Q(x0,u,v,x1,x2) :- R0(x0,u), R1(u,v), R2(v,x1), R3(x1,x2).\n"
     "PREDICATE x0 <= MIN(x1,x2).\n"
 )
 
 
-def _grid_rows(rng: random.Random, m: int, dom: int) -> list[tuple[int, int]]:
-    """m distinct pairs over [0,dom)^2 (dom*dom >= m required)."""
-    picks = rng.sample(range(dom * dom), m)
-    return [(a // dom, a % dom) for a in picks]
-
-
-def star_instance(total_size: int, seed: int = 0):
-    """Star family instance with |D| == total_size (3 relations)."""
-    q, _, r = parse_query(STAR_TEXT)
-    m = total_size // 3
+def _instance(text: str, total_size: int, seed: int):
+    """(query, predicate, ranking, database) of a family: per atom,
+    total_size // atoms distinct pairs over [0,dom)^2, dom = isqrt + 1."""
+    q, p, r = parse_query(text)
+    m = total_size // len(q.atoms)
     dom = max(2, math.isqrt(m) + 1)
     rng = random.Random(seed)
-    rels = {}
-    for sym in ("W1", "W2", "W3"):
-        rels[sym] = Relation.from_ints(sym, 2, _grid_rows(rng, m, dom))
-    return q, r, Database(rels)
+    picks = {a.symbol: rng.sample(range(dom * dom), m) for a in q.atoms}
+    rels = {s: Relation.from_ints(s, 2, [(v // dom, v % dom) for v in vs]) for s, vs in picks.items()}
+    return q, p, r, Database(rels)
 
 
-def path_instance(total_size: int, seed: int = 0):
-    """Path family instance with |D| == total_size (4 relations)."""
-    q, p, _ = parse_query(PATH_TEXT)
-    m = total_size // 4
-    dom = max(2, math.isqrt(m) + 1)
-    rng = random.Random(seed)
-    rels = {}
-    for sym in ("R0", "R1", "R2", "R3"):
-        rels[sym] = Relation.from_ints(sym, 2, _grid_rows(rng, m, dom))
-    return q, p, Database(rels)
+def _pred_count_ms(db: Database) -> float:
+    """The ms of one count_with_predicate of the star predicate over db."""
+    q, p, _ = parse_query(STAR_PRED_TEXT)
+    t0 = time.perf_counter()
+    count_with_predicate(q, p, db)
+    return (time.perf_counter() - t0) * 1e3
 
 
 def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
@@ -65,7 +58,7 @@ def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
     disjointified database, unforked), and per-access probe counts."""
     rows = []
     for n in sizes:
-        q, r, db = star_instance(n, seed)
+        q, _, r, db = _instance(STAR_TEXT, n, seed)
         t0 = time.perf_counter()
         ix = build_min_da(q, r.xs, db)
         build_s = time.perf_counter() - t0
@@ -97,6 +90,7 @@ def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
                 "max_probes": max_probes,
                 "avg_probes": total_probes / samples,
                 "build_seconds": build_s,
+                "pred_count_ms": _pred_count_ms(db),
             }
         )
     return rows
@@ -117,7 +111,7 @@ def bench_enum_pred(sizes, seed: int = 0, emissions: int = 20000) -> list[dict]:
     the seconds to the first answer and the ms per 1k emissions."""
     rows = []
     for n in sizes:
-        q, p, db = path_instance(n, seed)
+        q, p, _, db = _instance(PATH_TEXT, n, seed)
         t0 = time.perf_counter()
         s = enumerate_with_predicate(q, p, db)
         build_s = time.perf_counter() - t0
@@ -143,7 +137,7 @@ def bench_ranked(sizes, seed: int = 0, emissions: int = 5000) -> list[dict]:
     per 1k emissions."""
     rows = []
     for n in sizes:
-        q, r, db = star_instance(n, seed)
+        q, _, r, db = _instance(STAR_TEXT, n, seed)
         t0 = time.perf_counter()
         s = enumerate_ranked_min(q, r.xs, db)
         build_s = time.perf_counter() - t0
@@ -159,6 +153,7 @@ def bench_ranked(sizes, seed: int = 0, emissions: int = 5000) -> list[dict]:
                 "skips": s.skips,
                 "build_seconds": build_s,
                 "emit_1k_ms": emit_1k_ms,
+                "pred_count_ms": _pred_count_ms(db),
             }
         )
     return rows

@@ -77,18 +77,15 @@ def cmd_eliminate(args) -> int:
     # tagged cells serialize as base * width + rank (order-preserving)
     width = len(q.variables) + 2
     manifest = {"source_query": q.to_text(), "predicate": str(p), "rank_width": width, "parts": []}
-    for i, part in enumerate(res.parts):
-        files = {}
+    for part in res.parts:
         for sym, rel in part.database.relations.items():
-            fname = sym
-            files[sym] = fname
-            with open(out / fname, "w") as fh:
+            with open(out / sym, "w") as fh:
                 for row in rel.rows:
                     fh.write(",".join(str(c // W * width + c % W) for c in row) + "\n")
         manifest["parts"].append(
             {
                 "query": part.query.to_text(),
-                "relations": files,
+                "relations": {sym: sym for sym in part.database.relations},
                 "fresh_vars": [v for v in part.query.free_vars if v not in res.source_vars],
                 "order": sorted(list(pair) for pair in part.order.pairs) if part.order else [],
                 "min_var": part.min_var,

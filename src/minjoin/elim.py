@@ -270,11 +270,7 @@ def eliminate_min_predicate(
         return EliminationResult((EliminationPart(q1, d1, None, None),), ())
 
     q2, d, otps = min_predicate_orders(q, p, db)
-    if otps is None:
-        parts = [EliminationPart(q2, d, None, None)]
-    else:
-        parts = []
-        for i, otp in enumerate(otps):
-            pq, pd = eliminate_enforced_order(q2, d, otp, f"_p{i}")
-            parts.append(EliminationPart(pq, pd, otp.order, p.x0, otp.tree))
+    parts = [EliminationPart(q2, d, None, None)] if otps is None else [
+        EliminationPart(*eliminate_enforced_order(q2, d, otp, f"_p{i}"), otp.order, p.x0, otp.tree)
+        for i, otp in enumerate(otps)]
     return EliminationResult(tuple(parts), q.free_vars)

@@ -112,9 +112,10 @@ class AnswerStream:
 def _descend(plan: TreePlan, buckets, counter: StepCounter, cut=None):
     """Nested-loop descent over a bucketed join tree (the odometer).
 
-    `buckets[n]` maps each parent key of node n to its rows; the root's
-    one key is (). Node n scans the bucket that its parent's row selects
-    by the values in `plan.parent_key[n]`.
+    `buckets[n]` maps each key of node n (`plan.key[n]`) to its rows; the
+    root's one key is (). Node n scans the bucket that its parent's row
+    selects by the values in `plan.parent_key[n]`, the key function that
+    reads n's key from a parent row.
 
     Each visit to a bucket first computes `stop`, how many of its leading
     rows pass; with no cut that is the whole bucket. A cut is a triple
@@ -135,7 +136,7 @@ def _descend(plan: TreePlan, buckets, counter: StepCounter, cut=None):
     pos = {n: i for i, n in enumerate(order)}
     tables = [buckets[n] for n in order]
     parent_ix = [-1] + [pos[plan.parent[n]] for n in order[1:]]
-    parent_cols = [()] + [plan.parent_key[n] for n in order[1:]]
+    parent_keys = [None] + [plan.parent_key[n] for n in order[1:]]
     # each variable, in sorted order, with the node and column that hold it
     first: dict[str, tuple[int, int]] = {}
     for j, n in enumerate(order):
@@ -165,7 +166,7 @@ def _descend(plan: TreePlan, buckets, counter: StepCounter, cut=None):
                     neg_bound = -row[bound_col]
                 i += 1
                 parent = cur[parent_ix[i]]
-                lst = lists[i] = tables[i].get(tuple([parent[c] for c in parent_cols[i]]), ())
+                lst = lists[i] = tables[i].get(parent_keys[i](parent), ())
                 stops[i] = len(lst) if cut is None else search(lst, neg_bound, key=keys[i])
                 idx[i] = -1
                 continue

@@ -43,12 +43,12 @@ def semijoin_reduce(q: ConjunctiveQuery, db: Database) -> Database:
     plan = TreePlan(q, tree_for_query(q))
     rows = {n: plan.rows(db, n) for n in plan.order}
     edges = [(n, plan.parent[n], plan.key[n], plan.parent_key[n]) for n in plan.order[1:]]
-    for n, p, cn, cp in reversed(edges):
-        keys = {tuple(r[i] for i in cn) for r in rows[n]}
-        rows[p] = [r for r in rows[p] if tuple(r[i] for i in cp) in keys]
-    for n, p, cn, cp in edges:
-        keys = {tuple(r[i] for i in cp) for r in rows[p]}
-        rows[n] = [r for r in rows[n] if tuple(r[i] for i in cn) in keys]
+    for n, p, kn, kp in reversed(edges):
+        keys = set(map(kn, rows[n]))
+        rows[p] = [r for r in rows[p] if kp(r) in keys]
+    for n, p, kn, kp in edges:
+        keys = set(map(kp, rows[p]))
+        rows[n] = [r for r in rows[n] if kn(r) in keys]
 
     out = dict(db.relations)
     for n in plan.order:
@@ -277,16 +277,12 @@ def _eliminate_with_independent_x0(q, p: MinPredicate, xs: list[str], db: Databa
         return db.replace(*(Relation(a.symbol, a.arity, ()) for a in q.atoms))
     best = min(x0_vals)
     d = db
-    groups: dict[int, list[str]] = {}
-    free_targets: list[str] = []
-    for x in xs:
-        if x in free:
-            free_targets.append(x)
-        else:
-            groups.setdefault(host[x], []).append(x)
-    for x in free_targets:
+    for x in (x for x in xs if x in free):
         xa, xi = _first_atom_with(q, x)
         d = _filter_atom(d, xa, lambda r: below(best, r[xi]))
+    groups: dict[int, list[str]] = {}
+    for x in (x for x in xs if x not in free):
+        groups.setdefault(host[x], []).append(x)
     for branch, group in groups.items():
         theta = _branch_thresholds(q, group, branch, d)
         d = _filter_atom(d, q.atoms[branch], lambda r: below(best, theta.get(r, NEG_INF)))

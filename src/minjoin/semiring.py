@@ -55,15 +55,15 @@ def aggregate_bottom_up(
         agg = out[n] = {}
         for r in plan.rows(db, n):
             v = val(n, r)
-            for idx, cmsg in kids:
-                v = min(v, cmsg.get(tuple([r[j] for j in idx]), NEG_INF))
+            for pk, cmsg in kids:
+                v = min(v, cmsg.get(pk(r), NEG_INF))
             agg[r] = v
         if n != plan.root:
-            idx = plan.key[n]
+            key = plan.key[n]
             msg = messages[n] = {}
             for r, v in agg.items():
-                key = tuple([r[j] for j in idx])
-                msg[key] = max(msg.get(key, NEG_INF), v)
+                k = key(r)
+                msg[k] = max(msg.get(k, NEG_INF), v)
     return out
 
 
@@ -80,20 +80,23 @@ def count_buckets(
 
     Each row gets the number of partial answers below it, the product of
     what its children's buckets send it; rows whose count is 0 are
-    dropped. Returns the plan and, per node, {parent key: kept rows} and
-    {parent key: prefix sums of their counts}; the root's one key is ().
-    A kept row has a non-empty bucket under every child, and a row in no
-    answer sits only in buckets that no kept parent looks up, so a
-    descent from the root needs no semijoin pass first. With no pair,
-    every bucket is sorted by row, the root's by (x, row).
+    dropped. Returns the plan and, per node n, {key: kept rows} and
+    {key: prefix sums of their counts}, keyed by `plan.key[n]`; a parent
+    row finds its bucket by `plan.parent_key[n]`, and the root's one key
+    is (). A kept row has a non-empty bucket under every child, and a
+    row in no answer sits only in buckets that no kept parent looks up,
+    so a descent from the root needs no semijoin pass first. With no
+    pair, every bucket is sorted by row, the root's by (x, row).
 
     With a pair, only the partial answers that satisfy its strict order
     are counted. A pair a<b inside a node filters that node's rows. A
     pair across an edge bounds the child's variable w by the parent's
     variable u: from below when the parent holds a, from above when it
     holds b, which only LexDA's build (x given) asks for. The child's
-    buckets are sorted by w, and a parent row takes the part of the
-    bucket's prefix sums on its side of u. With no x, the bounded
+    buckets are sorted by w. Once a bucket's rows are counted, its w
+    column is taken from the kept rows as an int list, aligned with the
+    prefix sums, and a parent row bisects that list for u to take the
+    part of the prefix sums on its side of u. With no x, the bounded
     buckets are sorted by w alone and the others keep the input order.
     With x, every bucket is sorted by row, the bounded ones then by w,
     and the counter also gets each bucket sort as len*ceil(log2 len)
@@ -124,11 +127,12 @@ def count_buckets(
     x_of = operator.itemgetter(plan.schema[root].index(x)) if x is not None else None
     rows_of: dict[int, dict] = {}
     cum_of: dict[int, dict] = {}
+    w_of: dict[int, dict] = {}  # bounded child -> {key: w of its kept rows}
     for n in reversed(plan.order):
         rows = plan.rows(db, n)
         for ai, bi in filters.get(n, ()):
             rows = [r for r in rows if r[ai] < r[bi]]
-        groups = group_by(rows, plan.key.get(n, ()))
+        groups = group_by(rows, plan.key[n])
         for group in groups.values():
             if x is not None or pair is None:
                 group.sort()
@@ -138,8 +142,8 @@ def count_buckets(
                     counter.add(len(group) * (len(group) - 1).bit_length())
             if n in bounded:  # stable: by (w, row) with x
                 group.sort(key=bounded[n][1])
-        # per child: parent key columns, prefix sums, rows, and (u col, w getter, up) if bounded
-        kids = [(plan.parent_key[c], cum_of[c], rows_of[c], *bounded.get(c, (None, None, None)))
+        # per child: parent key, prefix sums, and if bounded, its w lists and (u col, w getter, up)
+        kids = [(plan.parent_key[c], cum_of[c], w_of.pop(c, None), *bounded.get(c, (None,) * 3))
                 for c in plan.children[n]]
         kept_of = rows_of[n] = {}
         sums_of = cum_of[n] = {}
@@ -151,18 +155,18 @@ def count_buckets(
             kept, cum = [], [0]
             for row in group:
                 cnt = 1
-                for ck, sums, brows, ui, by_w, up in kids:
-                    ckey = tuple([row[i] for i in ck])
+                for pk, sums, ws, ui, _, up in kids:
+                    ckey = pk(row)
                     s = sums.get(ckey)
                     if s is None:
                         break
-                    if by_w is None:
+                    if ws is None:
                         cnt *= s[-1]
                     else:
                         if up:  # the rows with w > u
-                            m = s[-1] - s[bisect_right(brows[ckey], row[ui], key=by_w)]
+                            m = s[-1] - s[bisect_right(ws[ckey], row[ui])]
                         else:  # the rows with w < u
-                            m = s[bisect_left(brows[ckey], row[ui], key=by_w)]
+                            m = s[bisect_left(ws[ckey], row[ui])]
                         if not m:
                             break
                         cnt *= m
@@ -172,6 +176,8 @@ def count_buckets(
             if kept:
                 kept_of[key] = kept
                 sums_of[key] = cum
+        if n in bounded:  # the w column of the kept rows, aligned with their prefix sums
+            w_of[n] = {key: list(map(bounded[n][1], kept)) for key, kept in kept_of.items()}
         if counter is not None:
             counter.add(len(rows))
     return plan, rows_of, cum_of

@@ -7,9 +7,11 @@ multiset" and "union of trees" are well defined across rearrangements.
 
 from __future__ import annotations
 
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import EngineError, InternalInvariantError, IntractableQueryError
 from .model import ConjunctiveQuery, Database, MinPredicate, MinRanking, Row
@@ -276,22 +278,33 @@ def tree_for_query(q: ConjunctiveQuery, at: str | None = None) -> RootedJoinTree
     return t.reroot(min(n for n in t.nodes() if at in t.vars_of[n]))
 
 
-def group_by(rows: Iterable[Row], cols: tuple[int, ...]) -> dict[tuple, list[Row]]:
-    """{key over `cols`: its rows}, keys and rows in first-seen order."""
-    groups: dict[tuple, list[Row]] = {}
+def no_key(row: Row) -> tuple:
+    """The key of a node that shares no variable with its parent: ()."""
+    return ()
+
+
+def group_by(rows: Sequence[Row], key: Callable[[Row], Hashable]) -> dict[Hashable, list[Row]]:
+    """{key(row): its rows}, keys and rows in first-seen order; with
+    `no_key`, every row in the one group ()."""
+    if key is no_key:
+        return {(): list(rows)} if rows else {}
+    groups: defaultdict[Hashable, list[Row]] = defaultdict(list)
     for r in rows:
-        groups.setdefault(tuple([r[c] for c in cols]), []).append(r)
-    return groups
+        groups[key(r)].append(r)
+    return dict(groups)
 
 
 class TreePlan:
     """The per-node facts every pass over one rooted join tree reads.
 
     `order` is the BFS order (root first) and `children` the sorted child
-    lists. Per node n: `schema[n]` and `symbol[n]` come from its atom.
-    Per non-root node n: `key[n]` and `parent_key[n]` are the columns of
-    the variables n shares with its parent, on n's side and on the
-    parent's side, in the same (sorted) variable order.
+    lists. Per node n: `schema[n]` and `symbol[n]` come from its atom,
+    and `key[n]` is the key function of n's join bucket: an itemgetter
+    over the columns of the variables n shares with its parent, in sorted
+    variable order, which gives the cell itself for one column; `no_key`
+    when there are none, as at the root. Per non-root node n,
+    `parent_key[n]` reads the same variables from a parent row, so a
+    parent row finds its bucket under n by `parent_key[n](row)`.
     """
 
     __slots__ = ("tree", "root", "parent", "order", "children", "schema", "symbol",
@@ -305,13 +318,12 @@ class TreePlan:
         self.children = t.children()
         self.schema = {n: q.atoms[t.atom_of[n]].vars for n in self.order}
         self.symbol = {n: q.atoms[t.atom_of[n]].symbol for n in self.order}
-        self.key: dict[int, tuple[int, ...]] = {}
-        self.parent_key: dict[int, tuple[int, ...]] = {}
+        self.key: dict[int, Callable[[Row], Hashable]] = {self.root: no_key}
+        self.parent_key: dict[int, Callable[[Row], Hashable]] = {}
         for n in self.order[1:]:
-            p = t.parent[n]
-            shared = sorted(t.vars_of[n] & t.vars_of[p])
-            self.key[n] = tuple(self.schema[n].index(v) for v in shared)
-            self.parent_key[n] = tuple(self.schema[p].index(v) for v in shared)
+            shared = sorted(t.vars_of[n] & t.vars_of[t.parent[n]])
+            self.key[n], self.parent_key[n] = (operator.itemgetter(*map(self.schema[m].index, shared))
+                                               if shared else no_key for m in (n, t.parent[n]))
         # (first column, later column) per repeated variable of a node
         self._repeats = {
             n: [(sch.index(v), i) for i, v in enumerate(sch) if sch.index(v) != i]

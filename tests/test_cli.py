@@ -357,6 +357,8 @@ def test_cli_bench_small(capsys):
         assert "seconds" not in r
         assert r["build_seconds"] > 0 and r["emit_1k_ms"] > 0
     assert star_rows[0]["build_seconds"] > 0
+    # every star row also times one count with the star predicate
+    assert all(r["pred_count_ms"] > 0 for r in star_rows)
 
 
 def test_cli_bench_sizes_and_max_exp_are_usage_errors(capsys):

@@ -15,12 +15,14 @@ from minjoin import (
     thresholds,
     tree_for_query,
 )
+from minjoin.elim import min_orders
 from minjoin.errors import InternalInvariantError
-from minjoin.model import W, Database, Relation
+from minjoin.model import W, Database, MinPredicate, Relation, disjointify
+from minjoin.structure import Task, classify
 from minjoin.partition import OrderTreePair, StrictPartialOrder
 from minjoin.semiring import count_buckets
 
-from conftest import rand_acyclic_query, rand_database
+from conftest import rand_acyclic_query, rand_database, with_dangling_rows
 
 STAR = "Q(x0,x1,x2,y) :- R0(x0), R1(x1,y), R2(x2,y)."
 
@@ -127,6 +129,66 @@ def test_count_buckets_per_row_counts_match_brute_force(rng):
                 # a kept row has its count; a dropped row has no partial answer below it
                 assert counts.get(row, 0) == want, (q, n, row)
             assert 0 not in counts.values()
+
+
+def _check_order_counts(q, db, x0, xs):
+    """count_buckets with each of min_orders' pairs over the disjointified
+    database, with x0 given and with no x, against brute force: a row's
+    count is the number of partial answers below it that satisfy every
+    pair of the order whose two variables they assign."""
+    d = disjointify(db, q, [x0] + [v for v in q.variables if v != x0])
+    for otp in min_orders(q, x0, xs):
+        t = otp.tree
+        want = {}
+        for n in t.nodes():
+            for row in d.relation(q.atoms[t.atom_of[n]].symbol).rows:
+                got = 0
+                for pa in _brute_partial_answers(q, d, t, n, row):
+                    cells = {v: c for m, r in pa for v, c in zip(q.atoms[t.atom_of[m]].vars, r)}
+                    got += all(cells[a] < cells[b] for a, b in otp.order.pairs if a in cells and b in cells)
+                want[n, row] = got
+        for x in (x0, None):
+            plan, rows_of, cum_of = count_buckets(q, d, x, otp)
+            counts = {}
+            for n in plan.order:
+                for key, rows in rows_of[n].items():
+                    cum = cum_of[n][key]
+                    assert len(cum) == len(rows) + 1
+                    counts.update(((n, r), cum[i + 1] - cum[i]) for i, r in enumerate(rows))
+            assert 0 not in counts.values()
+            assert {k: v for k, v in want.items() if v} == counts, (q.to_text(), otp.order.pairs, x)
+
+
+def test_count_buckets_with_order_pairs_match_brute_force(rng):
+    # a bounded child (S, by x0<a) with a child of its own (T) that drops
+    # S's rows with z=9: the bisect reads the w column of the kept rows
+    q = parse_query("Q(x0,y,a,z,c) :- R(x0,y), S(y,a,z), T(z,c).")[0]
+    rels = {
+        "R": [[1, 0], [5, 0], [3, 1]],
+        "S": [[0, 2, 7], [0, 3, 9], [0, 4, 7], [0, 6, 9], [0, 8, 7], [1, 4, 9]],
+        "T": [[7, 0], [7, 1]],
+    }
+    db = Database({s: Relation.from_ints(s, len(rows[0]), rows) for s, rows in rels.items()})
+    for xs in (["a"], ["a", "y"], ["a", "z"]):
+        _check_order_counts(q, db, "x0", xs)
+    for sym in rels:  # an empty relation: no row has a partial answer
+        _check_order_counts(q, db.replace(Relation(sym, db.relation(sym).arity, ())), "x0", ["a"])
+    # a disconnected body: the edge between R and S has key ()
+    q = parse_query("Q(x0,a,b) :- R(x0), S(a,b).")[0]
+    db = Database({"R": Relation.from_ints("R", 1, [[1], [4], [6]]),
+                   "S": Relation.from_ints("S", 2, [[2, 5], [5, 0], [7, 7], [0, 3]])})
+    _check_order_counts(q, db, "x0", ["a"])
+    _check_order_counts(q, db, "x0", ["a", "b"])
+    checked = 0
+    while checked < 40:
+        q = rand_acyclic_query(rng, max_atoms=3, max_arity=2, full=True)
+        if not q.is_self_join_free or len(q.variables) < 2:
+            continue
+        x0, *xs = rng.sample(q.variables, rng.randint(2, min(3, len(q.variables))))
+        if not classify(Task.COUNTING, q, MinPredicate(x0, tuple(xs))).tractable:
+            continue
+        checked += 1
+        _check_order_counts(q, with_dangling_rows(rng, q, rand_database(rng, q, dom=5, max_rows=5)), x0, xs)
 
 
 def test_thresholds_examples():
