@@ -47,13 +47,11 @@ from .structure import (
 from .semiring import (
     NEG_INF,
     POS_INF,
-    aggregate_bottom_up,
     count_answers,
     thresholds,
 )
 from .reduce import (
     restrict_predicate_to_free,
-    restrict_to_free,
     semijoin_reduce,
 )
 from .partition import OrderTreePair, StrictPartialOrder, partition_min_orders

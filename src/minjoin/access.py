@@ -43,8 +43,6 @@ from .elim import fork_domains, fork_tree, min_orders, min_predicate_orders
 from .partition import OrderTreePair, StrictPartialOrder
 from .reduce import cut_at_x0, restrict_predicate_to_free
 from .semiring import count_answers, count_buckets
-# kept as a name of this module, which the benchmark's layer tracing wraps
-from .semiring import aggregate_bottom_up  # noqa: F401
 from .structure import Task, classify
 
 

@@ -77,12 +77,13 @@ def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
         cv_probes = StepCounter()
         count = count_via_access(ix, cv_probes)
         size = db.size
+        m = max(size, 1)  # an empty instance (star sizes below 3) normalizes by 1
         rows.append(
             {
                 "family": "star",
                 "size": size,
                 "build_steps": ix.build_steps,
-                "normalized": ix.build_steps / (size * max(1.0, math.log2(size)) ** 2),
+                "normalized": ix.build_steps / (m * max(1.0, math.log2(m)) ** 2),
                 "parts_size": parts_size,
                 "total": ix.total,
                 "count_check": count == ix.total,

@@ -31,8 +31,6 @@ from .model import (
     remove_self_joins,
 )
 from .reduce import restrict_predicate_to_free
-# kept as a name of this module, which the benchmark's layer tracing wraps
-from .reduce import semijoin_reduce  # noqa: F401
 from .semiring import count_buckets, thresholds
 from .structure import Task, TreePlan, classify, group_by, tree_for_query
 

@@ -34,9 +34,6 @@ class TaggedValue(NamedTuple):
     base: int
     rank: int = 0
 
-    def untagged(self) -> "TaggedValue":
-        return TaggedValue(self.base, 0) if self.rank else self
-
     def __repr__(self):
         return f"{self.base}r{self.rank}" if self.rank else str(self.base)
 
@@ -144,7 +141,7 @@ class ConjunctiveQuery:
             raise EngineError("duplicate variable in head")
         for v in self.free_vars:
             if v not in body:
-                raise EngineError(f"head variable {v!r} does not occur in the body")
+                raise EngineError(f"head variable {v!r} not in body")
 
     @property
     def variables(self) -> tuple[str, ...]:

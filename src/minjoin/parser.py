@@ -77,7 +77,10 @@ def parse_query(
                 raise QuerySyntaxError("duplicate ORDER BY", line_no, 1)
             kind, blob = m.group(1), m.group(2)
             xs = _split_vars(blob, line_no, line.find("(") + 2, allow_empty=False)
-            ranking = MinRanking(xs, maximize=(kind == "MAX"))
+            try:
+                ranking = MinRanking(xs, maximize=(kind == "MAX"))
+            except EngineError as err:
+                raise QuerySyntaxError(str(err), line_no, 1) from None
             qvars = set(query.variables)
             for v in xs:
                 if v not in qvars:
@@ -123,11 +126,10 @@ def parse_query(
                 if body[pos] != ",":
                     raise QuerySyntaxError("expected ',' between atoms", line_no, offset + pos + 1)
                 pos += 1
-            body_vars = {v for a in atoms for v in a.vars}
-            for v in head_vars:
-                if v not in body_vars:
-                    raise QuerySyntaxError(f"head variable {v!r} not in body", line_no, 1)
-            query = ConjunctiveQuery(tuple(atoms), head_vars, name)
+            try:
+                query = ConjunctiveQuery(tuple(atoms), head_vars, name)
+            except EngineError as err:
+                raise QuerySyntaxError(str(err), line_no, 1) from None
             continue
 
         raise QuerySyntaxError(f"unrecognised statement: {line[:40]!r}", line_no, 1)
@@ -137,16 +139,20 @@ def parse_query(
     return query, predicate, ranking
 
 
-def parse_query_file(path: str | Path):
-    """parse_query over a file's text; a file that cannot be read as text
-    is a DataFileError naming it."""
+def _read_text(path: Path, what: str) -> str:
+    """A file's text; a file that cannot be read as text is a
+    DataFileError naming it."""
     try:
-        text = Path(path).read_text()
+        return path.read_text()
     except OSError as err:
-        raise DataFileError(f"cannot read query file {path}: {err.strerror}") from None
+        raise DataFileError(f"cannot read {what} {path}: {err.strerror}") from None
     except UnicodeDecodeError:
-        raise DataFileError(f"cannot read query file {path}: not UTF-8 text") from None
-    return parse_query(text)
+        raise DataFileError(f"cannot read {what} {path}: not UTF-8 text") from None
+
+
+def parse_query_file(path: str | Path):
+    """parse_query over a query file's text."""
+    return parse_query(_read_text(Path(path), "query file"))
 
 
 _SEPARATORS = str.maketrans(",;", "  ")
@@ -171,7 +177,7 @@ def load_database(paths: list[str | Path], query: ConjunctiveQuery) -> Database:
         path = by_name.get(sym)
         if path is None:
             raise DataFileError(f"no data file for relation {sym!r}")
-        text = path.read_text()
+        text = _read_text(path, "data file")
         # int() also takes "1_0" and non-ASCII digits: check lines if need be
         checked = _NOT_CELL_TEXT.search(text) is not None
         rows: list[tuple[int, ...]] = []

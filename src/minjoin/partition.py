@@ -52,11 +52,6 @@ class StrictPartialOrder:
     def variables(self) -> frozenset[str]:
         return frozenset(v for ab in self.pairs for v in ab)
 
-    def extended_by(self, total: Sequence[str]) -> bool:
-        """True iff the total order (ascending sequence) refines this order."""
-        pos = {v: i for i, v in enumerate(total)}
-        return all(pos[a] < pos[b] for a, b in self.pairs)
-
     def __str__(self):
         return ", ".join(f"{a}<{b}" for a, b in sorted(self.pairs))
 

@@ -57,16 +57,10 @@ def semijoin_reduce(q: ConjunctiveQuery, db: Database) -> Database:
     return Database(out)
 
 
-def restrict_to_free(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQuery, Database]:
-    """`restrict_predicate_to_free` with no predicate: an acyclic
-    free-connex query as a full one over its free variables, with fresh
-    relation symbols and the same answer set."""
-    q2, _, d2 = restrict_predicate_to_free(q, None, db)
-    return q2, d2
-
-
 def _project_to_free(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQuery, Database]:
-    """`restrict_to_free` over a prepared (self-join-free) instance.
+    """An acyclic free-connex query over a prepared (self-join-free)
+    instance as a full one over its free variables, with fresh relation
+    symbols and the same answer set.
 
     A full query is only renamed: each atom keeps its rows as given, and
     the passes that read them drop the rows that join nothing. Otherwise
@@ -190,7 +184,8 @@ def restrict_predicate_to_free(
     whose threshold covers their own x0 entry; a branch sharing no free
     variable with the rest has one best value overall, which bounds x0.
     Configurations without a sound filtering site are refused with
-    UnsupportedPredicateError. With p None this is restrict_to_free.
+    UnsupportedPredicateError. With p None, only the projection to the
+    free variables remains (`_project_to_free`).
 
     A Boolean head restricts to one nullary atom, which holds the empty
     row exactly when the cut of an atom holding x0 keeps a row (see

@@ -3,10 +3,9 @@
 `count_buckets` is the count pass, which LexDA, the full and ranked
 streams and counting read: per row, the number of answers below it, in
 join buckets with prefix sums; an enforced order enters it as filters
-and b-sorted child buckets. `aggregate_bottom_up` is the threshold pass,
-the max-min fold: per row, the max over the partial answers below it of
-the min of their val(.) values. `thresholds` instantiates it for
-min(X), which the Boolean task, predicate enumeration and the
+and b-sorted child buckets. `thresholds` is the threshold pass, the
+max-min fold: per row, the max over the partial answers below it of
+their min over X, which the Boolean task, predicate enumeration and the
 existential folds read.
 """
 
@@ -15,7 +14,8 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable
+from itertools import repeat
+from typing import Iterable
 
 from .errors import EngineError, InternalInvariantError
 from .instrument import StepCounter
@@ -30,40 +30,47 @@ NEG_INF = -math.inf
 POS_INF = math.inf
 
 
-def aggregate_bottom_up(
-    q: ConjunctiveQuery,
-    db: Database,
-    t: RootedJoinTree,
-    val: Callable[[int, Row], int | float],
+def thresholds(
+    q: ConjunctiveQuery, xr: Iterable[str], t: RootedJoinTree, db: Database
 ) -> dict[int, dict[Row, int | float]]:
-    """The max-min fold, children to parent over the join tree: per node,
-    {row: the max over the partial answers below the row of the min of
-    their val(.) values}, -inf for a row with no partial answer below it.
+    """The threshold pass, the max-min fold children to parent over `t`:
+    per node, {row: the best (largest) value that the minimum over `xr`
+    reaches among the partial answers below the row}, -inf for a row with
+    no partial answer below it.
 
-    Each child relation is grouped into join buckets keyed by the
+    A row's own value is the minimum of its xr cells, +inf when it has
+    none. Each child relation is grouped into join buckets keyed by the
     variables shared with its parent; a bucket sends the max of its rows'
-    values, and a row takes the min of its own val and what its children
-    send. Linear in the database size.
+    values, and a row takes the min of its own value and what its
+    children send. Linear in the database size.
     """
     if not q.is_self_join_free:
         raise EngineError("aggregation requires a self-join-free query")
+    xr = frozenset(xr)
     plan = TreePlan(q, t)
     out: dict[int, dict[Row, int | float]] = {}
     messages: dict[int, dict] = {}  # child id -> {key: max of its bucket}
     for n in reversed(plan.order):
-        kids = [(plan.parent_key[c], messages.pop(c)) for c in plan.children[n]]
-        agg = out[n] = {}
-        for r in plan.rows(db, n):
-            v = val(n, r)
-            for pk, cmsg in kids:
-                v = min(v, cmsg.get(pk(r), NEG_INF))
-            agg[r] = v
-        if n != plan.root:
-            key = plan.key[n]
-            msg = messages[n] = {}
+        rows = plan.rows(db, n)
+        cols = [i for i, v in enumerate(plan.schema[n]) if v in xr]
+        if not cols:
+            own = repeat(POS_INF)
+        elif len(cols) == 1:
+            own = map(operator.itemgetter(*cols), rows)
+        else:
+            own = map(min, map(operator.itemgetter(*cols), rows))
+        agg = out[n] = dict(zip(rows, own))
+        for c in plan.children[n]:
+            pk, cmsg = plan.parent_key[c], messages.pop(c)
             for r, v in agg.items():
-                k = key(r)
-                msg[k] = max(msg.get(k, NEG_INF), v)
+                m = cmsg.get(pk(r), NEG_INF)
+                if m < v:
+                    agg[r] = m
+        if n != plan.root:
+            msg = messages[n] = {}
+            for k, v in zip(map(plan.key[n], agg), agg.values()):
+                if v > msg.get(k, NEG_INF):
+                    msg[k] = v
     return out
 
 
@@ -195,26 +202,3 @@ def count_answers(q: ConjunctiveQuery, db: Database, pair: OrderTreePair | None 
         raise EngineError("count_answers expects a full self-join-free query")
     plan, _, cum_of = count_buckets(q, db, pair=pair)
     return cum_of[plan.root].get((), [0])[-1]
-
-
-def thresholds(
-    q: ConjunctiveQuery, xr: Iterable[str], t: RootedJoinTree, db: Database
-) -> dict[int, dict[Row, int | float]]:
-    """Max-min thresholds: per node, {row: the best (largest) value that
-    the minimum over `xr` can reach among the partial answers below it}.
-
-    val(t) is the minimum over the xr-variables present in that relation,
-    +inf when none occurs there.
-    """
-    xr = frozenset(xr)
-    rows_cols = {
-        n: tuple(i for i, v in enumerate(q.atoms[t.atom_of[n]].vars) if v in xr) for n in t.nodes()
-    }
-
-    def val(n, row):
-        cols = rows_cols[n]
-        if not cols:
-            return POS_INF
-        return min(row[i] for i in cols)
-
-    return aggregate_bottom_up(q, db, t, val)

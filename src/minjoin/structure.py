@@ -8,7 +8,7 @@ multiset" and "union of trees" are well defined across rearrangements.
 from __future__ import annotations
 
 import operator
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Sequence
@@ -135,13 +135,10 @@ class RootedJoinTree:
 
     # -- variable placement --------------------------------------------
 
-    def nodes_with_var(self, v: str) -> list[int]:
-        return [i for i in self.nodes() if v in self.vars_of[i]]
-
     def highest(self, v: str) -> int:
         """The node containing v closest to the root (unique by connectivity)."""
         depths = self.depths()
-        cands = self.nodes_with_var(v)
+        cands = [i for i in self.nodes() if v in self.vars_of[i]]
         if not cands:
             raise EngineError(f"variable {v!r} not in the tree")
         return min(cands, key=lambda i: (depths[i], i))
@@ -149,29 +146,12 @@ class RootedJoinTree:
     # -- validity ------------------------------------------------------
 
     def satisfies_running_intersection(self) -> bool:
-        """Each variable's nodes must form a connected subtree."""
-        for v in {u for vs in self.vars_of.values() for u in vs}:
-            holders = set(self.nodes_with_var(v))
-            # walk up from each holder; the meeting structure is connected iff
-            # every holder reaches another holder through holder-only paths,
-            # checked via the classic "climb to the shallowest holder" test.
-            top = min(holders, key=lambda i: self._depth_of(i))
-            for n in holders:
-                m = n
-                while m != top:
-                    m = self.parent[m]
-                    if m is None:
-                        return False
-                    if m not in holders:
-                        return False
-        return True
-
-    def _depth_of(self, n: int) -> int:
-        d = 0
-        while self.parent[n] is not None:
-            n = self.parent[n]
-            d += 1
-        return d
+        """Each variable's nodes must form a connected subtree: exactly
+        one of them, its top, has no parent or a parent without it."""
+        tops = Counter(
+            v for n, vs in self.vars_of.items() for v in vs - self.vars_of.get(self.parent[n], frozenset())
+        )
+        return all(k == 1 for k in tops.values())
 
     def can_reattach(self, n: int, target: int) -> bool:
         """True iff moving n under `target` keeps the join-tree property.
@@ -184,18 +164,6 @@ class RootedJoinTree:
             return False
         sep = self.vars_of[n] & self.vars_of[p]
         return sep <= self.vars_of[target]
-
-    def is_maximally_branching(self) -> bool:
-        for n in self.nodes():
-            p = self.parent[n]
-            if p is None or self.parent[p] is None:
-                continue
-            a = self.parent[p]
-            while a is not None:
-                if self.can_reattach(n, a):
-                    return False
-                a = self.parent[a]
-        return True
 
     def pretty(self) -> str:
         ch = self.children()
@@ -432,7 +400,6 @@ class Task(Enum):
     SINGLE_ACCESS = "single_access"
 
 
-PREDICATE_TASKS = {Task.ELIMINATION, Task.COUNTING, Task.UNRANKED_DA_PRED, Task.ENUM_PRED, Task.BOOLEAN}
 RANKING_TASKS = {Task.RANKED_DA, Task.RANKED_ENUM, Task.SINGLE_ACCESS}
 
 

@@ -117,6 +117,26 @@ def edge_instances(rng: random.Random, *, full: bool = False, dbs: int = 4):
             yield q, rand_database(rng, q, dom=4, max_rows=7)
 
 
+def extended_by(order, total) -> bool:
+    """True iff the total order (ascending sequence) refines the strict
+    partial order `order`."""
+    pos = {v: i for i, v in enumerate(total)}
+    return all(pos[a] < pos[b] for a, b in order.pairs)
+
+
+def is_maximally_branching(t) -> bool:
+    """True iff no node of `t` can move up to an ancestor above its parent
+    and keep the join-tree property."""
+    for n in t.nodes():
+        p = t.parent[n]
+        a = None if p is None else t.parent[p]
+        while a is not None:
+            if t.can_reattach(n, a):
+                return False
+            a = t.parent[a]
+    return True
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

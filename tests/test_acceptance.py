@@ -38,7 +38,7 @@ from minjoin.bench import bench_enum_pred, bench_min_da, bench_ranked, default_s
 from minjoin.model import Database, Relation
 from minjoin.structure import RootedJoinTree
 
-from conftest import rand_acyclic_query, rand_database
+from conftest import extended_by, rand_acyclic_query, rand_database
 
 
 @contextmanager
@@ -134,7 +134,7 @@ def test_criterion_3_partition_exhaustiveness():
             t = t.reroot(min(n for n in t.nodes() if x0 in t.vars_of[n]))
             pairs = partition_min_orders(t, x0, xs, var_order=q.variables)
             for perm in itertools.permutations([x0] + xs):
-                matches = sum(p.order.extended_by(perm) for p in pairs)
+                matches = sum(extended_by(p.order, perm) for p in pairs)
                 assert matches == (1 if perm[0] == x0 else 0), (
                     q.to_text(), x0, xs, perm,
                 )

@@ -426,10 +426,10 @@ def test_count_with_predicate_calls_no_aggregate_bottom_up(monkeypatch, rng):
     # counting reads the count pass alone; on a full query no existential
     # inequality is folded, so nothing calls thresholds either
     def broken(*args, **kwargs):
-        raise AssertionError("counting called aggregate_bottom_up")
+        raise AssertionError("counting called thresholds")
 
-    monkeypatch.setattr("minjoin.semiring.aggregate_bottom_up", broken)
-    monkeypatch.setattr("minjoin.access.aggregate_bottom_up", broken)
+    monkeypatch.setattr("minjoin.semiring.thresholds", broken)
+    monkeypatch.setattr("minjoin.reduce.thresholds", broken)
 
     def check(q, p, db):
         if not classify(Task.COUNTING, q, p).tractable:

@@ -359,6 +359,12 @@ def test_cli_bench_small(capsys):
     assert star_rows[0]["build_seconds"] > 0
     # every star row also times one count with the star predicate
     assert all(r["pred_count_ms"] > 0 for r in star_rows)
+    # below 3, each of the star's three atoms gets no row
+    for sizes in ("1", "2"):
+        assert main(["bench", "--family", "star", "--sizes", sizes, "--json"]) == 0, sizes
+        empty = json.loads(capsys.readouterr().out)
+        assert len(empty) == 2 and all(r["size"] == 0 for r in empty), sizes
+        assert empty[0]["total"] == 0 and empty[0]["normalized"] == 0.0, sizes
 
 
 def test_cli_bench_sizes_and_max_exp_are_usage_errors(capsys):
@@ -413,6 +419,36 @@ def test_cli_order_by_a_variable_that_is_not_free_is_a_syntax_error(tmp_path, ca
     assert main(["access", *args]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["query error: line 2, col 1: ranking variable 'y' is not a head variable"] * 2
+
+
+def test_cli_duplicate_variable_declarations_are_syntax_errors(tmp_path, capsys):
+    # a repeated head or ranking variable is a declaration error, exit 1,
+    # like a repeated predicate variable, not a data error
+    for i, (text, msg) in enumerate((
+        ("Q(x,y) :- R(x,y).\nORDER BY MIN(x,x).\n", "line 2, col 1: duplicate variable in ranking set"),
+        ("Q(x,x) :- R(x,y).\n", "line 1, col 1: duplicate variable in head"),
+        ("Q(x,y) :- R(x,y).\nPREDICATE x <= MIN(y,y).\n", "line 2, col 1: duplicate variable in predicate set"),
+    )):
+        args = _instance(tmp_path, f"q{i}", text, {"R": "1,2\n"})
+        for cmd in (["classify", "--query", args[1]], ["count", *args]):
+            assert main(cmd) == 1, (text, cmd)
+            assert capsys.readouterr().err.splitlines() == [f"query error: {msg}"], (text, cmd)
+
+
+def test_cli_unreadable_data_file_is_a_data_error(star_dir, capsys):
+    # a relation path that is a directory, or a file that is not UTF-8
+    d = star_dir / "data"
+    args = ["count", "--query", str(star_dir / "q.mq"), "--data", str(d)]
+    (d / "R1").unlink()
+    (d / "R1").mkdir()
+    assert main(args) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and str(d / "R1") in err[0]
+    (d / "R1").rmdir()
+    (d / "R1").write_bytes(b"1,0\n\xff\xfe,0\n")
+    assert main(args) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: cannot read data file {d / 'R1'}: not UTF-8 text"]
 
 
 def test_cli_ranking_with_a_predicate_is_refused(star_dir, capsys):

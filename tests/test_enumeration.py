@@ -293,7 +293,7 @@ def test_enumerate_with_predicate_needs_no_semijoin_pass(rng, monkeypatch):
         q1, d1 = remove_self_joins(q, db)
         reduced = semijoin_reduce(q1, d1)
         with monkeypatch.context() as m:
-            m.setattr("minjoin.enumeration.semijoin_reduce", broken)
+            m.setattr("minjoin.reduce.semijoin_reduce", broken)
             s = enumerate_with_predicate(q, p, db)
             got = s.drain()
             ref = enumerate_with_predicate(q1, p, reduced)
@@ -328,7 +328,7 @@ def test_full_and_ranked_streams_need_no_semijoin_pass(rng, monkeypatch):
         reduced = semijoin_reduce(q1, d1)
         want = [run(make(q1, reduced)) for make in streams]
         with monkeypatch.context() as m:
-            m.setattr("minjoin.enumeration.semijoin_reduce", broken)
+            m.setattr("minjoin.reduce.semijoin_reduce", broken)
             got = [run(make(q, db)) for make in streams]
         oracle = oracle_answers(q, db)
         for answers, *_ in got:

@@ -30,12 +30,6 @@ def test_tagged_value_order_is_lexicographic(a, b):
     assert (a < b) == ((a.base, a.rank) < (b.base, b.rank))
 
 
-@given(tv)
-def test_untagged_strips_rank_only(a):
-    u = a.untagged()
-    assert u.base == a.base and u.rank == 0
-
-
 @given(st.integers(-(2**70), 2**70), st.integers(0, W - 1), st.integers(-(2**70), 2**70), st.integers(0, W - 1))
 def test_cells_encode_base_and_rank_in_order(b1, r1, b2, r2):
     c1, c2 = b1 * W + r1, b2 * W + r2

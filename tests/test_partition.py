@@ -16,7 +16,7 @@ from minjoin.model import ConjunctiveQuery, remove_self_joins
 from minjoin.partition import Placement
 from minjoin.structure import RootedJoinTree
 
-from conftest import EDGE_QUERIES, rand_acyclic_query, rand_database
+from conftest import EDGE_QUERIES, extended_by, rand_acyclic_query, rand_database
 
 
 def _root_at(t, var):
@@ -32,7 +32,7 @@ def _check_partition(pairs, x0, xs):
     no returned order extends to one with x0 not minimum."""
     xs = list(xs)
     for perm in itertools.permutations([x0] + xs):
-        matches = [p for p in pairs if p.order.extended_by(perm)]
+        matches = [p for p in pairs if extended_by(p.order, perm)]
         if perm[0] == x0:
             assert len(matches) == 1, (perm, [str(p.order) for p in pairs])
         else:

@@ -22,7 +22,6 @@ from minjoin import (
     oracle_sorted,
     parse_query,
     restrict_predicate_to_free,
-    restrict_to_free,
     semijoin_reduce,
 )
 from minjoin.cli import main
@@ -80,13 +79,13 @@ def test_semijoin_reduce_survivors_participate(rng):
             assert set(red.relation(a.symbol).rows) == used[a.symbol]
 
 
-# -- restrict_to_free --------------------------------------------------------
+# -- restriction without a predicate -----------------------------------------
 
 
 def test_restrict_full_query_is_symbol_refresh():
     q, _, _ = parse_query("Q(x,y) :- R(x,y).")
     db = Database({"R": Relation.from_ints("R", 2, [[1, 2]])})
-    q2, d2 = restrict_to_free(q, db)
+    q2, _, d2 = restrict_predicate_to_free(q, None, db)
     assert q2.is_full and q2.atoms[0].symbol != "R"
     assert oracle_answers(q2, d2) == oracle_answers(q, db)
 
@@ -94,7 +93,7 @@ def test_restrict_full_query_is_symbol_refresh():
 def test_restrict_single_projection():
     q, _, _ = parse_query("Q(x) :- R(x,y).")
     db = Database({"R": Relation.from_ints("R", 2, [[1, 5], [1, 6], [2, 0]])})
-    q2, d2 = restrict_to_free(q, db)
+    q2, _, d2 = restrict_predicate_to_free(q, None, db)
     assert q2.atoms[0].vars == ("x",)
     assert len(d2.relation(q2.atoms[0].symbol)) == 2
 
@@ -106,7 +105,7 @@ def test_restrict_random_free_connex(rng):
         if not q.is_self_join_free or q.is_boolean or not is_free_connex(q):
             continue
         db = rand_database(rng, q, dom=5, max_rows=7)
-        q2, d2 = restrict_to_free(q, db)
+        q2, _, d2 = restrict_predicate_to_free(q, None, db)
         assert q2.is_full and q2.is_self_join_free and is_free_connex(q2)
         assert oracle_answers(q2, d2) == oracle_answers(q, db)
         done += 1
@@ -117,10 +116,10 @@ def test_restrict_drops_disconnected_existential_atom():
     db = Database(
         {"R": Relation.from_ints("R", 1, [[1]]), "S": Relation("S", 1, ())}
     )
-    q2, d2 = restrict_to_free(q, db)
+    q2, _, d2 = restrict_predicate_to_free(q, None, db)
     assert oracle_answers(q2, d2) == set() == oracle_answers(q, db)
     db2 = db.replace(Relation.from_ints("S", 1, [[9]]))
-    q3, d3 = restrict_to_free(q, db2)
+    q3, _, d3 = restrict_predicate_to_free(q, None, db2)
     assert oracle_answers(q3, d3) == oracle_answers(q, db2)
 
 

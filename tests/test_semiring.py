@@ -8,7 +8,6 @@ from minjoin import (
     NEG_INF,
     POS_INF,
     StepCounter,
-    aggregate_bottom_up,
     count_answers,
     oracle_answers,
     parse_query,
@@ -100,7 +99,7 @@ def test_aggregate_matches_definitional_fold(rng):
             vals = [c for v, c in zip(sch, r) if v in xr]
             return min(vals) if vals else POS_INF
 
-        agg = aggregate_bottom_up(q, db, t, val)
+        agg = thresholds(q, xr, t, db)
         for n in t.nodes():
             for row, got in agg[n].items():
                 want = max(

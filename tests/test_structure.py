@@ -7,6 +7,7 @@ from minjoin import (
     EngineError,
     Hypergraph,
     MinPredicate,
+    RootedJoinTree,
     Task,
     classify,
     classify_all,
@@ -19,7 +20,7 @@ from minjoin import (
     tree_for_query,
 )
 
-from conftest import rand_acyclic_query
+from conftest import is_maximally_branching, rand_acyclic_query
 
 
 def H(*edges):
@@ -107,6 +108,38 @@ def test_gyo_random_larger(rng):
         assert t is not None and t.satisfies_running_intersection()
 
 
+def test_running_intersection_matches_connected_holders(rng):
+    # random rooted trees over random variable sets, most of which break
+    # the property; a variable's holders must be connected by tree edges
+    def connected_holders(t):
+        adj = {n: set() for n in t.nodes()}
+        for a, b in map(tuple, t.edges()):
+            adj[a].add(b)
+            adj[b].add(a)
+        for v in set().union(*t.vars_of.values()):
+            holders = {n for n in t.nodes() if v in t.vars_of[n]}
+            seen, stack = set(), [min(holders)]
+            while stack:
+                n = stack.pop()
+                if n not in seen:
+                    seen.add(n)
+                    stack.extend(adj[n] & holders)
+            if seen != holders:
+                return False
+        return True
+
+    counts = {True: 0, False: 0}
+    for _ in range(1500):
+        ids = rng.sample(range(10), rng.randint(1, 7))
+        vars_of = {n: frozenset(rng.sample("abcde", rng.randint(1, 3))) for n in ids}
+        parent = {ids[0]: None, **{n: rng.choice(ids[:i]) for i, n in enumerate(ids) if i}}
+        t = RootedJoinTree(vars_of, {n: n for n in ids}, parent, ids[0])
+        want = connected_holders(t)
+        assert t.satisfies_running_intersection() == want, (vars_of, parent)
+        counts[want] += 1
+    assert min(counts.values()) >= 300, counts
+
+
 # -- free-connex -------------------------------------------------------------
 
 
@@ -187,7 +220,7 @@ def test_make_maximally_branching_hoists_chain():
     root = next(n for n in t.nodes() if t.vars_of[n] == frozenset({"x0", "y"}))
     t = t.reroot(root)
     mb = make_maximally_branching(t)
-    assert mb.is_maximally_branching()
+    assert is_maximally_branching(mb)
     assert mb.root == root
     assert sorted(map(sorted, mb.vars_of.values())) == sorted(map(sorted, t.vars_of.values()))
 
@@ -208,7 +241,7 @@ def test_make_maximally_branching_random_no_hoist(rng):
         assert mb.root == t.root
         assert set(mb.nodes()) == set(t.nodes())
         assert mb.satisfies_running_intersection()
-        assert mb.is_maximally_branching()
+        assert is_maximally_branching(mb)
 
 
 # -- classifier --------------------------------------------------------------
