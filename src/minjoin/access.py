@@ -42,7 +42,7 @@ from .model import (
 from .elim import fork_domains, fork_tree, min_orders, min_predicate_orders
 from .partition import OrderTreePair, StrictPartialOrder
 from .reduce import cut_at_x0, restrict_predicate_to_free
-from .semiring import count_answers, count_buckets
+from .semiring import count_answers, count_buckets, order_checks
 from .structure import Task, classify
 
 
@@ -50,9 +50,11 @@ class _Fence:
     """A bounded child's side of an order pair across its parent edge.
 
     The child's variable w is above the parent's u when the parent holds
-    a (`up`), below it otherwise. `dom` is the pair's fork domain
-    (`elim.fork_domains`), and `ranks[key]` lists the ranks of w in it
-    along the child's bucket, which is sorted by (w, row). A cell that a
+    a (`up`), below it otherwise; the columns and the side come from
+    `semiring.order_checks`, as the count pass's bounds do. `dom` is the
+    pair's fork domain (`elim.fork_domains`), and `ranks[key]` lists the
+    ranks of w in it along the child's bucket, which is sorted by
+    (w, row). A cell that a
     fork drops is missing from the domain and takes the rank of the next
     larger cell: such a row is in no answer, and its rank keeps it on
     the far side of the parents of every answer.
@@ -128,9 +130,11 @@ class LexDA:
     with no rows forked. The count pass then runs on `elim.fork_tree`,
     the tree that LexDA over the part would descend; `build_steps` adds
     its bucket sorts and the block cuts of each row with bounded
-    children. A row's bounded children come in fork blocks (see
-    `_Fence`). Their blocks, first order pair outermost, are chosen
-    before the mixed radix over its children.
+    children. The fences take the count pass's bounded children, in
+    rewrite order, with their columns and sides (`semiring.order_checks`).
+    A row's bounded children come in fork blocks (see `_Fence`). Their
+    blocks, first order pair outermost, are chosen before the mixed radix
+    over its children.
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database, x: str | None, pair: OrderTreePair | None = None):
@@ -148,17 +152,11 @@ class LexDA:
         fenced: dict[int, list[int]] = {}  # node -> its bounded children, first pair first
         if pair is not None:
             doms = fork_domains(q, db, pair)
-            placed = pair.placements()
-            var_pos = {v: i for i, v in enumerate(q.variables)}
-            for a, b in sorted(doms, key=lambda ab: (var_pos[ab[0]], var_pos[ab[1]])):
-                p, c = placed[a, b].edge
-                up = a in plan.tree.vars_of[p]
-                u, w = (a, b) if up else (b, a)
-                w_col = plan.schema[c].index(w)
+            for c, ((a, b, _, _), u_col, w_col, up) in order_checks(plan, pair.sites(q.variables))[1].items():
+                p = plan.parent[c]
                 key_vars = plan.tree.vars_of[c] & plan.tree.vars_of[p]
                 contiguous = all(v in key_vars for v in plan.schema[c][:w_col])
-                fences[c] = _Fence(plan.schema[p].index(u), up, doms[a, b],
-                                   self._rows[c], self._cum[c], w_col, contiguous)
+                fences[c] = _Fence(u_col, up, doms[a, b], self._rows[c], self._cum[c], w_col, contiguous)
                 fenced.setdefault(p, []).append(c)
         # per node: (child, parent key, the child's index among the
         # bounded children or None) in child order; per node with bounded
@@ -412,18 +410,22 @@ def build_unranked_da_pred(q: ConjunctiveQuery, p: MinPredicate | None, db: Data
     when p is None: the parts of the predicate's enforced orders
     concatenated in part order, one entry per part with no min value, each
     a LexDA that enforces its order. A Boolean query has one (empty)
-    answer or none."""
+    answer or none. `build_steps` counts as `build_min_da` does: the
+    rows that disjointify writes, when there are orders, and each LexDA's
+    build steps."""
     classify(Task.UNRANKED_DA_PRED, q, p).require()
     q2, d, otps = min_predicate_orders(q, p, db)
     x = next(iter(q2.free_vars), None)
     entries, secondary, part_info = [], {}, []
     running = 0
+    steps = 0 if otps is None else d.size
     for i, otp in enumerate(otps or [None]):
         lex = secondary[i] = LexDA(q2, d, x, otp)
         part_info.append((q2, d, otp.order, p.x0) if otp else (q2, d, None, None))
         entries.append(MinDAEntry(None, i, lex.total, 0, running))
         running += lex.total
-    return MinDAIndex(entries, secondary, part_info, q.free_vars, running)
+        steps += lex.build_steps
+    return MinDAIndex(entries, secondary, part_info, q.free_vars, running, steps)
 
 
 def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> int:

@@ -4,22 +4,25 @@ the end-to-end min-predicate elimination. Its steps before the rewrite,
 access, which enforce each order in the count pass instead and build no
 forked parts; `eliminate` and the tests still run the rewrite.
 
-Order pairs whose variables share a node are plain tuple filters. Pairs
-spanning an edge are realized with one fresh join variable per pair: a
-balanced dyadic decomposition over the merged active domain assigns each
-side a logarithmic set of fork ids such that a < b holds iff the two
-sides share exactly one fork id. This keeps the rewritten databases
-quasilinear and makes the answer projection a bijection. The rewrite's
-tie order is kept without it: `fork_tree` and `fork_domains` give
-direct access the tree that LexDA would descend over the rewritten
-part, and the domains that its fork blocks are cut over.
+Each order pair is rewritten at its site in the tree, in rewrite order
+(`OrderTreePair.sites`). Order pairs whose variables share a node are
+plain tuple filters. Pairs spanning an edge are realized with one fresh
+join variable per pair: a balanced dyadic decomposition over the merged
+active domain assigns each side a logarithmic set of fork ids such that
+a < b holds iff the two sides share exactly one fork id. This keeps the
+rewritten databases quasilinear and makes the answer projection a
+bijection. The rewrite's tie order is kept without it: `fork_tree` and
+`fork_domains` give direct access the tree that LexDA would descend over
+the rewritten part, and the domains that its fork blocks are cut over.
+`fork_domains` replays the rewrite's filters and forks on its own, so
+that the rewrite stays an independent reference for direct access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EngineError, InternalInvariantError
+from .errors import EngineError
 from .model import (
     Atom,
     ConjunctiveQuery,
@@ -84,36 +87,6 @@ def _fork_sides(values_a, values_b):
     return a_side, b_side, L
 
 
-def _rewrite_steps(q: ConjunctiveQuery, pair: OrderTreePair, part_tag: str = ""):
-    """The pair's order pairs in rewrite order (by the query's variable
-    order), each as (a, b, nodes, ends, fork variable). A pair inside
-    `nodes` is a row filter, with ends and variable None. A pair across
-    an edge has ends (node holding a, node holding b) and a fresh
-    variable namespaced with `part_tag`."""
-    t = pair.tree
-    var_pos = {v: i for i, v in enumerate(q.variables)}
-    placed = pair.placements()
-    taken = set(q.variables)
-    steps = []
-    for j, (a, b) in enumerate(sorted(pair.order.pairs, key=lambda ab: (var_pos[ab[0]], var_pos[ab[1]]))):
-        site = placed[a, b]
-        if site is None:
-            raise InternalInvariantError(f"tree does not enforce {a}<{b}")
-        if site.edge is None:
-            steps.append((a, b, site.nodes, None, None))
-            continue
-        u, v = site.edge
-        ends = (u, v) if a in t.vars_of[u] else (v, u)
-        fv = f"v{j + 1}{part_tag}"
-        n = 0
-        while fv in taken:
-            n += 1
-            fv = f"v{j + 1}{part_tag}_{n}"
-        taken.add(fv)
-        steps.append((a, b, (), ends, fv))
-    return steps
-
-
 def eliminate_enforced_order(
     q: ConjunctiveQuery,
     db: Database,
@@ -134,14 +107,21 @@ def eliminate_enforced_order(
     rows_of = {n: list(plan.rows(db, n)) for n in t.nodes()}
     schema_of = {n: list(plan.schema[n]) for n in t.nodes()}
     fresh_vars: list[str] = []
+    taken = set(q.variables)
 
-    for a, b, nodes, ends, fv in _rewrite_steps(q, pair, part_tag):
+    for j, (a, b, nodes, ends) in enumerate(pair.sites(q.variables)):
         for n in nodes:
             sch = schema_of[n]
             ai, bi = sch.index(a), sch.index(b)
             rows_of[n] = [r for r in rows_of[n] if r[ai] < r[bi]]
         if ends is None:
             continue
+        fv = f"v{j + 1}{part_tag}"
+        k = 0
+        while fv in taken:
+            k += 1
+            fv = f"v{j + 1}{part_tag}_{k}"
+        taken.add(fv)
         na, nb = ends
         acol = schema_of[na].index(a)
         bcol = schema_of[nb].index(b)
@@ -157,7 +137,7 @@ def eliminate_enforced_order(
     taken = set(db.relations) | {a.symbol for a in q.atoms}
     atoms: list[Atom] = []
     rels: dict[str, Relation] = {}
-    for n in sorted(t.nodes(), key=lambda n: t.atom_of[n]):
+    for n in t.nodes():
         sym = fresh_symbol(f"{plan.symbol[n]}{part_tag}", taken)
         vars_ = tuple(schema_of[n])
         atoms.append(Atom(sym, vars_))
@@ -173,19 +153,17 @@ def fork_tree(q: ConjunctiveQuery, pair: OrderTreePair, x: str) -> RootedJoinTre
     fork variables of its edges, rooted at the lowest-index atom holding
     x. Its nodes are numbered and carry variables as q's atoms do. It
     enforces the pair's order, but it can differ from `pair.tree`, and
-    can put b's side of a fork edge in the parent."""
-    t = pair.tree
-    nodes = sorted(t.nodes(), key=t.atom_of.__getitem__)
-    forks: dict[int, set[str]] = {n: set() for n in nodes}
-    for _, _, _, ends, fv in _rewrite_steps(q, pair):
+    can put b's side of a fork edge in the parent. GYO reads only which
+    edges contain which, so the vertex (a, b), which no variable name
+    equals, stands for the fork variable of a<b."""
+    own = [frozenset(atom.vars) for atom in q.atoms]
+    edges = list(own)
+    for a, b, _, ends in pair.sites(q.variables):
         for n in ends or ():
-            forks[n].add(fv)
-    own = [frozenset(q.atoms[t.atom_of[n]].vars) for n in nodes]
-    edges = tuple(vs | forks[n] for vs, n in zip(own, nodes))
-    g = join_tree(Hypergraph(frozenset().union(*edges), edges))
+            edges[n] = edges[n] | {(a, b)}
+    g = join_tree(Hypergraph(frozenset().union(*edges), tuple(edges)))
     g = g.reroot(min(i for i, vs in enumerate(own) if x in vs))
-    return RootedJoinTree(dict(enumerate(own)), {i: t.atom_of[n] for i, n in enumerate(nodes)},
-                          g.parent, g.root)
+    return RootedJoinTree(dict(enumerate(own)), g.parent, g.root)
 
 
 def fork_domains(q: ConjunctiveQuery, db: Database, pair: OrderTreePair) -> dict[tuple, list]:
@@ -203,7 +181,7 @@ def fork_domains(q: ConjunctiveQuery, db: Database, pair: OrderTreePair) -> dict
         return left[n] if n in left else plan.rows(db, n)
 
     doms = {}
-    for a, b, nodes, ends, _ in _rewrite_steps(q, pair):
+    for a, b, nodes, ends in pair.sites(q.variables):
         for n in nodes:
             ai, bi = plan.schema[n].index(a), plan.schema[n].index(b)
             left[n] = [r for r in rows(n) if r[ai] < r[bi]]

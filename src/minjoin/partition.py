@@ -5,6 +5,12 @@ An order is enforced by a tree when both sides of every emitted pair sit
 in one node or in adjacent nodes; the recursive construction guarantees
 this by rearranging trees to be maximally branching and reattaching each
 branch through the topmost node of its candidate minimum.
+
+That place is the pair's site (`OrderTreePair.sites`), which every
+reader of an order takes from there: the nodes holding both variables,
+whose rows the pair filters, or else the one edge between a node holding
+a and a node holding b, which the fork rewrite forks and the count pass
+bounds.
 """
 
 from __future__ import annotations
@@ -48,19 +54,19 @@ class StrictPartialOrder:
         for v in list(succ):
             visit(v, set())
 
-    @property
-    def variables(self) -> frozenset[str]:
-        return frozenset(v for ab in self.pairs for v in ab)
-
     def __str__(self):
         return ", ".join(f"{a}<{b}" for a, b in sorted(self.pairs))
 
 
-class Placement(NamedTuple):
-    """Where an order pair sits in a tree: in `nodes`, or across `edge`."""
+class Site(NamedTuple):
+    """Where a tree enforces the order pair a<b: in the `nodes` that hold
+    both variables, or across the one edge whose `ends` are (the node
+    holding a, the node holding b)."""
 
+    a: str
+    b: str
     nodes: tuple[int, ...] = ()
-    edge: tuple[int, int] | None = None  # (parent, child)
+    ends: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -68,32 +74,27 @@ class OrderTreePair:
     order: StrictPartialOrder
     tree: RootedJoinTree
 
-    def placements(self) -> dict[tuple[str, str], Placement | None]:
-        """Per pair a<b: the nodes holding both variables, or else the one
-        (parent, child) edge joining a node of one to a node of the other;
-        None when the tree does not enforce the pair."""
+    def sites(self, var_order: Sequence[str]) -> list[Site]:
+        """The order's pairs in rewrite order, by the positions of a and
+        then b in `var_order`, each at its site in the tree. Raises
+        InternalInvariantError for a pair that the tree does not enforce."""
         t = self.tree
-        out: dict[tuple[str, str], Placement | None] = {}
-        for a, b in self.order.pairs:
+        position = {v: i for i, v in enumerate(var_order)}
+        out = []
+        for a, b in sorted(self.order.pairs, key=lambda ab: (position[ab[0]], position[ab[1]])):
             nodes = tuple(n for n in t.nodes() if a in t.vars_of[n] and b in t.vars_of[n])
-            if nodes:
-                out[a, b] = Placement(nodes=nodes)
-                continue
-            # a's nodes and b's nodes are two disjoint subtrees: at most one
-            # edge joins them
-            out[a, b] = next(
-                (
-                    Placement(edge=(p, c))
-                    for c, p in t.parent.items()
-                    if p is not None and {a, b} <= t.vars_of[p] | t.vars_of[c]
-                ),
+            # else a's nodes and b's nodes are two disjoint subtrees: at
+            # most one edge joins them
+            ends = None if nodes else next(
+                ((p, c) if a in t.vars_of[p] else (c, p)
+                 for c, p in t.parent.items()
+                 if p is not None and {a, b} <= t.vars_of[p] | t.vars_of[c]),
                 None,
             )
+            if not nodes and ends is None:
+                raise InternalInvariantError(f"tree does not enforce {a}<{b}")
+            out.append(Site(a, b, nodes, ends))
         return out
-
-    def enforcement_holds(self) -> bool:
-        """Each pair's variables share a node or sit in adjacent nodes."""
-        return None not in self.placements().values()
 
 
 def partition_min_orders(
@@ -192,7 +193,6 @@ def partition_min_orders(
                 "rearranged tree is not a join tree; precondition violated"
             )
         pair = OrderTreePair(StrictPartialOrder(pairs), tree)
-        if not pair.enforcement_holds():
-            raise InternalInvariantError("constructed tree does not enforce its order")
+        pair.sites(var_order)  # raises unless the tree enforces every pair
         out.append(pair)
     return out

@@ -112,7 +112,7 @@ def cut_at_x0(
     q1, d1 = remove_self_joins(q, db)
     t = tree_for_query(q1, at=x0)
     theta = thresholds(q1, xs, t, d1)[t.root]
-    atom = q1.atoms[t.atom_of[t.root]]
+    atom = q1.atoms[t.root]
     xi = atom.vars.index(x0)
     kept = tuple(row for row, th in theta.items() if below(row[xi], th))
     return q1, d1.replace(Relation(atom.symbol, atom.arity, kept)), len(kept)

@@ -2,8 +2,9 @@
 
 `count_buckets` is the count pass, which LexDA, the full and ranked
 streams and counting read: per row, the number of answers below it, in
-join buckets with prefix sums; an enforced order enters it as filters
-and b-sorted child buckets. `thresholds` is the threshold pass, the
+join buckets with prefix sums; an enforced order enters it as the row
+filters and w-sorted bounded child buckets that `order_checks` reads
+from the order's sites. `thresholds` is the threshold pass, the
 max-min fold: per row, the max over the partial answers below it of
 their min over X, which the Boolean task, predicate enumeration and the
 existential folds read.
@@ -20,7 +21,7 @@ from typing import Iterable
 from .errors import EngineError, InternalInvariantError
 from .instrument import StepCounter
 from .model import ConjunctiveQuery, Database, Row
-from .partition import OrderTreePair
+from .partition import OrderTreePair, Site
 from .structure import RootedJoinTree, TreePlan, group_by, tree_for_query
 
 
@@ -74,6 +75,32 @@ def thresholds(
     return out
 
 
+def order_checks(plan: TreePlan, sites: Iterable[Site]):
+    """Where the count pass over `plan` enforces an order, from its sites
+    over `plan.tree` (`OrderTreePair.sites`): per node, the (a col,
+    b col) pairs that filter its rows; per bounded child, in rewrite
+    order, (its site, u's column in the parent, w's column, up). A pair
+    across an edge bounds the child's variable w by the parent's u, from
+    below when the parent holds a (up), from above when it holds b. Up
+    is read from this plan's parents, since `elim.fork_tree` can put b's
+    side of an edge above a's. One pair per edge."""
+    filters: dict[int, list[tuple[int, int]]] = {}
+    bounded: dict[int, tuple[Site, int, int, bool]] = {}
+    for site in sites:
+        a, b, nodes, ends = site
+        for n in nodes:
+            filters.setdefault(n, []).append((plan.schema[n].index(a), plan.schema[n].index(b)))
+        if ends is None:
+            continue
+        na, nb = ends
+        up = plan.parent[nb] == na
+        p, c, u, w = (na, nb, a, b) if up else (nb, na, b, a)
+        if c in bounded:
+            raise InternalInvariantError(f"{a}<{b} across edge {p}-{c}: need one pair per edge")
+        bounded[c] = (site, plan.schema[p].index(u), plan.schema[c].index(w), up)
+    return filters, bounded
+
+
 def count_buckets(
     q: ConjunctiveQuery,
     db: Database,
@@ -96,40 +123,33 @@ def count_buckets(
     pair, every bucket is sorted by row, the root's by (x, row).
 
     With a pair, only the partial answers that satisfy its strict order
-    are counted. A pair a<b inside a node filters that node's rows. A
-    pair across an edge bounds the child's variable w by the parent's
-    variable u: from below when the parent holds a, from above when it
-    holds b, which only LexDA's build (x given) asks for. The child's
-    buckets are sorted by w. Once a bucket's rows are counted, its w
-    column is taken from the kept rows as an int list, aligned with the
-    prefix sums, and a parent row bisects that list for u to take the
-    part of the prefix sums on its side of u. With no x, the bounded
-    buckets are sorted by w alone and the others keep the input order.
-    With x, every bucket is sorted by row, the bounded ones then by w,
-    and the counter also gets each bucket sort as len*ceil(log2 len)
-    steps, since rows read alone understate that build.
+    are counted, with the filters and bounded children that
+    `order_checks` reads from the pair's sites. A pair a<b inside a node
+    filters that node's rows. A pair across an edge bounds the child's
+    variable w by the parent's variable u: from below when the parent
+    holds a, from above when it holds b, which only LexDA's build (x
+    given) asks for. The child's buckets are sorted by w. Once a
+    bucket's rows are counted, its w column is taken from the kept rows
+    as an int list, aligned with the prefix sums, and a parent row
+    bisects that list for u to take the part of the prefix sums on its
+    side of u. With no x, the bounded buckets are sorted by w alone and
+    the others keep the input order. With x, every bucket is sorted by
+    row, the bounded ones then by w, and the counter also gets each
+    bucket sort as len*ceil(log2 len) steps, since rows read alone
+    understate that build.
     """
     if x is not None and x not in q.variables:
         raise EngineError(f"sort variable {x!r} not in the query")
     plan = TreePlan(q, tree_for_query(q, at=x) if pair is None else pair.tree)
-    filters: dict[int, list[tuple[int, int]]] = {}  # node -> [(a col, b col)]
+    filters, checks = order_checks(plan, pair.sites(q.variables)) if pair is not None else ({}, {})
     # child -> (u col in the parent, w getter, whether the parent holds a)
     bounded: dict[int, tuple] = {}
-    for (a, b), site in (pair.placements() if pair is not None else {}).items():
-        if site is None:
-            raise InternalInvariantError(f"tree does not enforce {a}<{b}")
-        for n in site.nodes:
-            filters.setdefault(n, []).append((plan.schema[n].index(a), plan.schema[n].index(b)))
-        if site.edge is not None:
-            p, c = site.edge
-            up = a in plan.tree.vars_of[p]
-            if c in bounded or (not up and x is None):
-                raise InternalInvariantError(
-                    f"{a}<{b} across edge {p}-{c}: need one pair per edge, and to "
-                    "count, the smaller variable in the parent"
-                )
-            u, w = (a, b) if up else (b, a)
-            bounded[c] = (plan.schema[p].index(u), operator.itemgetter(plan.schema[c].index(w)), up)
+    for c, ((a, b, _, _), u_col, w_col, up) in checks.items():
+        if not up and x is None:
+            raise InternalInvariantError(
+                f"{a}<{b} across edge {plan.parent[c]}-{c}: to count, the smaller variable in the parent"
+            )
+        bounded[c] = (u_col, operator.itemgetter(w_col), up)
     root = plan.root
     x_of = operator.itemgetter(plan.schema[root].index(x)) if x is not None else None
     rows_of: dict[int, dict] = {}

@@ -44,16 +44,14 @@ def hypergraph_of(q: ConjunctiveQuery) -> Hypergraph:
 
 
 class RootedJoinTree:
-    """Rooted tree over variable-set nodes, each linked to an atom.
-
-    `atom_of[i]` is the index of the source atom of node i.
+    """Rooted tree over variable-set nodes; node i stands for the query's
+    atom i.
     """
 
-    __slots__ = ("vars_of", "atom_of", "parent", "root")
+    __slots__ = ("vars_of", "parent", "root")
 
-    def __init__(self, vars_of, atom_of, parent, root):
+    def __init__(self, vars_of, parent, root):
         self.vars_of: dict[int, frozenset[str]] = dict(vars_of)
-        self.atom_of: dict[int, int] = dict(atom_of)
         self.parent: dict[int, int | None] = dict(parent)
         self.root: int = root
         if self.parent.get(root, None) is not None:
@@ -98,13 +96,12 @@ class RootedJoinTree:
         return out
 
     def copy(self) -> "RootedJoinTree":
-        return RootedJoinTree(self.vars_of, self.atom_of, self.parent, self.root)
+        return RootedJoinTree(self.vars_of, self.parent, self.root)
 
     def subtree(self, r: int) -> "RootedJoinTree":
         ids = set(self.subtree_ids(r))
         return RootedJoinTree(
             {i: self.vars_of[i] for i in ids},
-            {i: self.atom_of[i] for i in ids},
             {i: (self.parent[i] if i != r and self.parent[i] in ids else None) for i in ids},
             r,
         )
@@ -131,7 +128,7 @@ class RootedJoinTree:
                     queue.append(m)
         if len(parent) != len(template.vars_of):
             raise InternalInvariantError("edge union does not connect all nodes")
-        return cls(template.vars_of, template.atom_of, parent, root)
+        return cls(template.vars_of, parent, root)
 
     # -- variable placement --------------------------------------------
 
@@ -171,7 +168,7 @@ class RootedJoinTree:
 
         def walk(n: int, depth: int):
             label = ",".join(sorted(self.vars_of[n]))
-            lines.append("  " * depth + "{" + label + "} @atom" + str(self.atom_of[n]))
+            lines.append("  " * depth + "{" + label + "} @atom" + str(n))
             for c in ch[n]:
                 walk(c, depth + 1)
 
@@ -218,9 +215,7 @@ def _gyo(h: Hypergraph):
         return None, ()
     root = next(iter(remaining))
     parent[root] = None
-    vars_of = {i: e for i, e in enumerate(h.edges)}
-    atom_of = {i: i for i in vars_of}
-    return RootedJoinTree(vars_of, atom_of, parent, root), ()
+    return RootedJoinTree(dict(enumerate(h.edges)), parent, root), ()
 
 
 def join_tree(h: Hypergraph) -> RootedJoinTree | None:
@@ -284,8 +279,8 @@ class TreePlan:
         self.parent = t.parent
         self.order = t.bfs_order()
         self.children = t.children()
-        self.schema = {n: q.atoms[t.atom_of[n]].vars for n in self.order}
-        self.symbol = {n: q.atoms[t.atom_of[n]].symbol for n in self.order}
+        self.schema = {n: q.atoms[n].vars for n in self.order}
+        self.symbol = {n: q.atoms[n].symbol for n in self.order}
         self.key: dict[int, Callable[[Row], Hashable]] = {self.root: no_key}
         self.parent_key: dict[int, Callable[[Row], Hashable]] = {}
         for n in self.order[1:]:

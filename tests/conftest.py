@@ -124,6 +124,17 @@ def extended_by(order, total) -> bool:
     return all(pos[a] < pos[b] for a, b in order.pairs)
 
 
+def enforced_by(order, t) -> bool:
+    """True iff every pair a<b of the strict partial order `order` has
+    both variables in one node of the tree `t`, or one in each end of an
+    edge."""
+    return all(
+        any({a, b} <= t.vars_of[n] for n in t.nodes())
+        or any({a, b} <= t.vars_of[c] | t.vars_of[p] for c, p in t.parent.items() if p is not None)
+        for a, b in order.pairs
+    )
+
+
 def is_maximally_branching(t) -> bool:
     """True iff no node of `t` can move up to an ancestor above its parent
     and keep the join-tree property."""

@@ -38,7 +38,7 @@ from minjoin.bench import bench_enum_pred, bench_min_da, bench_ranked, default_s
 from minjoin.model import Database, Relation
 from minjoin.structure import RootedJoinTree
 
-from conftest import extended_by, rand_acyclic_query, rand_database
+from conftest import enforced_by, extended_by, rand_acyclic_query, rand_database
 
 
 @contextmanager
@@ -93,7 +93,7 @@ def test_criterion_2_partition_golden_tree():
             "D1(w1,x6), D2(w1,x7)."
         )
         t = tree_for_query(q)
-        by_vars = {frozenset(q.atoms[t.atom_of[n]].vars): n for n in t.nodes()}
+        by_vars = {frozenset(q.atoms[n].vars): n for n in t.nodes()}
         root = by_vars[frozenset({"x0", "x1", "x2", "y1"})]
         parent = {
             root: None,
@@ -104,14 +104,14 @@ def test_criterion_2_partition_golden_tree():
             by_vars[frozenset({"w1", "x6"})]: root,
             by_vars[frozenset({"w1", "x7"})]: by_vars[frozenset({"w1", "x6"})],
         }
-        t = RootedJoinTree(t.vars_of, t.atom_of, parent, root)
+        t = RootedJoinTree(t.vars_of, parent, root)
         assert t.satisfies_running_intersection()
         xs = [f"x{i}" for i in range(1, 8)]
         pairs = partition_min_orders(t, "x0", xs, var_order=q.variables)
         assert len(pairs) == 4
         for otp in pairs:
             assert otp.tree.satisfies_running_intersection()
-            assert otp.enforcement_holds()
+            assert enforced_by(otp.order, otp.tree)
 
 
 def test_criterion_3_partition_exhaustiveness():

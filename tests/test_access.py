@@ -400,6 +400,20 @@ def test_unranked_da_pred_covers_filtered_answers():
         da.access(6)
 
 
+def test_unranked_da_pred_counts_its_build_steps():
+    # as build_min_da counts: the rows that disjointify writes when there
+    # are orders, plus each part's LexDA build
+    q, db = _star()
+    p = MinPredicate("x0", ("x1", "x2"))
+    da = build_unranked_da_pred(q, p, db)
+    _, d, otps = min_predicate_orders(q, p, db)
+    parts = [lex.build_steps for lex in da.secondary.values()]
+    assert len(parts) == len(otps) == 2 and min(parts) > 0
+    assert da.build_steps == d.size + sum(parts)
+    plain = build_unranked_da_pred(q, None, db)
+    assert plain.build_steps == plain.secondary[0].build_steps > 0
+
+
 def test_count_with_predicate_examples():
     q, db = _star()
     assert count_with_predicate(q, MinPredicate("x0", ("x1", "x2")), db) == 6

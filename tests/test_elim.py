@@ -275,7 +275,7 @@ def test_count_answers_with_order_matches_fork_rewrite(rng):
         crossing = 0
         for otp in otps or ():
             assert count_answers(q2, d, otp) == count_answers(*eliminate_enforced_order(q2, d, otp))
-            crossing += sum(site.edge is not None for site in otp.placements().values())
+            crossing += sum(site.ends is not None for site in otp.sites(q2.variables))
         return crossing
 
     crossing = strict = 0

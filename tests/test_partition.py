@@ -4,27 +4,26 @@ import pytest
 
 from minjoin import (
     EngineError,
+    LexDA,
     Task,
     classify,
+    count_answers,
+    eliminate_enforced_order,
     MinPredicate,
     parse_query,
     partition_min_orders,
     tree_for_query,
 )
 from minjoin.errors import InternalInvariantError
-from minjoin.model import ConjunctiveQuery, remove_self_joins
-from minjoin.partition import Placement
+from minjoin.model import ConjunctiveQuery, Database, Relation, remove_self_joins
+from minjoin.partition import OrderTreePair, Site, StrictPartialOrder
 from minjoin.structure import RootedJoinTree
 
-from conftest import EDGE_QUERIES, extended_by, rand_acyclic_query, rand_database
+from conftest import EDGE_QUERIES, enforced_by, extended_by, rand_acyclic_query, rand_database
 
 
 def _root_at(t, var):
-    n = min(
-        (n for n in t.nodes() if var in t.vars_of[n]),
-        key=lambda n: (t.atom_of[n] if t.atom_of[n] is not None else 10**9),
-    )
-    return t.reroot(n)
+    return t.reroot(min(n for n in t.nodes() if var in t.vars_of[n]))
 
 
 def _check_partition(pairs, x0, xs):
@@ -65,7 +64,7 @@ def test_partition_example_four_pairs():
         "Root(x0,x1,x2,y1), A(y1,y5), B(y1,x3), C1(z1,x4), C2(z1,x5), D1(w1,x6), D2(w1,x7)."
     )
     t = tree_for_query(q)
-    by_vars = {frozenset(a.vars): n for n in t.nodes() for a in [q.atoms[t.atom_of[n]]]}
+    by_vars = {frozenset(q.atoms[n].vars): n for n in t.nodes()}
     root = by_vars[frozenset({"x0", "x1", "x2", "y1"})]
     # shape the initial tree explicitly: Root-A-B chain, Root-C1-C2, Root-D1-D2
     parent = {
@@ -77,14 +76,14 @@ def test_partition_example_four_pairs():
         by_vars[frozenset({"w1", "x6"})]: root,
         by_vars[frozenset({"w1", "x7"})]: by_vars[frozenset({"w1", "x6"})],
     }
-    t = RootedJoinTree(t.vars_of, t.atom_of, parent, root)
+    t = RootedJoinTree(t.vars_of, parent, root)
     assert t.satisfies_running_intersection()
     xs = [f"x{i}" for i in range(1, 8)]
     pairs = partition_min_orders(t, "x0", xs, var_order=q.variables)
     assert len(pairs) == 4
     for p in pairs:
         assert p.tree.satisfies_running_intersection()
-        assert p.enforcement_holds()
+        assert enforced_by(p.order, p.tree)
         # the hoisted x3 neighbours the trunk in every output tree
         assert ("x0", "x3") in p.order.pairs
     _check_partition(pairs, "x0", xs)
@@ -99,7 +98,7 @@ def test_partition_deep_branch_rearranges():
     assert len(pairs) == 2
     _check_partition(pairs, "x0", ["x4", "x5"])
     for p in pairs:
-        assert p.tree.satisfies_running_intersection() and p.enforcement_holds()
+        assert p.tree.satisfies_running_intersection() and enforced_by(p.order, p.tree)
 
 
 def test_partition_preserves_node_multiset(rng):
@@ -123,7 +122,7 @@ def test_partition_preserves_node_multiset(rng):
             assert sorted(otp.tree.nodes()) == sorted(t.nodes())
             assert otp.tree.root == t.root
             assert otp.tree.satisfies_running_intersection()
-            assert otp.enforcement_holds()
+            assert enforced_by(otp.order, otp.tree)
         _check_partition(pairs, x0, xs)
         done += 1
 
@@ -143,13 +142,13 @@ def test_partition_requires_x0_in_root():
         partition_min_orders(t, "x0", ["x1"], var_order=q.variables)
 
 
-def _cross_edge_pairs(otp):
+def _cross_edge_pairs(q, otp):
     """Check the shape the counting pass relies on and return the number
     of pairs across an edge: a pair whose variables share no node crosses
     exactly one tree edge, with a in the parent and b in the child, and
     no edge carries two pairs."""
     t = otp.tree
-    placed = otp.placements()
+    sites = {(s.a, s.b): s for s in otp.sites(q.variables)}
     carried = []
     for a, b in otp.order.pairs:
         if any({a, b} <= t.vars_of[n] for n in t.nodes()):
@@ -157,7 +156,7 @@ def _cross_edge_pairs(otp):
         down = [(p, c) for c, p in t.parent.items() if p is not None and a in t.vars_of[p] and b in t.vars_of[c]]
         up = [(p, c) for c, p in t.parent.items() if p is not None and b in t.vars_of[p] and a in t.vars_of[c]]
         assert len(down) == 1 and not up, (str(otp.order), a, b)
-        assert placed[a, b] == Placement(edge=down[0])
+        assert sites[a, b] == Site(a, b, ends=down[0])
         carried += down
     assert len(carried) == len(set(carried)), str(otp.order)
     return len(carried)
@@ -189,7 +188,7 @@ def test_partition_cross_edge_pairs_point_down(rng):
             continue
         for otps in _partitions(q, rng, 3):
             for otp in otps:
-                crossing += _cross_edge_pairs(otp)
+                crossing += _cross_edge_pairs(q, otp)
                 parts += 1
     for text in EDGE_QUERIES:
         q = parse_query(text)[0]
@@ -199,6 +198,22 @@ def test_partition_cross_edge_pairs_point_down(rng):
         q, _ = remove_self_joins(q, rand_database(rng, q))
         for otps in _partitions(q, rng, 6):
             for otp in otps:
-                crossing += _cross_edge_pairs(otp)
+                crossing += _cross_edge_pairs(q, otp)
                 parts += 1
     assert parts >= 1000 and crossing >= 2000, (parts, crossing)
+
+
+def test_every_reader_refuses_an_order_its_tree_does_not_enforce():
+    # x0 and x1 share no node and no edge of the path R0 - R1 - R2
+    q, _, _ = parse_query("Q(x0,y,z,x1) :- R0(x0,y), R1(y,z), R2(z,x1).")
+    db = Database({a.symbol: Relation.from_ints(a.symbol, 2, [[0, 1], [1, 2]]) for a in q.atoms})
+    otp = OrderTreePair(StrictPartialOrder(frozenset({("x0", "x1")})), tree_for_query(q, at="x0"))
+    readers = [
+        lambda: otp.sites(q.variables),
+        lambda: count_answers(q, db, otp),
+        lambda: LexDA(q, db, "x0", otp),
+        lambda: eliminate_enforced_order(q, db, otp),
+    ]
+    for read in readers:
+        with pytest.raises(InternalInvariantError, match="x0<x1"):
+            read()

@@ -70,8 +70,8 @@ def _brute_partial_answers(q, db, t, node, row):
     """The partial answers below `row` of `node`: one row per node of its
     subtree, `row` itself at `node`, agreeing on every shared variable."""
     sub = t.subtree_ids(node)
-    schemas = {n: q.atoms[t.atom_of[n]].vars for n in sub}
-    rel_rows = {n: db.relation(q.atoms[t.atom_of[n]].symbol).rows for n in sub}
+    schemas = {n: q.atoms[n].vars for n in sub}
+    rel_rows = {n: db.relation(q.atoms[n].symbol).rows for n in sub}
     rel_rows[node] = [row]
     out = []
     for combo in itertools.product(*(rel_rows[n] for n in sub)):
@@ -95,7 +95,7 @@ def test_aggregate_matches_definitional_fold(rng):
         xr = set(rng.sample(list(q.variables), min(2, len(q.variables))))
 
         def val(n, r, xr=xr):
-            sch = q.atoms[t.atom_of[n]].vars
+            sch = q.atoms[n].vars
             vals = [c for v, c in zip(sch, r) if v in xr]
             return min(vals) if vals else POS_INF
 
@@ -140,10 +140,10 @@ def _check_order_counts(q, db, x0, xs):
         t = otp.tree
         want = {}
         for n in t.nodes():
-            for row in d.relation(q.atoms[t.atom_of[n]].symbol).rows:
+            for row in d.relation(q.atoms[n].symbol).rows:
                 got = 0
                 for pa in _brute_partial_answers(q, d, t, n, row):
-                    cells = {v: c for m, r in pa for v, c in zip(q.atoms[t.atom_of[m]].vars, r)}
+                    cells = {v: c for m, r in pa for v, c in zip(q.atoms[m].vars, r)}
                     got += all(cells[a] < cells[b] for a, b in otp.order.pairs if a in cells and b in cells)
                 want[n, row] = got
         for x in (x0, None):
@@ -197,7 +197,7 @@ def test_thresholds_examples():
     ann = thresholds(q, {"x1", "x2"}, t, db)
     # leaf tuple carrying x1=1: threshold is its own value
     for n in t.nodes():
-        sch = q.atoms[t.atom_of[n]].vars
+        sch = q.atoms[n].vars
         if "x1" in sch and len(t.children()[n]) == 0:
             col = sch.index("x1")
             for row, theta in ann[n].items():

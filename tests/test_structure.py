@@ -133,7 +133,7 @@ def test_running_intersection_matches_connected_holders(rng):
         ids = rng.sample(range(10), rng.randint(1, 7))
         vars_of = {n: frozenset(rng.sample("abcde", rng.randint(1, 3))) for n in ids}
         parent = {ids[0]: None, **{n: rng.choice(ids[:i]) for i, n in enumerate(ids) if i}}
-        t = RootedJoinTree(vars_of, {n: n for n in ids}, parent, ids[0])
+        t = RootedJoinTree(vars_of, parent, ids[0])
         want = connected_holders(t)
         assert t.satisfies_running_intersection() == want, (vars_of, parent)
         counts[want] += 1
