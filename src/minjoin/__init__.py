@@ -78,7 +78,7 @@ from .enumeration import (
     enumerate_ranked_min,
     enumerate_with_predicate,
 )
-from .oracle import oracle_answers, oracle_filter, oracle_sorted
+from .oracle import oracle_answers, oracle_sorted
 from .instrument import StepCounter
 
 __version__ = "0.1.0"

@@ -11,25 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .access import (
-    build_min_da,
-    build_unranked_da_pred,
-    count_with_predicate,
-    is_nonempty,
-)
+from .access import build_min_da, build_unranked_da_pred, count_with_predicate, is_nonempty
 from .bench import bench_enum_pred, bench_min_da, bench_ranked, default_sizes
 from .elim import eliminate_min_predicate
-from .enumeration import enumerate_ranked_min, enumerate_with_predicate
+from .enumeration import AnswerStream, enumerate_ranked_min, enumerate_with_predicate
 from .errors import (
-    DataFileError,
-    EngineError,
-    InternalInvariantError,
-    IntractableQueryError,
-    OutOfBoundsError,
-    QuerySyntaxError,
-    UnsupportedPredicateError,
+    DataFileError, EngineError, InternalInvariantError, IntractableQueryError, OutOfBoundsError,
+    QuerySyntaxError, UnsupportedPredicateError,
 )
 from .model import W
 from .oracle import oracle_answers, oracle_sorted
@@ -60,9 +52,8 @@ def cmd_classify(args) -> int:
         return EXIT_OK
     width = max(len(v.task.value) for v in verdicts)
     for v in verdicts:
-        status = "tractable  " if v.tractable else "INTRACTABLE"
-        extra = "" if v.tractable else f"  [{v.witness}]"
-        print(f"{v.task.value:<{width}}  {status}{extra}")
+        verdict = "tractable" if v.tractable else f"INTRACTABLE  [{v.witness}]"
+        print(f"{v.task.value:<{width}}  {verdict}")
     return EXIT_OK
 
 
@@ -103,80 +94,6 @@ def cmd_eliminate(args) -> int:
     return EXIT_OK
 
 
-def cmd_count(args) -> int:
-    q, p, r, db = _load(args)
-    try:
-        n = count_with_predicate(q, p, db)
-    except (IntractableQueryError, UnsupportedPredicateError) as err:
-        if not args.force_oracle:
-            raise
-        n = len(oracle_answers(q, db, predicate=p))
-        print(f"# oracle fallback ({err})", file=sys.stderr)
-    print(json.dumps({"count": n}) if args.json else n)
-    return EXIT_OK
-
-
-def cmd_bool(args) -> int:
-    q, p, r, db = _load(args)
-    try:
-        res = is_nonempty(q, p, db)
-    except IntractableQueryError:
-        if not args.force_oracle:
-            raise
-        res = bool(oracle_answers(q, db, predicate=p))
-    print(json.dumps({"nonempty": res}) if args.json else ("nonempty" if res else "empty"))
-    return EXIT_OK
-
-
-def _refuse_ranking_with_predicate(p, r) -> None:
-    """A ranked task over a query that declares a predicate too is refused."""
-    if p is not None and r is not None:
-        raise UnsupportedPredicateError(
-            f"the query declares both PREDICATE {p} and ORDER BY {r}; "
-            "a ranking combined with a predicate is not supported"
-        )
-
-
-def cmd_enumerate(args) -> int:
-    q, p, r, db = _load(args)
-    if args.ranked and r is None:
-        print("enumerate --ranked: the query declares no ORDER BY", file=sys.stderr)
-        return EXIT_SYNTAX
-    if args.ranked:
-        _refuse_ranking_with_predicate(p, r)
-    try:
-        stream = enumerate_ranked_min(q, r, db) if args.ranked else enumerate_with_predicate(q, p, db)
-    except (IntractableQueryError, UnsupportedPredicateError):
-        if not args.force_oracle:
-            raise
-        answers = oracle_answers(q, db, predicate=p)
-        ordered = oracle_sorted(answers, r.xs, maximize=r.maximize) if args.ranked else sorted(
-            answers, key=lambda a: sorted(a.assignment.items())
-        )
-        for a in ordered[: args.limit]:
-            print(_print_answer(a))
-        return EXIT_OK
-    out = []
-    n = 0
-    while stream.has_next() and (args.limit is None or n < args.limit):
-        a = stream.peek()
-        stream.advance()
-        out.append(_print_answer(a, json_mode=args.json))
-        n += 1
-    if args.json:
-        print(json.dumps({"answers": out}, indent=2))
-    else:
-        for line in out:
-            print(line)
-    if args.stats:
-        print(
-            f"# emitted={stream.emitted} max_delay={stream.max_delay} "
-            f"avg_delay={stream.avg_delay:.2f} skips={stream.skips}",
-            file=sys.stderr,
-        )
-    return EXIT_OK
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     """`--range a..b`, the half-open index range [a, b)."""
     try:
@@ -208,124 +125,210 @@ def _parse_max_exp(text: str) -> int:
     return int(text)
 
 
+def _ranks_by_order(missing: str | None):
+    """The declaration check of a task that ranks by the ORDER BY: without
+    one it returns `missing`, and a PREDICATE next to it is refused."""
+    def needs(p, r) -> str | None:
+        if r is None:
+            return missing
+        if p is not None:
+            raise UnsupportedPredicateError(
+                f"the query declares both PREDICATE {p} and ORDER BY {r}; "
+                "a ranking combined with a predicate is not supported"
+            )
+        return None
+    return needs
+
+
 def _build_da(q, p, r, db):
     """The direct-access structure for the declared order or predicate."""
     if r is None:
         return build_unranked_da_pred(q, p, db)
-    _refuse_ranking_with_predicate(p, r)
     return build_min_da(q, r, db)
 
 
-def cmd_access(args) -> int:
-    q, p, r, db = _load(args)
-    da = _build_da(q, p, r, db)
-    total = da.total
+class _OracleDA:
+    """Direct access over the oracle's answers in `oracle_sorted` order."""
+
+    def __init__(self, r, answers):
+        self.ordered = oracle_sorted(answers, r.xs, maximize=r.maximize)
+        self.total = len(self.ordered)
+        self.key = r.key
+
+    def access(self, k):
+        if not 0 <= k < self.total:
+            raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
+        return self.ordered[k]
+
+
+def _show_count(args, n) -> None:
+    print(json.dumps({"count": n}) if args.json else n)
+
+
+def _show_bool(args, res) -> None:
+    print(json.dumps({"nonempty": res}) if args.json else ("nonempty" if res else "empty"))
+
+
+def _show_answers(args, answers) -> None:
+    out = [_print_answer(a, json_mode=args.json) for a in islice(answers, args.limit)]
+    if args.json:
+        print(json.dumps({"answers": out}, indent=2))
+    else:
+        for line in out:
+            print(line)
+    # only an engine stream counts delays; the oracle's answers are a list
+    if isinstance(answers, AnswerStream) and args.stats:
+        print(
+            f"# emitted={answers.emitted} max_delay={answers.max_delay} "
+            f"avg_delay={answers.avg_delay:.2f} skips={answers.skips}",
+            file=sys.stderr,
+        )
+
+
+def _indices(args) -> list[int]:
+    """`--index`, then `--range`; index 0 when neither is given."""
     ks = list(args.index or [])
     if args.range:
         ks.extend(range(*args.range))
     elif args.index is None:
         ks = [0]
+    return ks
+
+
+def _show_access(args, da) -> None:
     results = []
-    for k in ks:
+    for k in _indices(args):
         try:
-            a = da.access(k)
-            results.append((k, _print_answer(a, json_mode=args.json)))
+            results.append((k, _print_answer(da.access(k), json_mode=args.json)))
         except OutOfBoundsError:
             results.append((k, None))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "total": total,
-                    "answers": [
-                        {"index": k, "answer": a, "out_of_bounds": a is None}
-                        for k, a in results
-                    ],
-                },
-                indent=2,
-            )
-        )
-    else:
-        for k, a in results:
-            if a is None:
-                print(f"[{k}] out of bounds (total {total})")
-            else:
-                print(f"[{k}] {a}")
+        answers = [{"index": k, "answer": a, "out_of_bounds": a is None} for k, a in results]
+        print(json.dumps({"total": da.total, "answers": answers}, indent=2))
+        return
+    for k, a in results:
+        print(f"[{k}] out of bounds (total {da.total})" if a is None else f"[{k}] {a}")
+
+
+def _values_diverge(args, got, want) -> str | None:
+    if got != want:
+        return f"DIVERGENCE: engine={got} oracle={want}"
+    return None
+
+
+def _answers_diverge(args, stream, want) -> str | None:
+    """The stream must emit each of the oracle's answers exactly once."""
+    emitted = stream.drain()
+    got = set(emitted)
+    if len(emitted) != len(got):
+        return f"DIVERGENCE: engine emitted {len(emitted)} answers, {len(got)} distinct"
+    if got != set(want):
+        return f"DIVERGENCE: engine has {len(got)} answers, oracle {len(want)}"
+    return None
+
+
+def _access_diverges(args, da, want) -> str | None:
+    """The same total, and at each index an answer with the oracle's rank key."""
+    if da.total != want.total:
+        return f"DIVERGENCE: engine total={da.total} oracle={want.total}"
+    for k in _indices(args):
+        if 0 <= k < da.total:
+            got = da.access(k)
+            if got not in want.ordered:
+                return f"DIVERGENCE: engine answer at index {k} is no answer: {got}"
+            if want.key(got) != want.key(want.access(k)):
+                return f"DIVERGENCE: rank key mismatch at index {k}"
+    return None
+
+
+class _Task(NamedTuple):
+    """One CLI task. `engine(q, p, r, db)` and `oracle(r, answers)` return
+    the same kind of result, which `show(args, result)` prints;
+    `diverges(args, got, want)` names a difference between the two.
+    `needs(p, r)`, checked before either side runs, returns the message
+    for a missing declaration (exit 1) and raises for a conflict (exit 2)."""
+
+    engine: Callable
+    oracle: Callable
+    show: Callable
+    diverges: Callable = _values_diverge
+    needs: Callable = lambda p, r: None
+
+
+# Each engine side looks its library call up in this module when it runs,
+# so a test can replace the call. Only the ranked tasks read the ORDER BY.
+_TASKS = {
+    "count": _Task(
+        lambda q, p, r, db: count_with_predicate(q, p, db), lambda r, a: len(a), _show_count
+    ),
+    "bool": _Task(lambda q, p, r, db: is_nonempty(q, p, db), lambda r, a: bool(a), _show_bool),
+    "enumerate": _Task(
+        lambda q, p, r, db: enumerate_with_predicate(q, p, db),
+        lambda r, a: sorted(a, key=lambda x: sorted(x.assignment.items())),
+        _show_answers,
+        _answers_diverge,
+    ),
+    "enumerate --ranked": _Task(
+        lambda q, p, r, db: enumerate_ranked_min(q, r, db),
+        lambda r, a: oracle_sorted(a, r.xs, maximize=r.maximize),
+        _show_answers,
+        _answers_diverge,
+        _ranks_by_order("enumerate --ranked: the query declares no ORDER BY"),
+    ),
+    "access": _Task(
+        lambda q, p, r, db: _build_da(q, p, r, db),
+        _OracleDA,
+        _show_access,
+        _access_diverges,
+        _ranks_by_order(None),
+    ),
+}
+# the oracle has no arbitrary order to check unranked direct access against
+_ORACLE_ACCESS_NEEDS = _ranks_by_order("oracle access needs an ORDER BY declaration")
+_ORACLE_TASKS = dict(_TASKS, access=_TASKS["access"]._replace(needs=_ORACLE_ACCESS_NEEDS))
+
+
+def cmd_task(args) -> int:
+    """Print the engine's result, or the oracle's for a refusal under `--force-oracle`."""
+    task = _TASKS[args.task]
+    q, p, r, db = _load(args)
+    missing = task.needs(p, r)
+    if missing is not None:
+        print(missing, file=sys.stderr)
+        return EXIT_SYNTAX
+    try:
+        result = task.engine(q, p, r, db)
+    except (IntractableQueryError, UnsupportedPredicateError) as err:
+        if not args.force_oracle:
+            raise
+        result = task.oracle(r, oracle_answers(q, db, predicate=p))
+        print(f"# oracle fallback ({err})", file=sys.stderr)
+    task.show(args, result)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    """Cross-check the engine against brute force; exit 4 on divergence."""
+    """Print the oracle's result, then cross-check the engine's: exit 4 on divergence."""
+    task = _ORACLE_TASKS[args.task]
     q, p, r, db = _load(args)
-    answers = oracle_answers(q, db, predicate=p)
-    task = args.task
-    if task == "count":
-        want = len(answers)
-        print(json.dumps({"count": want}) if args.json else want)
-        try:
-            got = count_with_predicate(q, p, db)
-        except (IntractableQueryError, UnsupportedPredicateError) as err:
-            print(f"# engine refused: {err}", file=sys.stderr)
-            return EXIT_OK
-        if got != want:
-            print(f"DIVERGENCE: engine={got} oracle={want}", file=sys.stderr)
-            return EXIT_DIVERGENCE
+    missing = task.needs(p, r)
+    if missing is not None:
+        print(missing, file=sys.stderr)
+        return EXIT_SYNTAX
+    if args.index:  # the cross-check reads one index: the first, or 0
+        args.index = args.index[:1]
+    want = task.oracle(r, oracle_answers(q, db, predicate=p))
+    task.show(args, want)
+    try:
+        got = task.engine(q, p, r, db)
+    except (IntractableQueryError, UnsupportedPredicateError) as err:
+        print(f"# engine refused: {err}", file=sys.stderr)
         return EXIT_OK
-    if task == "bool":
-        want = bool(answers)
-        print(json.dumps({"nonempty": want}) if args.json else ("nonempty" if want else "empty"))
-        got = is_nonempty(q, p, db)
-        if got != want:
-            print(f"DIVERGENCE: engine={got} oracle={want}", file=sys.stderr)
-            return EXIT_DIVERGENCE
-        return EXIT_OK
-    if task == "enumerate":
-        for a in sorted(answers, key=lambda a: sorted(a.assignment.items()))[: args.limit]:
-            print(_print_answer(a))
-        try:
-            stream = enumerate_with_predicate(q, p, db)
-        except (IntractableQueryError, UnsupportedPredicateError) as err:
-            print(f"# engine refused: {err}", file=sys.stderr)
-            return EXIT_OK
-        emitted = stream.drain()
-        got = set(emitted)
-        if len(emitted) != len(got):
-            print(
-                f"DIVERGENCE: engine emitted {len(emitted)} answers, {len(got)} distinct",
-                file=sys.stderr,
-            )
-            return EXIT_DIVERGENCE
-        if got != answers:
-            print(
-                f"DIVERGENCE: engine has {len(got)} answers, oracle {len(answers)}",
-                file=sys.stderr,
-            )
-            return EXIT_DIVERGENCE
-        return EXIT_OK
-    if task == "access":
-        if r is None:
-            print("oracle access needs an ORDER BY declaration", file=sys.stderr)
-            return EXIT_SYNTAX
-        ordered = oracle_sorted(answers, r.xs, maximize=r.maximize)
-        k = args.index[0] if args.index else 0
-        if not 0 <= k < len(ordered):
-            print(f"[{k}] out of bounds (total {len(ordered)})")
-        else:
-            print(f"[{k}] {_print_answer(ordered[k])}")
-        da = _build_da(q, p, r, db)
-        if da.total != len(ordered):
-            print(f"DIVERGENCE: engine total={da.total} oracle={len(ordered)}", file=sys.stderr)
-            return EXIT_DIVERGENCE
-        if 0 <= k < da.total:
-            got = da.access(k)
-            if got not in answers:
-                print(f"DIVERGENCE: engine answer at index {k} is no answer: {got}", file=sys.stderr)
-                return EXIT_DIVERGENCE
-            if r.key(got) != r.key(ordered[k]):
-                print("DIVERGENCE: rank key mismatch at index", k, file=sys.stderr)
-                return EXIT_DIVERGENCE
-        return EXIT_OK
-    raise EngineError(f"unknown oracle task {task!r}")
+    divergence = task.diverges(args, got, want)
+    if divergence is not None:
+        print(divergence, file=sys.stderr)
+        return EXIT_DIVERGENCE
+    return EXIT_OK
 
 
 def cmd_bench(args) -> int:
@@ -355,6 +358,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", required=True, help="directory of relation files")
         p.add_argument("--json", action="store_true")
 
+    def task_parser(name, help):
+        p = sub.add_parser(name, help=help)
+        common(p)
+        p.set_defaults(fn=cmd_task, task=name, force_oracle=False)
+        return p
+
     p = sub.add_parser("classify", help="dichotomy verdicts for all tasks")
     common(p, data=False)
     p.set_defaults(fn=cmd_classify)
@@ -365,36 +374,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--explain", action="store_true")
     p.set_defaults(fn=cmd_eliminate)
 
-    p = sub.add_parser("count", help="answer count")
-    common(p)
-    p.add_argument("--force-oracle", action="store_true")
-    p.set_defaults(fn=cmd_count)
+    task_parser("count", "answer count").add_argument("--force-oracle", action="store_true")
+    task_parser("bool", "emptiness").add_argument("--force-oracle", action="store_true")
 
-    p = sub.add_parser("bool", help="emptiness")
-    common(p)
-    p.add_argument("--force-oracle", action="store_true")
-    p.set_defaults(fn=cmd_bool)
-
-    p = sub.add_parser("enumerate", help="stream answers")
-    common(p)
-    p.add_argument("--ranked", action="store_true")
+    p = task_parser("enumerate", "stream answers")
+    p.add_argument("--ranked", action="store_const", dest="task", const="enumerate --ranked")
     p.add_argument("--limit", type=_parse_limit)
     p.add_argument("--stats", action="store_true")
     p.add_argument("--force-oracle", action="store_true")
-    p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("access", help="k-th answer by the declared order")
-    common(p)
+    p = task_parser("access", "k-th answer by the declared order")
     p.add_argument("--index", type=int, action="append")
     p.add_argument("--range", type=_parse_range, help="half-open a..b")
-    p.set_defaults(fn=cmd_access)
 
     p = sub.add_parser("oracle", help="brute-force cross-check")
     p.add_argument("task", choices=["count", "bool", "enumerate", "access"])
     common(p)
     p.add_argument("--index", type=int, action="append")
     p.add_argument("--limit", type=_parse_limit, default=50)
-    p.set_defaults(fn=cmd_oracle)
+    p.set_defaults(fn=cmd_oracle, range=None)
 
     p = sub.add_parser("bench", help="scaling families")
     p.add_argument("--family", choices=["star", "path", "both"], default="both")

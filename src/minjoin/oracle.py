@@ -65,12 +65,6 @@ def oracle_answers(
     return answers
 
 
-def oracle_filter(answers: Iterable[Answer], p: MinPredicate) -> set[Answer]:
-    """Literal filter over answers; `p` is a MinPredicate over answer
-    variables."""
-    return {a for a in answers if p.holds(a.assignment)}
-
-
 def oracle_sorted(
     answers: Iterable[Answer], xs: Iterable[str], *, maximize: bool = False
 ) -> list[Answer]:

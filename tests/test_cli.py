@@ -497,3 +497,153 @@ def test_cli_data_cells_are_ascii_integers(tmp_path, capsys):
         (d / "R").write_text(text)
         assert main(args2) == 3, text
         assert capsys.readouterr().err.strip() == f"data error: {msg}", text
+
+
+CONTRACT_INSTANCES = {
+    "path": (PATH, {s: "0,0\n1,0\n" for s in ("R0", "R1", "R2", "R3")}),
+    "triangle": (
+        "Q(a,b,c) :- R(a,b), S(b,c), T(a,c).\nPREDICATE a <= MIN(b,c).\n",
+        {"R": "1,2\n", "S": "2,3\n", "T": "1,3\n"},
+    ),
+    "not-free-connex": (
+        "Q(x,z) :- R(x,y), S(y,z).\nORDER BY MIN(x,z).\n", {"R": "1,2\n", "S": "2,3\n"}
+    ),
+    "existential": (
+        "Q(x0,a,b,c) :- R(x0,a), S(a,b), U(b,c,e).\nPREDICATE x0 <= MIN(e).\n",
+        {"R": "1,2\n", "S": "2,3\n", "U": "3,4,5\n"},
+    ),
+}
+# the (instance, task) pairs that the engine refuses, exit 2
+CONTRACT_REFUSED = {
+    ("path", "count"), ("path", "access"),
+    ("triangle", "count"), ("triangle", "bool"), ("triangle", "enumerate"), ("triangle", "access"),
+    ("not-free-connex", "count"), ("not-free-connex", "enumerate"), ("not-free-connex", "access"),
+    ("existential", "count"), ("existential", "enumerate"), ("existential", "access"),
+}
+
+
+def _assert_json_shape(task, out):
+    """`out` parses as JSON in the shape README documents for `task`."""
+    doc = json.loads(out)
+    if task == "count":
+        assert set(doc) == {"count"} and isinstance(doc["count"], int)
+    elif task == "bool":
+        assert set(doc) == {"nonempty"} and isinstance(doc["nonempty"], bool)
+    elif task == "enumerate":
+        assert set(doc) == {"answers"} and all(isinstance(a, dict) for a in doc["answers"])
+    else:
+        assert set(doc) == {"total", "answers"} and isinstance(doc["total"], int)
+        for a in doc["answers"]:
+            assert set(a) == {"index", "answer", "out_of_bounds"}
+            assert (a["answer"] is None) == a["out_of_bounds"]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("task", ["count", "bool", "enumerate", "access"])
+@pytest.mark.parametrize("name", ["star", "star-ranked", *CONTRACT_INSTANCES])
+def test_cli_task_contract_engine_fallback_and_oracle(
+    star_dir, tmp_path, capsys, name, task, json_flag
+):
+    # one contract for every task: the engine answers or refuses (exit 2);
+    # --force-oracle turns a refusal into "# oracle fallback (reason)" and
+    # the oracle's result; `oracle <task>` prints the oracle's result and
+    # notes an engine refusal with exit 0; --json is honoured on every path
+    if name in CONTRACT_INSTANCES:
+        args = _instance(tmp_path, "q", *CONTRACT_INSTANCES[name])
+    else:
+        query = "q_ranked.mq" if name == "star-ranked" else "q.mq"
+        args = ["--query", str(star_dir / query), "--data", str(star_dir / "data")]
+    extra = ["--index", "0"] if task == "access" else []
+
+    def run(*cmd):
+        rc = main([*cmd, *args, *extra, *json_flag])
+        captured = capsys.readouterr()
+        if json_flag and captured.out:
+            _assert_json_shape(task, captured.out)
+        return rc, captured.out, captured.err
+
+    rc, out, err = run(task)
+    refused = (name, task) in CONTRACT_REFUSED
+    if refused:
+        assert (rc, out) == (2, ""), err
+        assert err.startswith("refused: ") and err.count("\n") == 1
+        reason = err[len("refused: "):-1]
+    else:
+        assert (rc, err) == (0, "") and out
+    engine = (rc, out, err)
+
+    rc, oracle_out, oracle_err = run("oracle", task)
+    if task == "access" and "ORDER BY" not in Path(args[1]).read_text():
+        # the oracle has no arbitrary order to check unranked access against
+        assert (rc, oracle_out) == (1, "")
+        assert oracle_err == "oracle access needs an ORDER BY declaration\n"
+    else:
+        assert rc == 0 and oracle_out
+        assert oracle_err == (f"# engine refused: {reason}\n" if refused else "")
+        if task in ("count", "bool") and not refused:
+            assert oracle_out == engine[1]
+
+    if task == "access":
+        return  # access offers no --force-oracle
+    forced = run(task, "--force-oracle")
+    if refused:
+        assert forced == (0, oracle_out, f"# oracle fallback ({reason})\n")
+    else:
+        assert forced == engine
+
+
+def test_cli_classify_text_table(tmp_path, capsys):
+    # one line per task: the name padded to the longest, two spaces, the
+    # verdict; an intractable verdict adds its witness; no trailing spaces
+    (tmp_path / "path.mq").write_text(PATH)
+    assert main(["classify", "--query", str(tmp_path / "path.mq")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "elimination       INTRACTABLE  [chordless path x0-u-v-x1]",
+        "counting          INTRACTABLE  [chordless path x0-u-v-x1]",
+        "boolean           tractable",
+        "ranked_da         tractable",
+        "unranked_da_pred  INTRACTABLE  [chordless path x0-u-v-x1]",
+        "ranked_enum       tractable",
+        "enum_pred         tractable",
+        "single_access     tractable",
+    ]
+
+
+def test_cli_eliminate_needs_a_predicate(star_dir, tmp_path, capsys):
+    args = ["--query", str(star_dir / "q_ranked.mq"), "--data", str(star_dir / "data")]
+    assert main(["eliminate", *args, "--out", str(tmp_path / "parts")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "eliminate: the query declares no PREDICATE\n")
+    assert not (tmp_path / "parts").exists()
+
+
+def test_cli_enumerate_json_on_the_engine_path(star_dir, capsys):
+    args = ["--query", str(star_dir / "q.mq"), "--data", str(star_dir / "data")]
+    assert main(["enumerate", *args]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["enumerate", *args, "--json", "--limit", "4"]) == 0
+    answers = json.loads(capsys.readouterr().out)["answers"]
+    # the same answers in the same emission order, as {variable: value}
+    text = [", ".join(f"{k}={v}" for k, v in sorted(a.items())) for a in answers]
+    assert len(lines) == 6 and text == lines[:4]
+
+
+def test_cli_bench_text_output(capsys):
+    assert main(["bench", "--family", "path", "--sizes", "64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    fields = dict(kv.split("=", 1) for kv in lines[0].split("  "))
+    assert fields["family"] == "path" and fields["size"] == "64"
+    assert float(fields["build_seconds"]) > 0
+
+
+def test_cli_engine_error_without_a_handler_exits_3(star_dir, monkeypatch, capsys):
+    from minjoin.errors import EngineError
+
+    def broken(*args):
+        raise EngineError("stream is exhausted")
+
+    monkeypatch.setattr("minjoin.cli.count_with_predicate", broken)
+    rc = main(["count", "--query", str(star_dir / "q.mq"), "--data", str(star_dir / "data")])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: stream is exhausted\n"

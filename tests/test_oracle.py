@@ -6,7 +6,6 @@ from minjoin import (
     OracleGuardError,
     TaggedValue,
     oracle_answers,
-    oracle_filter,
     oracle_sorted,
     parse_query,
 )
@@ -29,17 +28,15 @@ def star():
 
 def test_oracle_eight_answers():
     q, p, db = star()
-    ans = oracle_answers(q, db)
-    assert len(ans) == 8
-    assert len(oracle_filter(ans, p)) == 6
+    assert len(oracle_answers(q, db)) == 8
+    assert len(oracle_answers(q, db, predicate=p)) == 6
 
 
 def test_oracle_strict_excludes_ties():
     q, _, db = star()
-    ans = oracle_answers(q, db)
     strict = MinPredicate("x0", ("x1", "x2"), strict=True)
     nonstrict = MinPredicate("x0", ("x1", "x2"))
-    assert oracle_filter(ans, strict) < oracle_filter(ans, nonstrict)
+    assert oracle_answers(q, db, predicate=strict) < oracle_answers(q, db, predicate=nonstrict)
 
 
 def test_oracle_empty_and_boolean():
@@ -54,8 +51,7 @@ def test_oracle_empty_and_boolean():
 
 def test_oracle_identity_filter():
     q, _, db = star()
-    ans = oracle_answers(q, db)
-    assert oracle_filter(ans, MinPredicate("x0", ("x0",))) == ans
+    assert oracle_answers(q, db, predicate=MinPredicate("x0", ("x0",))) == oracle_answers(q, db)
 
 
 def test_oracle_sorted_min_and_max():
