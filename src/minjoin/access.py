@@ -11,9 +11,9 @@ LexDA structures, one per enforced order, so the k-th answer under a
 min-of-variables order comes back in logarithmically many probes.
 Unranked direct access with a predicate is a MinDAIndex with one entry
 per part, in part order. Counting with a predicate counts each enforced
-order with the count pass over its tree. The Boolean task is one
-threshold pass, the cut at x0 (`reduce.cut_at_x0`). No entry point here
-builds forked parts.
+order with the count pass over its tree, on untagged cells, ties decided
+by the variables' ranks. The Boolean task is one threshold pass, the cut
+at x0 (`reduce.cut_at_x0`). No entry point here builds forked parts.
 
 Each task function takes the query as declared: it checks its verdict
 (`Verdict.require`), prepares the instance with one call to
@@ -152,7 +152,7 @@ class LexDA:
         fenced: dict[int, list[int]] = {}  # node -> its bounded children, first pair first
         if pair is not None:
             doms = fork_domains(q, db, pair)
-            for c, ((a, b, _, _), u_col, w_col, up) in order_checks(plan, pair.sites(q.variables))[1].items():
+            for c, ((a, b, _, _), u_col, w_col, up, _) in order_checks(plan, pair.sites(q.variables))[1].items():
                 p = plan.parent[c]
                 key_vars = plan.tree.vars_of[c] & plan.tree.vars_of[p]
                 contiguous = all(v in key_vars for v in plan.schema[c][:w_col])
@@ -414,7 +414,8 @@ def build_unranked_da_pred(q: ConjunctiveQuery, p: MinPredicate | None, db: Data
     rows that disjointify writes, when there are orders, and each LexDA's
     build steps."""
     classify(Task.UNRANKED_DA_PRED, q, p).require()
-    q2, d, otps = min_predicate_orders(q, p, db)
+    q2, d, otps, ranks = min_predicate_orders(q, p, db)
+    d = d if otps is None else disjointify(d, q2, ranks)
     x = next(iter(q2.free_vars), None)
     entries, secondary, part_info = [], {}, []
     running = 0
@@ -433,13 +434,13 @@ def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Databa
     (empty) answer or none.
 
     The predicate is restricted to the free variables and partitioned into
-    enforced strict orders over the disjointified data; every answer
-    satisfies exactly one order, and each order is counted by one
-    bottom-up pass over its enforcing tree, with no fork rewrite.
+    enforced orders; every answer satisfies exactly one order, and each
+    order is counted by one bottom-up pass over its enforcing tree, with
+    no fork rewrite, on the cells as given (any ints), ties decided by ranks.
     """
     classify(Task.COUNTING, q, p).require()
-    q2, d, otps = min_predicate_orders(q, p, db)
-    return sum(count_answers(q2, d, otp) for otp in otps or [None])
+    q2, d, otps, ranks = min_predicate_orders(q, p, db)
+    return sum(count_answers(q2, d, otp, ranks) for otp in otps or [None])
 
 
 def is_nonempty(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> bool:

@@ -207,26 +207,26 @@ def min_orders(q: ConjunctiveQuery, x0: str, xs) -> list[OrderTreePair]:
 
 def min_predicate_orders(
     q: ConjunctiveQuery, p: MinPredicate | None, db: Database
-) -> tuple[ConjunctiveQuery, Database, list[OrderTreePair] | None]:
+) -> tuple[ConjunctiveQuery, Database, list[OrderTreePair] | None, dict[str, int] | None]:
     """(Q AND P, D) as a full self-join-free query over the free
-    variables, its database, and the enforced orders that partition the
-    residual predicate; every answer satisfies exactly one order.
+    variables, its untagged database, the enforced orders that partition
+    the residual predicate, and the ranks {variable: rank} in rank order;
+    every answer satisfies exactly one order, its ties decided by ranks.
 
-    Folds existential inequalities into the data and restricts to the
-    free variables, then disjointifies (x0 gets the smallest rank, or the
-    largest for the strict variant, so that every comparison is strict)
-    and partitions. With no residual predicate the orders are None and
-    the database is not disjointified; a Boolean head is one nullary atom
-    that holds the empty row or none.
+    Folds existential inequalities into the data, restricts to the free
+    variables, ranks them (x0 the smallest, or the largest for the strict
+    variant) and partitions. Counting reads the ranks as comparison
+    sides; the other tasks `disjointify` by them. With no residual
+    predicate the orders and ranks are None; a Boolean head is one
+    nullary atom that holds the empty row or none.
     """
     q2, residual, d2 = restrict_predicate_to_free(q, p, db)
     if residual is None:
-        return q2, d2, None
+        return q2, d2, None, None
     x0 = residual.x0
     others = [v for v in q2.variables if v != x0]
-    rank_order = [x0] + others if not residual.strict else others + [x0]
-    d3 = disjointify(d2, q2, rank_order)
-    return q2, d3, min_orders(q2, x0, residual.xs)
+    ranks = {v: i + 1 for i, v in enumerate(others + [x0] if residual.strict else [x0] + others)}
+    return q2, d2, min_orders(q2, x0, residual.xs), ranks
 
 
 def eliminate_min_predicate(
@@ -240,14 +240,15 @@ def eliminate_min_predicate(
     through which Q AND P holds (see `reduce.cut_at_x0`).
 
     Pipeline: `min_predicate_orders` (remove self-joins, fold, restrict,
-    disjointify, partition), then eliminate each enforced order.
+    rank, partition), `disjointify`, then eliminate each enforced order.
     """
     classify(Task.ELIMINATION, q, p).require()
     if q.is_boolean:
         q1, d1, _ = cut_at_x0(q, p, db)
         return EliminationResult((EliminationPart(q1, d1, None, None),), ())
 
-    q2, d, otps = min_predicate_orders(q, p, db)
+    q2, d, otps, ranks = min_predicate_orders(q, p, db)
+    d = d if otps is None else disjointify(d, q2, ranks)
     parts = [EliminationPart(q2, d, None, None)] if otps is None else [
         EliminationPart(*eliminate_enforced_order(q2, d, otp, f"_p{i}"), otp.order, p.x0, otp.tree)
         for i, otp in enumerate(otps)]

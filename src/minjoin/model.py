@@ -11,6 +11,7 @@ negation) return new databases instead of mutating.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
@@ -63,6 +64,13 @@ class Relation:
 
     def __len__(self):
         return len(self.rows)
+
+    @classmethod
+    def _of_distinct(cls, symbol: str, arity: int, rows: tuple[Row, ...]) -> "Relation":
+        """The relation over `rows`, distinct and of `arity` entries each, kept as given."""
+        rel = object.__new__(cls)
+        rel.__dict__.update(symbol=symbol, arity=arity, rows=rows)
+        return rel
 
     @classmethod
     def from_ints(cls, symbol: str, arity: int, rows: Iterable[Iterable[int]]) -> "Relation":
@@ -312,25 +320,20 @@ def remove_self_joins(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQue
     """
     if q.is_self_join_free:
         return q, db
-    counts: dict[str, int] = {}
-    for a in q.atoms:
-        counts[a.symbol] = counts.get(a.symbol, 0) + 1
-    taken = set(db.relations) | {a.symbol for a in q.atoms}
+    counts = Counter(a.symbol for a in q.atoms)
+    taken = set(db.relations) | set(counts)
     new_atoms = []
-    new_rels = dict(db.relations)
-    occurrence: dict[str, int] = {}
+    new_rels = {sym: rel for sym, rel in db.relations.items() if counts[sym] < 2}
+    occurrence: Counter[str] = Counter()
     for a in q.atoms:
         if counts[a.symbol] == 1:
             new_atoms.append(a)
             continue
-        occurrence[a.symbol] = occurrence.get(a.symbol, 0) + 1
+        occurrence[a.symbol] += 1
         sym = fresh_symbol(f"{a.symbol}_{occurrence[a.symbol]}", taken)
-        src = db.relation(a.symbol)
-        new_rels[sym] = Relation(sym, src.arity, src.rows)
+        src = db.relation(a.symbol)  # each copy keeps its rows as they are
+        new_rels[sym] = Relation._of_distinct(sym, src.arity, src.rows)
         new_atoms.append(Atom(sym, a.vars))
-    for sym, n in counts.items():
-        if n > 1:
-            del new_rels[sym]
     return (
         ConjunctiveQuery(tuple(new_atoms), q.free_vars, q.name),
         Database(new_rels),

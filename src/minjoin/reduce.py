@@ -82,10 +82,12 @@ def _project_to_free(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQuer
             continue
         sym = fresh_symbol(f"{a.symbol}_f", taken)
         vars_ = tuple(a.vars[i] for i in keep_cols)
-        rows = db.relation(a.symbol).rows
-        if len(keep_cols) < a.arity:
-            rows = tuple(tuple(r[i] for i in keep_cols) for r in rows)
+        rel = db.relation(a.symbol)
         new_atoms.append(Atom(sym, vars_))
+        if len(keep_cols) == a.arity == rel.arity:  # renamed: its rows are kept as they are
+            new_rels[sym] = Relation._of_distinct(sym, rel.arity, rel.rows)
+            continue
+        rows = rel.rows if len(keep_cols) == a.arity else tuple(tuple(r[i] for i in keep_cols) for r in rel.rows)
         new_rels[sym] = Relation(sym, len(vars_), rows)
     q2 = ConjunctiveQuery(tuple(new_atoms), q.free_vars, q.name)
     return q2, Database(new_rels)
@@ -159,7 +161,7 @@ def _branch_thresholds(q: ConjunctiveQuery, group: list[str], branch: int, db: D
 def _filter_atom(db: Database, atom: Atom, keep) -> Database:
     """`db` with the relation of `atom` cut down to the rows passing `keep`."""
     rel = db.relation(atom.symbol)
-    return db.replace(Relation(atom.symbol, rel.arity, tuple(r for r in rel.rows if keep(r))))
+    return db.replace(Relation._of_distinct(atom.symbol, rel.arity, tuple(r for r in rel.rows if keep(r))))
 
 
 def _first_atom_with(q: ConjunctiveQuery, x: str) -> tuple[Atom, int]:

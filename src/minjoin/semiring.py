@@ -16,7 +16,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import EngineError, InternalInvariantError
 from .instrument import StepCounter
@@ -75,21 +75,23 @@ def thresholds(
     return out
 
 
-def order_checks(plan: TreePlan, sites: Iterable[Site]):
+def order_checks(plan: TreePlan, sites: Iterable[Site], ranks: Mapping[str, int] | None = None):
     """Where the count pass over `plan` enforces an order, from its sites
-    over `plan.tree` (`OrderTreePair.sites`): per node, the (a col,
-    b col) pairs that filter its rows; per bounded child, in rewrite
-    order, (its site, u's column in the parent, w's column, up). A pair
-    across an edge bounds the child's variable w by the parent's u, from
-    below when the parent holds a (up), from above when it holds b. Up
-    is read from this plan's parents, since `elim.fork_tree` can put b's
-    side of an edge above a's. One pair per edge."""
-    filters: dict[int, list[tuple[int, int]]] = {}
-    bounded: dict[int, tuple[Site, int, int, bool]] = {}
+    over `plan.tree` (`OrderTreePair.sites`): per node, the (a col, b col,
+    le) that filter its rows; per bounded child, in rewrite order, (its
+    site, u's column in the parent, w's column, up, le). A pair across an
+    edge bounds the child's variable w by the parent's u, from below when
+    the parent holds a (up), from above when it holds b. Up is read from
+    this plan's parents, since `elim.fork_tree` can put b's side of an
+    edge above a's. One pair per edge. Le: a<b holds on equal cells, as
+    tags would decide it given the variables' `ranks`: never without."""
+    filters: dict[int, list[tuple[int, int, bool]]] = {}
+    bounded: dict[int, tuple[Site, int, int, bool, bool]] = {}
     for site in sites:
         a, b, nodes, ends = site
+        le = ranks is not None and ranks[a] < ranks[b]
         for n in nodes:
-            filters.setdefault(n, []).append((plan.schema[n].index(a), plan.schema[n].index(b)))
+            filters.setdefault(n, []).append((plan.schema[n].index(a), plan.schema[n].index(b), le))
         if ends is None:
             continue
         na, nb = ends
@@ -97,7 +99,7 @@ def order_checks(plan: TreePlan, sites: Iterable[Site]):
         p, c, u, w = (na, nb, a, b) if up else (nb, na, b, a)
         if c in bounded:
             raise InternalInvariantError(f"{a}<{b} across edge {p}-{c}: need one pair per edge")
-        bounded[c] = (site, plan.schema[p].index(u), plan.schema[c].index(w), up)
+        bounded[c] = (site, plan.schema[p].index(u), plan.schema[c].index(w), up, le)
     return filters, bounded
 
 
@@ -107,6 +109,7 @@ def count_buckets(
     x: str | None = None,
     pair: OrderTreePair | None = None,
     counter: StepCounter | None = None,
+    ranks: Mapping[str, int] | None = None,
 ):
     """The count pass: one bottom-up pass over a full self-join-free
     query's join tree, the pair's tree or else the query's own, rooted at
@@ -122,34 +125,34 @@ def count_buckets(
     so a descent from the root needs no semijoin pass first. With no
     pair, every bucket is sorted by row, the root's by (x, row).
 
-    With a pair, only the partial answers that satisfy its strict order
-    are counted, with the filters and bounded children that
-    `order_checks` reads from the pair's sites. A pair a<b inside a node
-    filters that node's rows. A pair across an edge bounds the child's
-    variable w by the parent's variable u: from below when the parent
-    holds a, from above when it holds b, which only LexDA's build (x
-    given) asks for. The child's buckets are sorted by w. Once a
-    bucket's rows are counted, its w column is taken from the kept rows
-    as an int list, aligned with the prefix sums, and a parent row
-    bisects that list for u to take the part of the prefix sums on its
-    side of u. With no x, the bounded buckets are sorted by w alone and
-    the others keep the input order. With x, every bucket is sorted by
-    row, the bounded ones then by w, and the counter also gets each
-    bucket sort as len*ceil(log2 len) steps, since rows read alone
-    understate that build.
+    With a pair, only the partial answers that satisfy its order are
+    counted, through the filters and bounded children of `order_checks`,
+    each on the pair's side: `<`, or `<=` over untagged cells where the
+    `ranks` would tag a below b. A pair a<b inside a node filters that
+    node's rows. A pair across an edge bounds the child's variable w by
+    the parent's u: from below when the parent holds a, from above when
+    it holds b, which only LexDA's build (x given) asks for. The child's
+    buckets are sorted by w. Once a bucket's rows are counted, its w
+    column is taken from the kept rows as an int list, aligned with the
+    prefix sums, and a parent row bisects it for u, left or right by the
+    side, for the prefix sums on u's side. With no x, the bounded buckets
+    are sorted by w alone and the others keep the input order. With x,
+    every bucket is sorted by row, the bounded ones then by w, and the
+    counter also gets each bucket sort as len*ceil(log2 len) steps,
+    since rows read alone understate that build.
     """
     if x is not None and x not in q.variables:
         raise EngineError(f"sort variable {x!r} not in the query")
     plan = TreePlan(q, tree_for_query(q, at=x) if pair is None else pair.tree)
-    filters, checks = order_checks(plan, pair.sites(q.variables)) if pair is not None else ({}, {})
-    # child -> (u col in the parent, w getter, whether the parent holds a)
+    filters, checks = order_checks(plan, pair.sites(q.variables), ranks) if pair is not None else ({}, {})
+    # child -> (u col in the parent, w getter, whether the parent holds a, the bisect for u's side)
     bounded: dict[int, tuple] = {}
-    for c, ((a, b, _, _), u_col, w_col, up) in checks.items():
+    for c, ((a, b, _, _), u_col, w_col, up, le) in checks.items():
         if not up and x is None:
             raise InternalInvariantError(
                 f"{a}<{b} across edge {plan.parent[c]}-{c}: to count, the smaller variable in the parent"
             )
-        bounded[c] = (u_col, operator.itemgetter(w_col), up)
+        bounded[c] = (u_col, operator.itemgetter(w_col), up, bisect_left if up == le else bisect_right)
     root = plan.root
     x_of = operator.itemgetter(plan.schema[root].index(x)) if x is not None else None
     rows_of: dict[int, dict] = {}
@@ -157,8 +160,8 @@ def count_buckets(
     w_of: dict[int, dict] = {}  # bounded child -> {key: w of its kept rows}
     for n in reversed(plan.order):
         rows = plan.rows(db, n)
-        for ai, bi in filters.get(n, ()):
-            rows = [r for r in rows if r[ai] < r[bi]]
+        for ai, bi, le in filters.get(n, ()):
+            rows = [r for r in rows if r[ai] <= r[bi]] if le else [r for r in rows if r[ai] < r[bi]]
         groups = group_by(rows, plan.key[n])
         for group in groups.values():
             if x is not None or pair is None:
@@ -169,8 +172,8 @@ def count_buckets(
                     counter.add(len(group) * (len(group) - 1).bit_length())
             if n in bounded:  # stable: by (w, row) with x
                 group.sort(key=bounded[n][1])
-        # per child: parent key, prefix sums, and if bounded, its w lists and (u col, w getter, up)
-        kids = [(plan.parent_key[c], cum_of[c], w_of.pop(c, None), *bounded.get(c, (None,) * 3))
+        # per child: parent key, prefix sums, and if bounded, its w lists and (u col, w getter, up, bisect)
+        kids = [(plan.parent_key[c], cum_of[c], w_of.pop(c, None), *bounded.get(c, (None,) * 4))
                 for c in plan.children[n]]
         kept_of = rows_of[n] = {}
         sums_of = cum_of[n] = {}
@@ -182,7 +185,7 @@ def count_buckets(
             kept, cum = [], [0]
             for row in group:
                 cnt = 1
-                for pk, sums, ws, ui, _, up in kids:
+                for pk, sums, ws, ui, _, up, cut in kids:
                     ckey = pk(row)
                     s = sums.get(ckey)
                     if s is None:
@@ -190,10 +193,10 @@ def count_buckets(
                     if ws is None:
                         cnt *= s[-1]
                     else:
-                        if up:  # the rows with w > u
-                            m = s[-1] - s[bisect_right(ws[ckey], row[ui])]
-                        else:  # the rows with w < u
-                            m = s[bisect_left(ws[ckey], row[ui])]
+                        if up:  # the rows with w above u
+                            m = s[-1] - s[cut(ws[ckey], row[ui])]
+                        else:  # the rows with w below u
+                            m = s[cut(ws[ckey], row[ui])]
                         if not m:
                             break
                         cnt *= m
@@ -214,11 +217,11 @@ def count_buckets(
 # Instantiations
 
 
-def count_answers(q: ConjunctiveQuery, db: Database, pair: OrderTreePair | None = None) -> int:
+def count_answers(q: ConjunctiveQuery, db: Database, pair: OrderTreePair | None = None, ranks=None) -> int:
     """|Q(D)| for a full acyclic self-join-free query; with an order-tree
     pair, the number of answers that satisfy its order, counted over its
-    tree. The order's comparisons are strict (see count_buckets)."""
+    tree on the sides that `ranks` gives (see count_buckets)."""
     if not q.is_full or not q.is_self_join_free:
         raise EngineError("count_answers expects a full self-join-free query")
-    plan, _, cum_of = count_buckets(q, db, pair=pair)
+    plan, _, cum_of = count_buckets(q, db, pair=pair, ranks=ranks)
     return cum_of[plan.root].get((), [0])[-1]

@@ -1,6 +1,7 @@
 import pytest
 
 from minjoin import (
+    EngineError,
     IntractableQueryError,
     LexDA,
     MinPredicate,
@@ -16,6 +17,7 @@ from minjoin import (
     count_with_predicate,
     disjointify,
     eliminate_enforced_order,
+    eliminate_min_predicate,
     enumerate_ranked_min,
     enumerate_with_predicate,
     is_nonempty,
@@ -168,9 +170,11 @@ def _check_predicate_parts(q, p, db, seen):
     # every variable as the sort variable, so that b's side of an edge
     # also lands in the parent
     try:
-        q2, d, otps = min_predicate_orders(q, p, db)
+        q2, d, otps, ranks = min_predicate_orders(q, p, db)
     except UnsupportedPredicateError:
         return
+    if otps is not None:
+        d = disjointify(d, q2, ranks)
     for otp in otps or ():
         for x in q2.variables:
             _check_against_forked_part(q2, d, x, otp, seen)
@@ -406,7 +410,7 @@ def test_unranked_da_pred_counts_its_build_steps():
     q, db = _star()
     p = MinPredicate("x0", ("x1", "x2"))
     da = build_unranked_da_pred(q, p, db)
-    _, d, otps = min_predicate_orders(q, p, db)
+    _, d, otps, _ = min_predicate_orders(q, p, db)
     parts = [lex.build_steps for lex in da.secondary.values()]
     assert len(parts) == len(otps) == 2 and min(parts) > 0
     assert da.build_steps == d.size + sum(parts)
@@ -464,6 +468,65 @@ def test_count_with_predicate_calls_no_aggregate_bottom_up(monkeypatch, rng):
         for p in (rand_predicate(rng, q), None):
             edges += check(q, p, db)
     assert strict >= 10 and edges >= 20, (strict, edges)
+
+
+def _tie_shapes(q, p, db):
+    """The (shape, side) pairs whose comparison meets a tie in the data
+    that counting reads: shape "filter" for a pair inside a node, "edge"
+    for one across an edge; side "<=" where the ranks put a below b, so
+    that a tie passes, and "<" where they do not."""
+    q2, d, otps, ranks = min_predicate_orders(q, p, db)
+    met = set()
+    for otp in otps or ():
+        rows = {n: d.relation(q2.atoms[n].symbol).rows for n in otp.tree.nodes()}
+        col = {n: q2.atoms[n].vars.index for n in rows}
+        for a, b, nodes, ends in otp.sites(q2.variables):
+            side = "<=" if ranks[a] < ranks[b] else "<"
+            if any(r[col[n](a)] == r[col[n](b)] for n in nodes for r in rows[n]):
+                met.add(("filter", side))
+            if ends and {r[col[ends[0]](a)] for r in rows[ends[0]]} & {r[col[ends[1]](b)] for r in rows[ends[1]]}:
+                met.add(("edge", side))
+    return met
+
+
+def test_count_with_predicate_comparison_sides_on_ties(rng):
+    # counting reads untagged cells: a tie between a and b passes a<b
+    # exactly when a's rank is below b's. Domains of 2-3 values make ties
+    # common, and every pair shape meets one on each side
+    met: dict[tuple[str, str], int] = {}
+    checked = strict = 0
+    while checked < 400:
+        q = rand_acyclic_query(rng, max_atoms=4, max_arity=3, full=rng.random() < 0.5)
+        p = rand_predicate(rng, q)
+        if p.x0 not in p.xs:
+            p = MinPredicate(p.x0, p.xs, strict=rng.random() < 0.5)
+        if not classify(Task.COUNTING, q, p).tractable:
+            continue
+        db = rand_database(rng, q, dom=rng.choice((2, 3)), max_rows=6)
+        try:
+            got = count_with_predicate(q, p, db)
+        except UnsupportedPredicateError:
+            continue
+        assert got == len(oracle_answers(q, db, predicate=p)), (q.to_text(), str(p), db)
+        for shape in _tie_shapes(q, p, db):
+            met[shape] = met.get(shape, 0) + 1
+        checked += 1
+        strict += p.strict
+    assert strict >= 40 and checked - strict >= 40, strict
+    assert all(met.get((shape, side), 0) >= 15 for shape in ("filter", "edge") for side in ("<=", "<")), met
+
+
+def test_count_with_predicate_reads_raw_cells():
+    # cells that are no multiple of W: counting compares them as they
+    # are, while the tasks that tag the data refuse them
+    q = parse_query("Q(x0,x1,y) :- R(x0,y), S(x1,y).")[0]
+    p = MinPredicate("x0", ("x1",))
+    db = Database({"R": Relation("R", 2, ((1, 1), (2, 1), (5, 1))), "S": Relation("S", 2, ((1, 1), (3, 1)))})
+    assert count_with_predicate(q, p, db) == len(oracle_answers(q, db, predicate=p)) == 3
+    assert count_with_predicate(q, None, db) == 6
+    for task in (build_unranked_da_pred, eliminate_min_predicate):
+        with pytest.raises(EngineError, match="disjointify expects an untagged database"):
+            task(q, p, db)
 
 
 def test_is_nonempty_cases():
