@@ -42,10 +42,7 @@ for i, part in enumerate(res.parts):
     print(f"  enforcing tree:")
     for line in part.tree.pretty().splitlines():
         print(f"    {line}")
-    answers = {
-        a.project(res.source_vars).untagged()
-        for a in oracle_answers(part.query, part.database)
-    }
+    answers = {a.project(res.source_vars) for a in oracle_answers(part.query, part.database)}
     print(f"  projected answers ({len(answers)}):")
     for a in sorted(answers, key=lambda a: sorted(a.assignment.items())):
         print(f"    {a}")
@@ -53,9 +50,6 @@ for i, part in enumerate(res.parts):
 
 union = set()
 for part in res.parts:
-    union |= {
-        a.project(res.source_vars).untagged()
-        for a in oracle_answers(part.query, part.database)
-    }
+    union |= {a.project(res.source_vars) for a in oracle_answers(part.query, part.database)}
 assert union == oracle_answers(q, db, predicate=p)
 print("union of the parts == brute-force filtered answers: verified")

@@ -24,7 +24,6 @@ from .model import (
     MinRanking,
     Relation,
     TaggedValue,
-    disjointify,
     negate_database,
     remove_self_joins,
 )

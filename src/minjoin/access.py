@@ -3,7 +3,7 @@
 LexDA answers "give me the k-th answer ordered by one variable" by a
 prefix-sum descent over the buckets of the count pass
 (`semiring.count_buckets`). Given an order-tree pair, it accesses only
-the answers that satisfy the pair's strict order, in the order that the
+the answers that satisfy the pair's order, in the order that the
 dyadic fork rewrite would give them, without forking a row: a parent
 row reads its bounded children in fork blocks, each a run of the
 child's bucket. MinDAIndex layers a sorted entry array over per-part
@@ -11,9 +11,11 @@ LexDA structures, one per enforced order, so the k-th answer under a
 min-of-variables order comes back in logarithmically many probes.
 Unranked direct access with a predicate is a MinDAIndex with one entry
 per part, in part order. Counting with a predicate counts each enforced
-order with the count pass over its tree, on untagged cells, ties decided
-by the variables' ranks. The Boolean task is one threshold pass, the cut
-at x0 (`reduce.cut_at_x0`). No entry point here builds forked parts.
+order with the count pass over its tree. Every task reads the cells as
+stored, and each order pair decides a tie by its site's side
+(`OrderTreePair.sites`), as the fork rewrite does. The Boolean task is
+one threshold pass, the cut at x0 (`reduce.cut_at_x0`). No entry point
+here builds forked parts.
 
 Each task function takes the query as declared: it checks its verdict
 (`Verdict.require`), prepares the instance with one call to
@@ -23,7 +25,7 @@ Each task function takes the query as declared: it checks its verdict
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate
 
@@ -35,11 +37,9 @@ from .model import (
     Database,
     MinPredicate,
     MinRanking,
-    W,
-    disjointify,
     negate_database,
 )
-from .elim import fork_domains, fork_tree, min_orders, min_predicate_orders
+from .elim import fork_bits, fork_domains, fork_tree, min_orders, min_predicate_orders
 from .partition import OrderTreePair, StrictPartialOrder
 from .reduce import cut_at_x0, restrict_predicate_to_free
 from .semiring import count_answers, count_buckets, order_checks
@@ -52,12 +52,12 @@ class _Fence:
     The child's variable w is above the parent's u when the parent holds
     a (`up`), below it otherwise; the columns and the side come from
     `semiring.order_checks`, as the count pass's bounds do. `dom` is the
-    pair's fork domain (`elim.fork_domains`), and `ranks[key]` lists the
-    ranks of w in it along the child's bucket, which is sorted by
-    (w, row). A cell that a
-    fork drops is missing from the domain and takes the rank of the next
-    larger cell: such a row is in no answer, and its rank keeps it on
-    the far side of the parents of every answer.
+    pair's fork domain (`elim.fork_domains`), over the fork keys of the
+    cells (`elim.fork_bits`) on the pair's side `le`, and `ranks[key]`
+    lists the ranks of w in it along the child's bucket, which is sorted
+    by (w, row). A cell that a fork drops is missing from the domain and
+    takes the rank of the next larger key: such a row is in no answer,
+    and its rank keeps it on the far side of the parents of every answer.
 
     Per parent row, the child rows on u's side come in the dyadic blocks
     that the fork rewrite cuts: a block holds the ranks that agree with
@@ -70,10 +70,12 @@ class _Fence:
     of row references.
     """
 
-    __slots__ = ("u_col", "up", "dom", "rank", "levels", "ranks", "runs")
+    __slots__ = ("u_col", "up", "u_bit", "dom", "rank", "levels", "ranks", "runs")
 
-    def __init__(self, u_col, up, dom, rows_of, cum_of, w_col, contiguous):
+    def __init__(self, u_col, up, le, dom, rows_of, cum_of, w_col, contiguous):
         self.u_col, self.up, self.dom = u_col, up, dom
+        a_bit, b_bit = fork_bits(le)
+        self.u_bit, w_bit = (a_bit, b_bit) if up else (b_bit, a_bit)  # up: u is a, w is b
         self.rank = {v: i for i, v in enumerate(dom)}
         bits = max(1, (len(dom) - 1).bit_length())  # fork levels, L
         # per rank of u: the ranks at which its blocks start, then the end
@@ -86,7 +88,7 @@ class _Fence:
         else:
             self.levels = [[((r >> h) - 1) << h for h in reversed(range(r.bit_length())) if r >> h & 1] + [r]
                            for r in range(len(dom) + 1)]
-        self.ranks = {key: [self.rank_of(r[w_col]) for r in rows] for key, rows in rows_of.items()}
+        self.ranks = {key: [self.rank_of(2 * r[w_col] + w_bit) for r in rows] for key, rows in rows_of.items()}
         self.runs = None
         if contiguous:
             return
@@ -101,16 +103,17 @@ class _Fence:
                     self.runs[key, lo, hi] = at, list(accumulate((cum[i + 1] - cum[i] for i in at), initial=0))
                     lo = hi
 
-    def rank_of(self, cell) -> int:
-        got = self.rank.get(cell)
-        return bisect_left(self.dom, cell) if got is None else got
+    def rank_of(self, key) -> int:
+        """The rank of a fork key in `dom`, or of the next larger key."""
+        got = self.rank.get(key)
+        return bisect_left(self.dom, key) if got is None else got
 
     def cuts(self, key, row) -> tuple[int, ...]:
         """The bucket positions that bound the blocks of a parent row,
         ascending, from the first row on its u's side to the end of that
         side."""
         at = partial(bisect_left, self.ranks[key])
-        return tuple(dict.fromkeys(map(at, self.levels[self.rank_of(row[self.u_col])])))
+        return tuple(dict.fromkeys(map(at, self.levels[self.rank_of(2 * row[self.u_col] + self.u_bit)])))
 
 
 class LexDA:
@@ -124,10 +127,10 @@ class LexDA:
     tie order below x is the sorted-tuple bucket order, fixed and
     deterministic.
 
-    With an order-tree pair over a disjointified database, only the
-    answers that satisfy the pair's strict order are accessed, in the
-    order that LexDA over `elim.eliminate_enforced_order`'s part gives,
-    with no rows forked. The count pass then runs on `elim.fork_tree`,
+    With an order-tree pair, only the answers that satisfy the pair's
+    order, each tie on its site's side, are accessed, in the order that
+    LexDA over `elim.eliminate_enforced_order`'s part gives, with no
+    rows forked. The count pass then runs on `elim.fork_tree`,
     the tree that LexDA over the part would descend; `build_steps` adds
     its bucket sorts and the block cuts of each row with bounded
     children. The fences take the count pass's bounded children, in
@@ -144,7 +147,7 @@ class LexDA:
         self.sort_var = x
         built = StepCounter()
         if pair is not None:
-            pair = OrderTreePair(pair.order, fork_tree(q, pair, x))
+            pair = replace(pair, tree=fork_tree(q, pair, x))
         plan, self._rows, self._cum = count_buckets(q, db, x, pair, counter=built)
         self._plan = plan
         self.total: int = self._cum[plan.root].get((), [0])[-1]
@@ -152,11 +155,11 @@ class LexDA:
         fenced: dict[int, list[int]] = {}  # node -> its bounded children, first pair first
         if pair is not None:
             doms = fork_domains(q, db, pair)
-            for c, ((a, b, _, _), u_col, w_col, up, _) in order_checks(plan, pair.sites(q.variables))[1].items():
+            for c, ((a, b, _, _, le), u_col, w_col, up) in order_checks(plan, pair.sites(q.variables))[1].items():
                 p = plan.parent[c]
                 key_vars = plan.tree.vars_of[c] & plan.tree.vars_of[p]
                 contiguous = all(v in key_vars for v in plan.schema[c][:w_col])
-                fences[c] = _Fence(u_col, up, doms[a, b], self._rows[c], self._cum[c], w_col, contiguous)
+                fences[c] = _Fence(u_col, up, le, doms[a, b], self._rows[c], self._cum[c], w_col, contiguous)
                 fenced.setdefault(p, []).append(c)
         # per node: (child, parent key, the child's index among the
         # bounded children or None) in child order; per node with bounded
@@ -297,7 +300,7 @@ class MinDAIndex:
         self._sorted_vars = tuple(sorted(self.source_vars))
 
     def access(self, k: int, probes: StepCounter | None = None) -> Answer:
-        """The k-th answer in the global order, untagged, over var(Q)."""
+        """The k-th answer in the global order, over var(Q)."""
         if k < 0 or k >= self.total:
             raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
         i = bisect_right(self._smaller, k) - 1
@@ -306,7 +309,7 @@ class MinDAIndex:
         e = self.entries[i]
         j = k - e.smaller_total + e.smaller_cq
         cells = self.secondary[e.qid]._cells(j, probes)
-        answer = Answer._of_sorted(tuple([(v, cells[v] - cells[v] % W) for v in self._sorted_vars]))
+        answer = Answer._of_sorted(tuple([(v, cells[v]) for v in self._sorted_vars]))
         return answer.negated() if self.negated else answer
 
 
@@ -317,10 +320,11 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
     `xs` is the ranking's variables, which means MIN, or a MinRanking; a
     MAX ranking is served as MIN over the negated database, and the
     answers carry the original values. For each ranking variable x, the
-    case "x attains the minimum" is partitioned into enforced strict
-    orders over the disjointified database; each order gets a LexDA on x
-    that enforces it, and the per-value counts merge into one
-    prefix-summed entry array.
+    case "x attains the minimum" is partitioned into enforced orders, a
+    tie between two ranking variables won by the one declared first; each
+    order gets a LexDA on x that enforces it, and the per-value counts
+    merge into one prefix-summed entry array, ties by part. `build_steps`
+    counts the restricted rows, once, and each LexDA's build steps.
     """
     maximize = isinstance(xs, MinRanking) and xs.maximize
     if isinstance(xs, MinRanking):
@@ -330,8 +334,7 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
     classify(Task.RANKED_DA, q, xs).require()
     counter = StepCounter()
     q1, _, d1 = restrict_predicate_to_free(q, None, negate_database(db) if maximize else db)
-    d2 = disjointify(d1, q1, q1.variables)
-    counter.add(d2.size)
+    counter.add(d1.size)
 
     var_pos = {v: i for i, v in enumerate(q1.variables)}
     xs = sorted(dict.fromkeys(xs), key=lambda v: var_pos[v])
@@ -341,10 +344,10 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
     qid = 0
     for x in xs:
         for otp in min_orders(q1, x, [v for v in xs if v != x]):
-            lex = LexDA(q1, d2, x, otp)
+            lex = LexDA(q1, d1, x, otp)
             counter.add(lex.build_steps)
             secondary[qid] = lex
-            part_info.append((q1, d2, otp.order, x))
+            part_info.append((q1, d1, otp.order, x))
             raw_entries += [(val, qid, cnt, below) for val, cnt, below in lex.root_groups()]
             qid += 1
 
@@ -411,11 +414,10 @@ def build_unranked_da_pred(q: ConjunctiveQuery, p: MinPredicate | None, db: Data
     concatenated in part order, one entry per part with no min value, each
     a LexDA that enforces its order. A Boolean query has one (empty)
     answer or none. `build_steps` counts as `build_min_da` does: the
-    rows that disjointify writes, when there are orders, and each LexDA's
-    build steps."""
+    restricted rows, once, when there are orders, and each LexDA's build
+    steps."""
     classify(Task.UNRANKED_DA_PRED, q, p).require()
-    q2, d, otps, ranks = min_predicate_orders(q, p, db)
-    d = d if otps is None else disjointify(d, q2, ranks)
+    q2, d, otps = min_predicate_orders(q, p, db)
     x = next(iter(q2.free_vars), None)
     entries, secondary, part_info = [], {}, []
     running = 0
@@ -436,11 +438,12 @@ def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Databa
     The predicate is restricted to the free variables and partitioned into
     enforced orders; every answer satisfies exactly one order, and each
     order is counted by one bottom-up pass over its enforcing tree, with
-    no fork rewrite, on the cells as given (any ints), ties decided by ranks.
+    no fork rewrite, on the cells as given (any ints), each tie on its
+    pair's side.
     """
     classify(Task.COUNTING, q, p).require()
-    q2, d, otps, ranks = min_predicate_orders(q, p, db)
-    return sum(count_answers(q2, d, otp, ranks) for otp in otps or [None])
+    q2, d, otps = min_predicate_orders(q, p, db)
+    return sum(count_answers(q2, d, otp) for otp in otps or [None])
 
 
 def is_nonempty(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> bool:

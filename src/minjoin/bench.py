@@ -55,7 +55,7 @@ def _pred_count_ms(db: Database) -> float:
 def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
     """Build the star-family index per size; record build steps, the rows
     of the part databases summed over parts (every part reads the one
-    disjointified database, unforked), and per-access probe counts."""
+    restricted database, unforked), and per-access probe counts."""
     rows = []
     for n in sizes:
         q, _, r, db = _instance(STAR_TEXT, n, seed)

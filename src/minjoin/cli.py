@@ -65,14 +65,12 @@ def cmd_eliminate(args) -> int:
     res = eliminate_min_predicate(q, p, db)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # tagged cells serialize as base * width + rank (order-preserving)
-    width = len(q.variables) + 2
-    manifest = {"source_query": q.to_text(), "predicate": str(p), "rank_width": width, "parts": []}
+    manifest = {"source_query": q.to_text(), "predicate": str(p), "parts": []}
     for part in res.parts:
         for sym, rel in part.database.relations.items():
-            with open(out / sym, "w") as fh:
+            with open(out / sym, "w") as fh:  # the input's values and the fork ids, all untagged
                 for row in rel.rows:
-                    fh.write(",".join(str(c // W * width + c % W) for c in row) + "\n")
+                    fh.write(",".join(str(c // W) for c in row) + "\n")
         manifest["parts"].append(
             {
                 "query": part.query.to_text(),

@@ -11,16 +11,21 @@ join variable per pair: a balanced dyadic decomposition over the merged
 active domain assigns each side a logarithmic set of fork ids such that
 a < b holds iff the two sides share exactly one fork id. This keeps the
 rewritten databases quasilinear and makes the answer projection a
-bijection. The rewrite's tie order is kept without it: `fork_tree` and
-`fork_domains` give direct access the tree that LexDA would descend over
-the rewritten part, and the domains that its fork blocks are cut over.
-`fork_domains` replays the rewrite's filters and forks on its own, so
-that the rewrite stays an independent reference for direct access.
+bijection. Every step reads the cells as stored and takes each pair's
+side on a tie from its site: a filter keeps a tie exactly when the pair
+passes it, and a fork domain keeps a tie's two cells apart (`fork_bits`),
+a's below b's exactly then. The rewrite's tie order is kept without the
+rewrite: `fork_tree` and `fork_domains` give direct access the tree that
+LexDA would descend over the rewritten part, and the domains that its
+fork blocks are cut over. `fork_domains` replays the rewrite's filters
+and forks on its own, so that the rewrite stays an independent
+reference for direct access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .errors import EngineError
 from .model import (
@@ -30,7 +35,6 @@ from .model import (
     MinPredicate,
     Relation,
     W,
-    disjointify,
     fresh_symbol,
 )
 from .partition import OrderTreePair, StrictPartialOrder, partition_min_orders
@@ -64,8 +68,17 @@ class EliminationResult:
     source_vars: tuple[str, ...]
 
 
+def fork_bits(le: bool) -> tuple[int, int]:
+    """The bits that key a cell c of a, and of b, as 2*c + bit in the
+    fork domain of a pair a<b: a's 1 and b's 0 when a tie fails the pair
+    (not `le`), the other way round when it passes. Keys sort as their
+    cells do, and a tie's two cells as the pair's side says."""
+    return (0, 1) if le else (1, 0)
+
+
 def _fork_sides(values_a, values_b):
-    """Dyadic fork ids for both sides of a strict inequality a < b.
+    """Dyadic fork ids for both sides of a strict inequality a < b, over
+    the fork keys of a's and b's cells.
 
     Ranks over the merged sorted domain are padded to L bits; position i
     with prefix p yields fork id (1 << i) | p. The a side owns positions
@@ -96,9 +109,10 @@ def eliminate_enforced_order(
     """Rewrite (q, db) so the rewritten query's answers are exactly the
     answers of q satisfying pair.order, projected onto var(q).
 
-    Requires a disjointified database (all comparisons strict) and a tree
-    that enforces the order. Fresh symbols and variables are namespaced
-    with `part_tag`.
+    Requires a tree that enforces the order; each pair decides a tie by
+    its site's side. The rewritten part keeps q's cells as they are, and
+    a fork id is an untagged cell. Fresh symbols and variables are
+    namespaced with `part_tag`.
     """
     if not q.is_full or not q.is_self_join_free:
         raise EngineError("enforced-order elimination needs a full self-join-free query")
@@ -109,11 +123,12 @@ def eliminate_enforced_order(
     fresh_vars: list[str] = []
     taken = set(q.variables)
 
-    for j, (a, b, nodes, ends) in enumerate(pair.sites(q.variables)):
+    for j, (a, b, nodes, ends, le) in enumerate(pair.sites(q.variables)):
         for n in nodes:
             sch = schema_of[n]
             ai, bi = sch.index(a), sch.index(b)
-            rows_of[n] = [r for r in rows_of[n] if r[ai] < r[bi]]
+            rows = rows_of[n]
+            rows_of[n] = [r for r in rows if r[ai] <= r[bi]] if le else [r for r in rows if r[ai] < r[bi]]
         if ends is None:
             continue
         fv = f"v{j + 1}{part_tag}"
@@ -125,13 +140,14 @@ def eliminate_enforced_order(
         na, nb = ends
         acol = schema_of[na].index(a)
         bcol = schema_of[nb].index(b)
+        ka, kb = fork_bits(le)
         a_side, b_side, _ = _fork_sides(
-            {r[acol] for r in rows_of[na]}, {r[bcol] for r in rows_of[nb]}
+            {2 * r[acol] + ka for r in rows_of[na]}, {2 * r[bcol] + kb for r in rows_of[nb]}
         )
         fresh_vars.append(fv)
-        rows_of[na] = [r + (f,) for r in rows_of[na] for f in a_side[r[acol]]]
+        rows_of[na] = [r + (f,) for r in rows_of[na] for f in a_side[2 * r[acol] + ka]]
         schema_of[na].append(fv)
-        rows_of[nb] = [r + (f,) for r in rows_of[nb] for f in b_side[r[bcol]]]
+        rows_of[nb] = [r + (f,) for r in rows_of[nb] for f in b_side[2 * r[bcol] + kb]]
         schema_of[nb].append(fv)
 
     taken = set(db.relations) | {a.symbol for a in q.atoms}
@@ -158,7 +174,7 @@ def fork_tree(q: ConjunctiveQuery, pair: OrderTreePair, x: str) -> RootedJoinTre
     equals, stands for the fork variable of a<b."""
     own = [frozenset(atom.vars) for atom in q.atoms]
     edges = list(own)
-    for a, b, _, ends in pair.sites(q.variables):
+    for a, b, _, ends, _ in pair.sites(q.variables):
         for n in ends or ():
             edges[n] = edges[n] | {(a, b)}
     g = join_tree(Hypergraph(frozenset().union(*edges), tuple(edges)))
@@ -168,12 +184,13 @@ def fork_tree(q: ConjunctiveQuery, pair: OrderTreePair, x: str) -> RootedJoinTre
 
 def fork_domains(q: ConjunctiveQuery, db: Database, pair: OrderTreePair) -> dict[tuple, list]:
     """Per pair a<b across an edge, the sorted domain over which
-    `eliminate_enforced_order` cuts its dyadic fork blocks: the a values
-    of the node holding a and the b values of the node holding b, among
-    the rows that the pairs before it in rewrite order leave. A pair's
-    row filter drops rows, and so does a fork: it gives no fork id to an
-    a at rank 2^L-1 or to a b at rank 0 (see `_fork_sides`). Rows that
-    join nothing count, and so do rows that a later filter drops."""
+    `eliminate_enforced_order` cuts its dyadic fork blocks: the fork keys
+    (`fork_bits`) of the a cells of the node holding a and of the b cells
+    of the node holding b, among the rows that the pairs before it in
+    rewrite order leave. A pair's row filter drops rows, and so does a
+    fork: it gives no fork id to an a at rank 2^L-1 or to a b at rank 0
+    (see `_fork_sides`). Rows that join nothing count, and so do rows
+    that a later filter drops."""
     plan = TreePlan(q, pair.tree)
     left: dict[int, list] = {}  # node -> its rows left, once a step touched it
 
@@ -181,52 +198,57 @@ def fork_domains(q: ConjunctiveQuery, db: Database, pair: OrderTreePair) -> dict
         return left[n] if n in left else plan.rows(db, n)
 
     doms = {}
-    for a, b, nodes, ends in pair.sites(q.variables):
+    for a, b, nodes, ends, le in pair.sites(q.variables):
         for n in nodes:
             ai, bi = plan.schema[n].index(a), plan.schema[n].index(b)
-            left[n] = [r for r in rows(n) if r[ai] < r[bi]]
+            left[n] = [r for r in rows(n) if r[ai] <= r[bi]] if le else [r for r in rows(n) if r[ai] < r[bi]]
         if ends is None:
             continue
         (na, ca), (nb, cb) = [(n, plan.schema[n].index(v)) for n, v in zip(ends, (a, b))]
-        dom = doms[a, b] = sorted({r[ca] for r in rows(na)} | {r[cb] for r in rows(nb)})
+        ka, kb = fork_bits(le)
+        dom = doms[a, b] = sorted({2 * r[ca] + ka for r in rows(na)} | {2 * r[cb] + kb for r in rows(nb)})
         if len(dom) == 1 << max(1, (len(dom) - 1).bit_length()):  # rank 2^L-1 exists
-            left[na] = [r for r in rows(na) if r[ca] != dom[-1]]
-        left[nb] = [r for r in rows(nb) if r[cb] != dom[0]]
+            left[na] = [r for r in rows(na) if 2 * r[ca] + ka != dom[-1]]
+        left[nb] = [r for r in rows(nb) if 2 * r[cb] + kb != dom[0]]
     return doms
 
 
-def min_orders(q: ConjunctiveQuery, x0: str, xs) -> list[OrderTreePair]:
-    """The enforced orders, with their trees, that partition "x0 strictly
-    below all of xs" over q's join tree rooted at x0."""
+def min_orders(q: ConjunctiveQuery, x0: str, xs, rank: Sequence[str] | None = None) -> list[OrderTreePair]:
+    """The enforced orders, with their trees, that partition "x0 below
+    all of xs" over q's join tree rooted at x0. `rank` lists q's variables
+    from the smallest rank to the largest, q's declaration order when
+    None: a tie between a and b passes a pair a<b exactly when a ranks
+    below b (`OrderTreePair.ties`), as if each cell were tagged with its
+    variable's rank, so every answer satisfies exactly one order."""
     xs = [x for x in xs if x != x0]
     tree = tree_for_query(q, at=x0)
     if not xs:
         return [OrderTreePair(StrictPartialOrder(frozenset()), tree)]
-    return partition_min_orders(tree, x0, xs, var_order=q.variables)
+    position = {v: i for i, v in enumerate(rank or q.variables)}
+    return [replace(otp, ties=frozenset(ab for ab in otp.order.pairs if position[ab[0]] < position[ab[1]]))
+            for otp in partition_min_orders(tree, x0, xs, var_order=q.variables)]
 
 
 def min_predicate_orders(
     q: ConjunctiveQuery, p: MinPredicate | None, db: Database
-) -> tuple[ConjunctiveQuery, Database, list[OrderTreePair] | None, dict[str, int] | None]:
+) -> tuple[ConjunctiveQuery, Database, list[OrderTreePair] | None]:
     """(Q AND P, D) as a full self-join-free query over the free
-    variables, its untagged database, the enforced orders that partition
-    the residual predicate, and the ranks {variable: rank} in rank order;
-    every answer satisfies exactly one order, its ties decided by ranks.
+    variables, its database, and the enforced orders that partition the
+    residual predicate; every answer satisfies exactly one order.
 
     Folds existential inequalities into the data, restricts to the free
-    variables, ranks them (x0 the smallest, or the largest for the strict
-    variant) and partitions. Counting reads the ranks as comparison
-    sides; the other tasks `disjointify` by them. With no residual
-    predicate the orders and ranks are None; a Boolean head is one
+    variables and partitions, ranking x0 the smallest, or the largest
+    for the strict variant, and the others in declaration order: the
+    ranks decide each pair's side on a tie (see `min_orders`). With no
+    residual predicate the orders are None; a Boolean head is one
     nullary atom that holds the empty row or none.
     """
     q2, residual, d2 = restrict_predicate_to_free(q, p, db)
     if residual is None:
-        return q2, d2, None, None
+        return q2, d2, None
     x0 = residual.x0
     others = [v for v in q2.variables if v != x0]
-    ranks = {v: i + 1 for i, v in enumerate(others + [x0] if residual.strict else [x0] + others)}
-    return q2, d2, min_orders(q2, x0, residual.xs), ranks
+    return q2, d2, min_orders(q2, x0, residual.xs, others + [x0] if residual.strict else [x0] + others)
 
 
 def eliminate_min_predicate(
@@ -240,15 +262,15 @@ def eliminate_min_predicate(
     through which Q AND P holds (see `reduce.cut_at_x0`).
 
     Pipeline: `min_predicate_orders` (remove self-joins, fold, restrict,
-    rank, partition), `disjointify`, then eliminate each enforced order.
+    rank, partition), then eliminate each enforced order. The parts hold
+    the input's own cells and untagged fork ids.
     """
     classify(Task.ELIMINATION, q, p).require()
     if q.is_boolean:
         q1, d1, _ = cut_at_x0(q, p, db)
         return EliminationResult((EliminationPart(q1, d1, None, None),), ())
 
-    q2, d, otps, ranks = min_predicate_orders(q, p, db)
-    d = d if otps is None else disjointify(d, q2, ranks)
+    q2, d, otps = min_predicate_orders(q, p, db)
     parts = [EliminationPart(q2, d, None, None)] if otps is None else [
         EliminationPart(*eliminate_enforced_order(q2, d, otp, f"_p{i}"), otp.order, p.x0, otp.tree)
         for i, otp in enumerate(otps)]

@@ -2,10 +2,13 @@
 
 Every algorithm in the engine works over these types. A cell is one
 int, `base * W + rank`, whose order is that of (base, rank); an Answer
-decodes it to a TaggedValue only when it is read. Databases are
+decodes it to a TaggedValue only when it is read. The engine compares
+cells as they are stored and writes no rank: where the paper assumes
+that distinct variables never take equal values, each order pair
+decides a tie by its side instead (`partition.Site`). Databases are
 immutable after construction and safe to share across threads; the
-transformations here (self-join removal, domain disjointification,
-negation) return new databases instead of mutating.
+transformations here (self-join removal, negation) return new databases
+instead of mutating.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EngineError
@@ -24,12 +26,12 @@ W = 1 << 16  # the rank width: a cell is base * W + rank, 0 <= rank < W
 
 
 class TaggedValue(NamedTuple):
-    """The decoded view of one cell: its domain value and variable rank.
+    """The decoded view of one cell: its domain value and a rank.
 
-    Rank 0 is reserved for untagged data; a disjointified database gives
-    each variable a distinct rank >= 1 so two distinct variables can never
-    be assigned equal values. The total order is lexicographic (base,
-    then rank), the order of the cells themselves.
+    Loaded and engine-written cells are untagged, rank 0; a caller may
+    build a TaggedValue with a rank to place a value just above its base.
+    The total order is lexicographic (base, then rank), the order of the
+    cells themselves.
     """
 
     base: int
@@ -275,9 +277,6 @@ class Answer:
     def __getitem__(self, var: str) -> TaggedValue:
         return TaggedValue(*divmod(self._cell(var), W))
 
-    def untagged(self) -> "Answer":
-        return Answer._of_sorted(tuple((k, c - c % W) for k, c in self._items))
-
     def negated(self) -> "Answer":
         """Every base value negated, as `negate_database` does to cells."""
         return Answer._of_sorted(tuple((k, -c) for k, c in self._items))
@@ -338,35 +337,6 @@ def remove_self_joins(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQue
         ConjunctiveQuery(tuple(new_atoms), q.free_vars, q.name),
         Database(new_rels),
     )
-
-
-def disjointify(db: Database, q: ConjunctiveQuery, rank_order: Iterable[str]) -> Database:
-    """Tag every cell with its variable's rank so variable domains are disjoint.
-
-    `rank_order` lists variables from smallest to largest rank (ranks start
-    at 1). The rewrite preserves the relative order of distinct base values
-    across any two columns, and makes all cross-variable comparisons strict.
-    """
-    if not q.is_self_join_free:
-        raise EngineError("disjointify requires a self-join-free query")
-    ranks = {v: i + 1 for i, v in enumerate(rank_order)}
-    if len(ranks) >= W:
-        raise EngineError(f"disjointify supports fewer than {W} variables")
-    for v in q.variables:
-        if v not in ranks:
-            raise EngineError(f"rank order misses variable {v!r}")
-    new_rels = {}
-    for a in q.atoms:
-        rel = db.relation(a.symbol)
-        if any(map(W.__rmod__, chain.from_iterable(rel.rows))):  # a cell c % W != 0
-            raise EngineError("disjointify expects an untagged database")
-        col_ranks = tuple(ranks[v] for v in a.vars)
-        rows = tuple([tuple(map(operator.add, row, col_ranks)) for row in rel.rows])
-        new_rels[a.symbol] = Relation(a.symbol, rel.arity, rows)
-    # relations not referenced by the query pass through untouched
-    for sym, rel in db.relations.items():
-        new_rels.setdefault(sym, rel)
-    return Database(new_rels)
 
 
 def negate_database(db: Database) -> Database:

@@ -10,7 +10,9 @@ That place is the pair's site (`OrderTreePair.sites`), which every
 reader of an order takes from there: the nodes holding both variables,
 whose rows the pair filters, or else the one edge between a node holding
 a and a node holding b, which the fork rewrite forks and the count pass
-bounds.
+bounds. The site also carries the pair's side on a tie, where a and b
+hold equal cells: the pair passes it exactly when the pair is among the
+order's `ties` (see `elim.min_orders`).
 """
 
 from __future__ import annotations
@@ -61,18 +63,24 @@ class StrictPartialOrder:
 class Site(NamedTuple):
     """Where a tree enforces the order pair a<b: in the `nodes` that hold
     both variables, or across the one edge whose `ends` are (the node
-    holding a, the node holding b)."""
+    holding a, the node holding b). `le`: a<b holds on equal cells."""
 
     a: str
     b: str
     nodes: tuple[int, ...] = ()
     ends: tuple[int, int] | None = None
+    le: bool = False
 
 
 @dataclass(frozen=True)
 class OrderTreePair:
+    """An order with a tree that enforces it; `ties` holds the order's
+    pairs a<b that a tie between a and b passes, and every other pair
+    fails a tie."""
+
     order: StrictPartialOrder
     tree: RootedJoinTree
+    ties: frozenset[tuple[str, str]] = frozenset()
 
     def sites(self, var_order: Sequence[str]) -> list[Site]:
         """The order's pairs in rewrite order, by the positions of a and
@@ -93,7 +101,7 @@ class OrderTreePair:
             )
             if not nodes and ends is None:
                 raise InternalInvariantError(f"tree does not enforce {a}<{b}")
-            out.append(Site(a, b, nodes, ends))
+            out.append(Site(a, b, nodes, ends, (a, b) in self.ties))
         return out
 
 

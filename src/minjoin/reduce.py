@@ -51,9 +51,9 @@ def semijoin_reduce(q: ConjunctiveQuery, db: Database) -> Database:
         rows[n] = [r for r in rows[n] if kn(r) in keys]
 
     out = dict(db.relations)
-    for n in plan.order:
+    for n in plan.order:  # each a subset of the relation's rows, kept as given
         sym = plan.symbol[n]
-        out[sym] = Relation(sym, len(plan.schema[n]), tuple(rows[n]))
+        out[sym] = Relation._of_distinct(sym, len(plan.schema[n]), tuple(rows[n]))
     return Database(out)
 
 

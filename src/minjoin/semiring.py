@@ -16,7 +16,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import EngineError, InternalInvariantError
 from .instrument import StepCounter
@@ -75,21 +75,20 @@ def thresholds(
     return out
 
 
-def order_checks(plan: TreePlan, sites: Iterable[Site], ranks: Mapping[str, int] | None = None):
+def order_checks(plan: TreePlan, sites: Iterable[Site]):
     """Where the count pass over `plan` enforces an order, from its sites
     over `plan.tree` (`OrderTreePair.sites`): per node, the (a col, b col,
     le) that filter its rows; per bounded child, in rewrite order, (its
-    site, u's column in the parent, w's column, up, le). A pair across an
+    site, u's column in the parent, w's column, up). A pair across an
     edge bounds the child's variable w by the parent's u, from below when
     the parent holds a (up), from above when it holds b. Up is read from
     this plan's parents, since `elim.fork_tree` can put b's side of an
-    edge above a's. One pair per edge. Le: a<b holds on equal cells, as
-    tags would decide it given the variables' `ranks`: never without."""
+    edge above a's. One pair per edge. Le, the site's side: a<b holds on
+    equal cells."""
     filters: dict[int, list[tuple[int, int, bool]]] = {}
-    bounded: dict[int, tuple[Site, int, int, bool, bool]] = {}
+    bounded: dict[int, tuple[Site, int, int, bool]] = {}
     for site in sites:
-        a, b, nodes, ends = site
-        le = ranks is not None and ranks[a] < ranks[b]
+        a, b, nodes, ends, le = site
         for n in nodes:
             filters.setdefault(n, []).append((plan.schema[n].index(a), plan.schema[n].index(b), le))
         if ends is None:
@@ -99,7 +98,7 @@ def order_checks(plan: TreePlan, sites: Iterable[Site], ranks: Mapping[str, int]
         p, c, u, w = (na, nb, a, b) if up else (nb, na, b, a)
         if c in bounded:
             raise InternalInvariantError(f"{a}<{b} across edge {p}-{c}: need one pair per edge")
-        bounded[c] = (site, plan.schema[p].index(u), plan.schema[c].index(w), up, le)
+        bounded[c] = (site, plan.schema[p].index(u), plan.schema[c].index(w), up)
     return filters, bounded
 
 
@@ -109,7 +108,6 @@ def count_buckets(
     x: str | None = None,
     pair: OrderTreePair | None = None,
     counter: StepCounter | None = None,
-    ranks: Mapping[str, int] | None = None,
 ):
     """The count pass: one bottom-up pass over a full self-join-free
     query's join tree, the pair's tree or else the query's own, rooted at
@@ -127,11 +125,11 @@ def count_buckets(
 
     With a pair, only the partial answers that satisfy its order are
     counted, through the filters and bounded children of `order_checks`,
-    each on the pair's side: `<`, or `<=` over untagged cells where the
-    `ranks` would tag a below b. A pair a<b inside a node filters that
-    node's rows. A pair across an edge bounds the child's variable w by
-    the parent's u: from below when the parent holds a, from above when
-    it holds b, which only LexDA's build (x given) asks for. The child's
+    each on the side of its site: `<`, or `<=` where a tie passes the
+    pair. A pair a<b inside a node filters that node's rows. A pair
+    across an edge bounds the child's variable w by the parent's u: from
+    below when the parent holds a, from above when it holds b, which
+    only LexDA's build (x given) asks for. The child's
     buckets are sorted by w. Once a bucket's rows are counted, its w
     column is taken from the kept rows as an int list, aligned with the
     prefix sums, and a parent row bisects it for u, left or right by the
@@ -144,10 +142,10 @@ def count_buckets(
     if x is not None and x not in q.variables:
         raise EngineError(f"sort variable {x!r} not in the query")
     plan = TreePlan(q, tree_for_query(q, at=x) if pair is None else pair.tree)
-    filters, checks = order_checks(plan, pair.sites(q.variables), ranks) if pair is not None else ({}, {})
+    filters, checks = order_checks(plan, pair.sites(q.variables)) if pair is not None else ({}, {})
     # child -> (u col in the parent, w getter, whether the parent holds a, the bisect for u's side)
     bounded: dict[int, tuple] = {}
-    for c, ((a, b, _, _), u_col, w_col, up, le) in checks.items():
+    for c, ((a, b, _, _, le), u_col, w_col, up) in checks.items():
         if not up and x is None:
             raise InternalInvariantError(
                 f"{a}<{b} across edge {plan.parent[c]}-{c}: to count, the smaller variable in the parent"
@@ -217,11 +215,11 @@ def count_buckets(
 # Instantiations
 
 
-def count_answers(q: ConjunctiveQuery, db: Database, pair: OrderTreePair | None = None, ranks=None) -> int:
+def count_answers(q: ConjunctiveQuery, db: Database, pair: OrderTreePair | None = None) -> int:
     """|Q(D)| for a full acyclic self-join-free query; with an order-tree
     pair, the number of answers that satisfy its order, counted over its
-    tree on the sides that `ranks` gives (see count_buckets)."""
+    tree on its sites' sides (see count_buckets)."""
     if not q.is_full or not q.is_self_join_free:
         raise EngineError("count_answers expects a full self-join-free query")
-    plan, _, cum_of = count_buckets(q, db, pair=pair, ranks=ranks)
+    plan, _, cum_of = count_buckets(q, db, pair=pair)
     return cum_of[plan.root].get((), [0])[-1]

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from minjoin import Atom, ConjunctiveQuery, Database, MinPredicate, Relation, parse_query
+from minjoin import Answer, Atom, ConjunctiveQuery, Database, EngineError, MinPredicate, Relation, parse_query
 from minjoin.model import W
 
 
@@ -90,6 +90,40 @@ def with_dangling_rows(rng, q, db):
         rows += [[100 + k] * rel.arity, [rng.randrange(6) for _ in range(rel.arity)]]
         rels.append(Relation.from_ints(sym, rel.arity, rows))
     return db.replace(*rels)
+
+
+def disjointify(db: Database, q: ConjunctiveQuery, rank_order) -> Database:
+    """The reference for the engine's tie rule: db with every cell of q's
+    atoms tagged with its variable's rank, so that distinct variables
+    never take equal values. `rank_order` lists the variables from the
+    smallest rank to the largest, ranks from 1. A tie between a and b
+    passes a<b over db exactly when a comparison of the tagged cells
+    does, that is when a ranks below b."""
+    if not q.is_self_join_free:
+        raise EngineError("disjointify requires a self-join-free query")
+    ranks = {v: i + 1 for i, v in enumerate(rank_order)}
+    assert len(ranks) < W and set(q.variables) <= set(ranks)
+    rels = []
+    for a in q.atoms:
+        rel = db.relation(a.symbol)
+        if any(c % W for row in rel.rows for c in row):
+            raise EngineError("disjointify expects an untagged database")
+        rows = [tuple(c + ranks[v] for c, v in zip(row, a.vars)) for row in rel.rows]
+        rels.append(Relation(a.symbol, rel.arity, tuple(rows)))
+    return db.replace(*rels)
+
+
+def predicate_rank_order(q: ConjunctiveQuery, p: MinPredicate) -> list[str]:
+    """The variables of q, a query that `min_predicate_orders` restricted
+    for p, from the smallest rank to the largest: p's x0 first, or last
+    when p is strict, the others in declaration order."""
+    others = [v for v in q.variables if v != p.x0]
+    return others + [p.x0] if p.strict else [p.x0] + others
+
+
+def untagged(answer: Answer) -> Answer:
+    """`answer` with the rank of every cell dropped."""
+    return Answer({v: c.base * W for v, c in answer.assignment.items()})
 
 
 # Inputs the random generator never makes: a variable repeated in an

@@ -186,7 +186,7 @@ def test_criterion_4_oracle_equivalence_sweep():
                     total = 0
                     for part in res.parts:
                         part_ans = {
-                            a.project(res.source_vars).untagged()
+                            a.project(res.source_vars)
                             for a in oracle_answers(part.query, part.database)
                         }
                         total += len(part_ans)

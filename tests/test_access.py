@@ -1,7 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
 from minjoin import (
-    EngineError,
     IntractableQueryError,
     LexDA,
     MinPredicate,
@@ -15,7 +16,6 @@ from minjoin import (
     classify,
     count_via_access,
     count_with_predicate,
-    disjointify,
     eliminate_enforced_order,
     eliminate_min_predicate,
     enumerate_ranked_min,
@@ -32,10 +32,13 @@ from minjoin.elim import fork_tree, min_orders
 from minjoin.model import Database, Relation
 
 from conftest import (
+    disjointify,
     edge_instances,
+    predicate_rank_order,
     rand_acyclic_query,
     rand_database,
     rand_predicate,
+    untagged,
     with_dangling_rows,
 )
 
@@ -142,15 +145,19 @@ def _tally():
     return dict.fromkeys(("parts", "other tree", "b in the parent", "rows not in b order"), 0)
 
 
-def _check_against_forked_part(q, db, x, otp, seen):
+def _check_against_forked_part(q, db, rank, x, otp, seen):
     """LexDA that enforces otp's order returns, for every k, the answer
-    that LexDA over the fork rewrite's part returns."""
+    that LexDA over the fork rewrite's part returns, both on the plain
+    cells with each tie on its pair's side; and so does LexDA over the
+    copy tagged by `rank` (conftest.disjointify) with a pair that no tie
+    passes, its answer untagged."""
     forked = LexDA(*eliminate_enforced_order(q, db, otp, "_f"), x)
     direct = LexDA(q, db, x, otp)
-    assert direct.total == forked.total, (q.to_text(), x, str(otp.order))
+    tagged = LexDA(q, disjointify(db, q, rank), x, replace(otp, ties=frozenset()))
+    assert direct.total == forked.total == tagged.total, (q.to_text(), x, str(otp.order))
     for k in range(forked.total):
-        want = forked.access(k)
-        assert direct.access(k) == want.project(q.variables), (q.to_text(), x, str(otp.order), k)
+        want = forked.access(k).project(q.variables)
+        assert direct.access(k) == want == untagged(tagged.access(k)), (q.to_text(), x, str(otp.order), k)
     seen["parts"] += 1
     seen["other tree"] += fork_tree(q, otp, x).edges() != otp.tree.edges()
     for _, up, runs in (f for fs in direct._fenced.values() for f in fs):
@@ -160,24 +167,21 @@ def _check_against_forked_part(q, db, x, otp, seen):
 
 def _check_ranked_parts(q, xs, db, seen):
     q1, d1 = remove_self_joins(q, db)
-    d2 = disjointify(d1, q1, q1.variables)
     for x in xs:
         for otp in min_orders(q1, x, [v for v in xs if v != x]):
-            _check_against_forked_part(q1, d2, x, otp, seen)
+            _check_against_forked_part(q1, d1, q1.variables, x, otp, seen)
 
 
 def _check_predicate_parts(q, p, db, seen):
     # every variable as the sort variable, so that b's side of an edge
     # also lands in the parent
     try:
-        q2, d, otps, ranks = min_predicate_orders(q, p, db)
+        q2, d, otps = min_predicate_orders(q, p, db)
     except UnsupportedPredicateError:
         return
-    if otps is not None:
-        d = disjointify(d, q2, ranks)
     for otp in otps or ():
         for x in q2.variables:
-            _check_against_forked_part(q2, d, x, otp, seen)
+            _check_against_forked_part(q2, d, predicate_rank_order(q2, p), x, otp, seen)
 
 
 def test_lexda_with_order_matches_forked_part(rng):
@@ -405,12 +409,12 @@ def test_unranked_da_pred_covers_filtered_answers():
 
 
 def test_unranked_da_pred_counts_its_build_steps():
-    # as build_min_da counts: the rows that disjointify writes when there
-    # are orders, plus each part's LexDA build
+    # as build_min_da counts: the restricted rows, once, when there are
+    # orders, plus each part's LexDA build
     q, db = _star()
     p = MinPredicate("x0", ("x1", "x2"))
     da = build_unranked_da_pred(q, p, db)
-    _, d, otps, _ = min_predicate_orders(q, p, db)
+    _, d, otps = min_predicate_orders(q, p, db)
     parts = [lex.build_steps for lex in da.secondary.values()]
     assert len(parts) == len(otps) == 2 and min(parts) > 0
     assert da.build_steps == d.size + sum(parts)
@@ -475,13 +479,15 @@ def _tie_shapes(q, p, db):
     that counting reads: shape "filter" for a pair inside a node, "edge"
     for one across an edge; side "<=" where the ranks put a below b, so
     that a tie passes, and "<" where they do not."""
-    q2, d, otps, ranks = min_predicate_orders(q, p, db)
+    q2, d, otps = min_predicate_orders(q, p, db)
+    ranks = {v: i for i, v in enumerate(predicate_rank_order(q2, p))}
     met = set()
     for otp in otps or ():
         rows = {n: d.relation(q2.atoms[n].symbol).rows for n in otp.tree.nodes()}
         col = {n: q2.atoms[n].vars.index for n in rows}
-        for a, b, nodes, ends in otp.sites(q2.variables):
+        for a, b, nodes, ends, le in otp.sites(q2.variables):
             side = "<=" if ranks[a] < ranks[b] else "<"
+            assert le == (side == "<="), (q2.to_text(), a, b)
             if any(r[col[n](a)] == r[col[n](b)] for n in nodes for r in rows[n]):
                 met.add(("filter", side))
             if ends and {r[col[ends[0]](a)] for r in rows[ends[0]]} & {r[col[ends[1]](b)] for r in rows[ends[1]]}:
@@ -489,12 +495,33 @@ def _tie_shapes(q, p, db):
     return met
 
 
+def _check_ranked_on_ties(q, db, rng):
+    """build_min_da under a MIN and a MAX ranking over some of q's free
+    variables, where tractable: its answers are the oracle's, and their
+    keys come in oracle_sorted's order. Returns the rankings checked."""
+    checked = 0
+    for maximize in (False, True):
+        r = MinRanking(tuple(rng.sample(q.free_vars, rng.randint(1, min(3, len(q.free_vars))))), maximize)
+        if not classify(Task.RANKED_DA, q, r).tractable:
+            continue
+        ix = build_min_da(q, r, db)
+        got = [ix.access(k) for k in range(ix.total)]
+        want = oracle_sorted(oracle_answers(q, db), r.xs, maximize=maximize)
+        assert set(got) == set(want) and len(got) == len(want), (q.to_text(), str(r))
+        assert [r.key(a) for a in got] == [r.key(a) for a in want], (q.to_text(), str(r))
+        checked += 1
+    return checked
+
+
 def test_count_with_predicate_comparison_sides_on_ties(rng):
-    # counting reads untagged cells: a tie between a and b passes a<b
+    # every task reads plain cells: a tie between a and b passes a<b
     # exactly when a's rank is below b's. Domains of 2-3 values make ties
-    # common, and every pair shape meets one on each side
+    # common, and every pair shape meets one on each side. Unranked direct
+    # access and the elimination union answer as the oracle does, and so
+    # does ranked direct access, whose ties between ranking variables go
+    # to the one declared first
     met: dict[tuple[str, str], int] = {}
-    checked = strict = 0
+    checked = strict = ranked = 0
     while checked < 400:
         q = rand_acyclic_query(rng, max_atoms=4, max_arity=3, full=rng.random() < 0.5)
         p = rand_predicate(rng, q)
@@ -507,26 +534,44 @@ def test_count_with_predicate_comparison_sides_on_ties(rng):
             got = count_with_predicate(q, p, db)
         except UnsupportedPredicateError:
             continue
-        assert got == len(oracle_answers(q, db, predicate=p)), (q.to_text(), str(p), db)
+        want = oracle_answers(q, db, predicate=p)
+        assert got == len(want), (q.to_text(), str(p), db)
+        da = build_unranked_da_pred(q, p, db)
+        assert {da.access(k) for k in range(da.total)} == want and da.total == got, (q.to_text(), str(p))
+        res = eliminate_min_predicate(q, p, db)
+        parts = [{a.project(res.source_vars) for a in oracle_answers(part.query, part.database)}
+                 for part in res.parts]
+        assert sum(map(len, parts)) == len(want) and set().union(*parts) == want, (q.to_text(), str(p))
+        if not q.is_boolean:
+            ranked += _check_ranked_on_ties(q, db, rng)
         for shape in _tie_shapes(q, p, db):
             met[shape] = met.get(shape, 0) + 1
         checked += 1
         strict += p.strict
     assert strict >= 40 and checked - strict >= 40, strict
+    assert ranked >= 100, ranked
     assert all(met.get((shape, side), 0) >= 15 for shape in ("filter", "edge") for side in ("<=", "<")), met
 
 
 def test_count_with_predicate_reads_raw_cells():
-    # cells that are no multiple of W: counting compares them as they
-    # are, while the tasks that tag the data refuse them
+    # cells that are no multiple of W: every task compares them as they
+    # are, and answers as the oracle does
     q = parse_query("Q(x0,x1,y) :- R(x0,y), S(x1,y).")[0]
     p = MinPredicate("x0", ("x1",))
     db = Database({"R": Relation("R", 2, ((1, 1), (2, 1), (5, 1))), "S": Relation("S", 2, ((1, 1), (3, 1)))})
-    assert count_with_predicate(q, p, db) == len(oracle_answers(q, db, predicate=p)) == 3
+    want = oracle_answers(q, db, predicate=p)
+    assert count_with_predicate(q, p, db) == len(want) == 3
     assert count_with_predicate(q, None, db) == 6
-    for task in (build_unranked_da_pred, eliminate_min_predicate):
-        with pytest.raises(EngineError, match="disjointify expects an untagged database"):
-            task(q, p, db)
+    da = build_unranked_da_pred(q, p, db)
+    assert {da.access(k) for k in range(da.total)} == want and da.total == 3
+    res = eliminate_min_predicate(q, p, db)
+    assert {a.project(res.source_vars) for part in res.parts
+            for a in oracle_answers(part.query, part.database)} == want
+    ix = build_min_da(q, ("x0", "x1"), db)
+    got = [ix.access(k) for k in range(ix.total)]
+    assert set(got) == oracle_answers(q, db) and len(got) == 6
+    mins = [min(a["x0"], a["x1"]) for a in got]
+    assert mins == sorted(mins)
 
 
 def test_is_nonempty_cases():

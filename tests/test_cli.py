@@ -154,6 +154,25 @@ def test_cli_eliminate_manifest(star_dir, tmp_path, capsys):
             assert (out / fname).exists()
 
 
+@pytest.mark.parametrize("pred", [PRED, "PREDICATE x0 < MIN(x1,x2).\n"])
+def test_cli_eliminate_parts_load_back(star_dir, tmp_path, capsys, pred):
+    # each part's files hold the input's own values and the fork ids: the
+    # parts, loaded back, tile the answers of Q AND P
+    (star_dir / "q_p.mq").write_text(STAR + pred)
+    out = tmp_path / "parts"
+    assert main(["eliminate", "--query", str(star_dir / "q_p.mq"), "--data", str(star_dir / "data"),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    q, p, _ = minjoin.parse_query(STAR + pred)
+    want = minjoin.oracle_answers(q, minjoin.load_database_dir(star_dir / "data", q), predicate=p)
+    got = []
+    for part in manifest["parts"]:
+        pq = minjoin.parse_query(part["query"])[0]
+        got += [a.project(q.free_vars) for a in minjoin.oracle_answers(pq, minjoin.load_database_dir(out, pq))]
+    assert len(got) == len(set(got)) and set(got) == want and want
+    assert set(manifest) == {"source_query", "predicate", "parts"}
+
+
 def test_cli_empty_range_prints_no_answers(star_dir, capsys):
     args = ["access", "--query", str(star_dir / "q.mq"), "--data", str(star_dir / "data")]
     for empty in ("1..1", "5..2"):

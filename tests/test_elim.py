@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,6 @@ from minjoin import (
     classify,
     count_answers,
     count_with_predicate,
-    disjointify,
     eliminate_enforced_order,
     eliminate_min_predicate,
     is_free_connex,
@@ -28,19 +28,23 @@ from minjoin import (
 from minjoin.elim import _fork_sides
 from minjoin.model import W, Database, Relation
 
-from conftest import edge_instances, rand_acyclic_query, rand_database, rand_predicate
+from conftest import (
+    disjointify,
+    edge_instances,
+    predicate_rank_order,
+    rand_acyclic_query,
+    rand_database,
+    rand_predicate,
+    untagged,
+)
 
 
 def _project_untag(answers, vars_):
-    return {a.project(vars_).untagged() for a in answers}
+    return {untagged(a.project(vars_)) for a in answers}
 
 
 def _part_answers(res):
-    out = []
-    for part in res.parts:
-        ans = oracle_answers(part.query, part.database)
-        out.append(_project_untag(ans, res.source_vars))
-    return out
+    return [{a.project(res.source_vars) for a in oracle_answers(part.query, part.database)} for part in res.parts]
 
 
 # -- fork decomposition -------------------------------------------------------
@@ -126,7 +130,7 @@ def test_eliminate_enforced_order_single_pair_random(rng):
         q1, d1 = eliminate_enforced_order(q, d, pairs[0])
         got = _project_untag(oracle_answers(q1, d1), q.free_vars)
         want = {
-            ans.untagged()
+            untagged(ans)
             for ans in oracle_answers(q, d, predicate=MinPredicate(a, (b,), strict=True))
         }
         assert got == want
@@ -265,18 +269,20 @@ def test_eliminate_min_predicate_random_sweep(rng):
 
 
 def test_count_answers_with_order_matches_fork_rewrite(rng):
-    # the counting pass enforces each order without forks, on the
-    # untagged data with the ranks as comparison sides; the fork rewrite
-    # over the tagged data, counted with no order, is the reference
+    # the counting pass enforces each order without forks, on the plain
+    # cells with each pair's side on a tie; the fork rewrite over the
+    # tagged data, with a pair that no tie passes, counted with no order,
+    # is the reference, and the rewrite over the plain cells agrees
     def check(q, p, db):
         try:
-            q2, d, otps, ranks = min_predicate_orders(q, p, db)
+            q2, d, otps = min_predicate_orders(q, p, db)
         except UnsupportedPredicateError:
             return 0
         crossing = 0
         for otp in otps or ():
-            tagged = disjointify(d, q2, ranks)
-            assert count_answers(q2, d, otp, ranks) == count_answers(*eliminate_enforced_order(q2, tagged, otp))
+            tagged = disjointify(d, q2, predicate_rank_order(q2, p))
+            want = count_answers(*eliminate_enforced_order(q2, tagged, replace(otp, ties=frozenset())))
+            assert count_answers(q2, d, otp) == want == count_answers(*eliminate_enforced_order(q2, d, otp))
             crossing += sum(site.ends is not None for site in otp.sites(q2.variables))
         return crossing
 

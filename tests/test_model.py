@@ -12,7 +12,6 @@ from minjoin import (
     MinPredicate,
     Relation,
     TaggedValue,
-    disjointify,
     negate_database,
     oracle_answers,
     remove_self_joins,
@@ -20,7 +19,7 @@ from minjoin import (
 from minjoin.model import W
 from minjoin.parser import parse_query
 
-from conftest import rand_acyclic_query, rand_database
+from conftest import disjointify, rand_acyclic_query, rand_database, untagged
 
 tv = st.builds(TaggedValue, st.integers(-(2**40), 2**40), st.integers(0, 12))
 
@@ -123,7 +122,7 @@ def test_remove_self_joins_random_preserves_answers(rng):
         assert oracle_answers(q, db) == oracle_answers(q2, db2)
 
 
-# -- disjointify -------------------------------------------------------------
+# -- disjointify, the tests' reference for the tie rule -----------------------
 
 
 def test_disjointify_per_cell_rewrite():
@@ -173,7 +172,7 @@ def test_disjointify_nonstrict_predicate_becomes_strict(rng):
         strict_tagged = MinPredicate(x0, tuple(x for x in xs if x != x0), strict=True) if set(xs) - {x0} else None
         got = oracle_answers(q, d2, predicate=strict_tagged)
         want = oracle_answers(q, db, predicate=p)
-        assert {a.untagged() for a in got} == want
+        assert {untagged(a) for a in got} == want
 
 
 def test_negate_database_roundtrip():

@@ -144,7 +144,7 @@ def test_restrict_full_query_needs_no_semijoin_pass(rng, monkeypatch, tmp_path, 
             assert count_with_predicate(q, p, db) == len(want), (q.to_text(), str(p))
             res = eliminate_min_predicate(q, p, db)
             parts = [
-                {a.project(res.source_vars).untagged() for a in oracle_answers(part.query, part.database)}
+                {a.project(res.source_vars) for a in oracle_answers(part.query, part.database)}
                 for part in res.parts
             ]
             assert sum(map(len, parts)) == len(want) and set().union(*parts) == want, (q.to_text(), str(p))

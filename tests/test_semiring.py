@@ -16,12 +16,12 @@ from minjoin import (
 )
 from minjoin.elim import min_orders
 from minjoin.errors import InternalInvariantError
-from minjoin.model import W, Database, MinPredicate, Relation, disjointify
+from minjoin.model import W, Database, MinPredicate, Relation
 from minjoin.structure import Task, classify
 from minjoin.partition import OrderTreePair, StrictPartialOrder
 from minjoin.semiring import count_buckets
 
-from conftest import rand_acyclic_query, rand_database, with_dangling_rows
+from conftest import disjointify, rand_acyclic_query, rand_database, with_dangling_rows
 
 STAR = "Q(x0,x1,x2,y) :- R0(x0), R1(x1,y), R2(x2,y)."
 
@@ -134,9 +134,12 @@ def _check_order_counts(q, db, x0, xs):
     """count_buckets with each of min_orders' pairs over the disjointified
     database, with x0 given and with no x, against brute force: a row's
     count is the number of partial answers below it that satisfy every
-    pair of the order whose two variables they assign."""
-    d = disjointify(db, q, [x0] + [v for v in q.variables if v != x0])
-    for otp in min_orders(q, x0, xs):
+    pair of the order whose two variables they assign. Over the plain
+    cells, each tie on its pair's side, every row keeps its count."""
+    rank = [x0] + [v for v in q.variables if v != x0]
+    d = disjointify(db, q, rank)
+    tag = {v: i + 1 for i, v in enumerate(rank)}
+    for otp in min_orders(q, x0, xs, rank):
         t = otp.tree
         want = {}
         for n in t.nodes():
@@ -156,6 +159,11 @@ def _check_order_counts(q, db, x0, xs):
                     counts.update(((n, r), cum[i + 1] - cum[i]) for i, r in enumerate(rows))
             assert 0 not in counts.values()
             assert {k: v for k, v in want.items() if v} == counts, (q.to_text(), otp.order.pairs, x)
+            plan, rows_of, cum_of = count_buckets(q, db, x, otp)
+            plain = {(n, tuple(c + tag[v] for c, v in zip(r, q.atoms[n].vars))): cum[i + 1] - cum[i]
+                     for n in plan.order for key, rows in rows_of[n].items()
+                     for cum in [cum_of[n][key]] for i, r in enumerate(rows)}
+            assert plain == counts, (q.to_text(), otp.order.pairs, x)
 
 
 def test_count_buckets_with_order_pairs_match_brute_force(rng):
