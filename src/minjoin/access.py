@@ -116,6 +116,13 @@ class _Fence:
         return tuple(dict.fromkeys(map(at, self.levels[self.rank_of(2 * row[self.u_col] + self.u_bit)])))
 
 
+def _check_index(k: int, total: int) -> None:
+    if not isinstance(k, int):
+        raise EngineError(f"index {k!r} is not an integer")
+    if k < 0 or k >= total:
+        raise OutOfBoundsError(f"index {k} out of bounds (total {total})")
+
+
 class LexDA:
     """Direct access by the order <x> over a full acyclic query's answers.
 
@@ -193,12 +200,11 @@ class LexDA:
 
     def access(self, k: int, probes: StepCounter | None = None) -> Answer:
         """The k-th answer in <x> order, over var(Q), its cells as stored."""
+        _check_index(k, self.total)
         return Answer(self._cells(k, probes))
 
     def _cells(self, k: int, probes: StepCounter | None = None) -> dict[str, int]:
-        """{variable: cell} of the k-th answer in <x> order."""
-        if k < 0 or k >= self.total:
-            raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
+        """{variable: cell} of the k-th answer in <x> order, 0 <= k < total."""
         out: dict[str, int] = {}
         rows_of, cum_of, schema = self._rows, self._cum, self._plan.schema
         kids_of, fenced, cuts_of = self._kids, self._fenced, self._cuts
@@ -301,8 +307,7 @@ class MinDAIndex:
 
     def access(self, k: int, probes: StepCounter | None = None) -> Answer:
         """The k-th answer in the global order, over var(Q)."""
-        if k < 0 or k >= self.total:
-            raise OutOfBoundsError(f"index {k} out of bounds (total {self.total})")
+        _check_index(k, self.total)
         i = bisect_right(self._smaller, k) - 1
         if probes is not None:
             probes.add(max(1, len(self._smaller).bit_length()))

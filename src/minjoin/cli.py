@@ -23,7 +23,6 @@ from .errors import (
     DataFileError, EngineError, InternalInvariantError, IntractableQueryError, OutOfBoundsError,
     QuerySyntaxError, UnsupportedPredicateError,
 )
-from .model import W
 from .oracle import oracle_answers, oracle_sorted
 from .parser import load_database_dir, parse_query_file
 from .structure import classify_all
@@ -68,9 +67,9 @@ def cmd_eliminate(args) -> int:
     manifest = {"source_query": q.to_text(), "predicate": str(p), "parts": []}
     for part in res.parts:
         for sym, rel in part.database.relations.items():
-            with open(out / sym, "w") as fh:  # the input's values and the fork ids, all untagged
+            with open(out / sym, "w") as fh:  # the input's values and the fork ids
                 for row in rel.rows:
-                    fh.write(",".join(str(c // W) for c in row) + "\n")
+                    fh.write(",".join(map(str, row)) + "\n")
         manifest["parts"].append(
             {
                 "query": part.query.to_text(),

@@ -34,7 +34,6 @@ from .model import (
     Database,
     MinPredicate,
     Relation,
-    W,
     fresh_symbol,
 )
 from .partition import OrderTreePair, StrictPartialOrder, partition_min_orders
@@ -93,8 +92,7 @@ def _fork_sides(values_a, values_b):
     for v, r in rank.items():
         a_ids, b_ids = [], []
         for i in range(L):
-            fid = ((1 << i) | r >> (L - i)) * W  # an untagged cell
-            (b_ids if r >> (L - i - 1) & 1 else a_ids).append(fid)
+            (b_ids if r >> (L - i - 1) & 1 else a_ids).append((1 << i) | r >> (L - i))
         a_side[v] = tuple(a_ids)
         b_side[v] = tuple(b_ids)
     return a_side, b_side, L
@@ -111,7 +109,7 @@ def eliminate_enforced_order(
 
     Requires a tree that enforces the order; each pair decides a tie by
     its site's side. The rewritten part keeps q's cells as they are, and
-    a fork id is an untagged cell. Fresh symbols and variables are
+    a fork id is a positive int. Fresh symbols and variables are
     namespaced with `part_tag`.
     """
     if not q.is_full or not q.is_self_join_free:
@@ -263,7 +261,7 @@ def eliminate_min_predicate(
 
     Pipeline: `min_predicate_orders` (remove self-joins, fold, restrict,
     rank, partition), then eliminate each enforced order. The parts hold
-    the input's own cells and untagged fork ids.
+    the input's own cells and the fork ids.
     """
     classify(Task.ELIMINATION, q, p).require()
     if q.is_boolean:

@@ -1,14 +1,12 @@
 """Core data model: values, relations, databases, queries, predicates.
 
-Every algorithm in the engine works over these types. A cell is one
-int, `base * W + rank`, whose order is that of (base, rank); an Answer
-decodes it to a TaggedValue only when it is read. The engine compares
-cells as they are stored and writes no rank: where the paper assumes
-that distinct variables never take equal values, each order pair
-decides a tie by its side instead (`partition.Site`). Databases are
-immutable after construction and safe to share across threads; the
-transformations here (self-join removal, negation) return new databases
-instead of mutating.
+Every algorithm in the engine works over these types. A cell is the
+data's own int, from load to answer; an Answer shows it as a
+TaggedValue only when it is read. Where the paper assumes that distinct
+variables never take equal values, each order pair decides a tie by its
+side (`partition.Site`). Databases are immutable after construction and
+safe to share across threads; the transformations here (self-join
+removal, negation) return new databases instead of mutating.
 """
 
 from __future__ import annotations
@@ -22,23 +20,14 @@ from .errors import EngineError
 
 Row = tuple  # tuple[int, ...], one cell per column
 
-W = 1 << 16  # the rank width: a cell is base * W + rank, 0 <= rank < W
-
 
 class TaggedValue(NamedTuple):
-    """The decoded view of one cell: its domain value and a rank.
-
-    Loaded and engine-written cells are untagged, rank 0; a caller may
-    build a TaggedValue with a rank to place a value just above its base.
-    The total order is lexicographic (base, then rank), the order of the
-    cells themselves.
-    """
+    """The view of one cell that `answer[x]` gives: its value, as `base`."""
 
     base: int
-    rank: int = 0
 
     def __repr__(self):
-        return f"{self.base}r{self.rank}" if self.rank else str(self.base)
+        return str(self.base)
 
 
 @dataclass(frozen=True)
@@ -76,12 +65,12 @@ class Relation:
 
     @classmethod
     def from_ints(cls, symbol: str, arity: int, rows: Iterable[Iterable[int]]) -> "Relation":
-        cells = []  # each an untagged cell
+        cells = []
         for r in map(tuple, rows):
             if len(r) != arity:
                 raise EngineError(f"relation {symbol}: row {r} has {len(r)} entries, arity is {arity}")
             try:
-                cells.append(tuple([operator.index(c) * W for c in r]))
+                cells.append(tuple(map(operator.index, r)))
             except TypeError:
                 raise EngineError(f"relation {symbol}: row {r!r} holds a non-integer value") from None
         return cls(symbol, arity, tuple(cells))
@@ -248,13 +237,16 @@ class Answer:
     """An assignment of the free variables, hashable and order-insensitive.
 
     Built from cells or TaggedValues, it holds cells; `answer[x]` and
-    `answer.assignment` decode them to TaggedValues."""
+    `answer.assignment` show them as TaggedValues."""
 
     __slots__ = ("_items",)
 
     def __init__(self, assignment: Mapping[str, int | TaggedValue]):
-        self._items = tuple(sorted((k, v if isinstance(v, int) else v.base * W + v.rank)
-                                   for k, v in assignment.items()))
+        items = {k: v.base if isinstance(v, TaggedValue) else v for k, v in assignment.items()}
+        for k, c in items.items():
+            if not isinstance(c, int):
+                raise EngineError(f"answer: {k}={c!r} holds a non-integer value")
+        self._items = tuple(sorted(items.items()))
 
     @classmethod
     def _of_sorted(cls, items: tuple[tuple[str, int], ...]) -> "Answer":
@@ -266,7 +258,7 @@ class Answer:
 
     @property
     def assignment(self) -> dict[str, TaggedValue]:
-        return {k: TaggedValue(*divmod(c, W)) for k, c in self._items}
+        return {k: TaggedValue(c) for k, c in self._items}
 
     def _cell(self, var: str) -> int:
         for k, c in self._items:
@@ -275,7 +267,7 @@ class Answer:
         raise KeyError(var)
 
     def __getitem__(self, var: str) -> TaggedValue:
-        return TaggedValue(*divmod(self._cell(var), W))
+        return TaggedValue(self._cell(var))
 
     def negated(self) -> "Answer":
         """Every base value negated, as `negate_database` does to cells."""
@@ -292,7 +284,7 @@ class Answer:
         return hash(self._items)
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={TaggedValue(*divmod(c, W))!r}" for k, c in self._items)
+        inner = ", ".join(f"{k}={c}" for k, c in self._items)
         return f"Answer({inner})"
 
 
@@ -340,8 +332,7 @@ def remove_self_joins(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQue
 
 
 def negate_database(db: Database) -> Database:
-    """Negate every cell of an untagged database, that is every base
-    value; turns MAX problems into MIN problems."""
+    """Negate every cell; turns MAX problems into MIN problems."""
     new_rels = {
         sym: Relation(sym, rel.arity, tuple([tuple(map(operator.neg, row)) for row in rel.rows]))
         for sym, rel in db.relations.items()

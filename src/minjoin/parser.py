@@ -17,7 +17,7 @@ import re
 from pathlib import Path
 
 from .errors import DataFileError, EngineError, QuerySyntaxError
-from .model import W, Atom, ConjunctiveQuery, Database, MinPredicate, MinRanking, Relation
+from .model import Atom, ConjunctiveQuery, Database, MinPredicate, MinRanking, Relation
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _HEAD_RE = re.compile(rf"^({_IDENT})\s*\(([^)]*)\)\s*:-\s*(.*)$")
@@ -193,7 +193,7 @@ def load_database(paths: list[str | Path], query: ConjunctiveQuery) -> Database:
             try:
                 if checked and _NOT_CELL_TEXT.search(line):
                     raise ValueError
-                rows.append(tuple(map(W.__mul__, map(int, cells))))
+                rows.append(tuple(map(int, cells)))
             except ValueError:
                 raise DataFileError(f"{path.name}:{ln}: non-integer cell") from None
         relations[sym] = Relation(sym, arity, tuple(rows))

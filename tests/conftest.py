@@ -7,7 +7,6 @@ import random
 import pytest
 
 from minjoin import Answer, Atom, ConjunctiveQuery, Database, EngineError, MinPredicate, Relation, parse_query
-from minjoin.model import W
 
 
 def rand_acyclic_query(
@@ -86,29 +85,29 @@ def with_dangling_rows(rng, q, db):
     rels = []
     for k, sym in enumerate(dict.fromkeys(a.symbol for a in q.atoms)):
         rel = db.relation(sym)
-        rows = [[c // W for c in row] for row in rel.rows]
-        rows += [[100 + k] * rel.arity, [rng.randrange(6) for _ in range(rel.arity)]]
+        rows = [*rel.rows, [100 + k] * rel.arity, [rng.randrange(6) for _ in range(rel.arity)]]
         rels.append(Relation.from_ints(sym, rel.arity, rows))
     return db.replace(*rels)
 
 
+TAG = 1 << 16  # disjointify's rank width: a tagged cell is c * TAG + rank
+
+
 def disjointify(db: Database, q: ConjunctiveQuery, rank_order) -> Database:
-    """The reference for the engine's tie rule: db with every cell of q's
-    atoms tagged with its variable's rank, so that distinct variables
-    never take equal values. `rank_order` lists the variables from the
-    smallest rank to the largest, ranks from 1. A tie between a and b
-    passes a<b over db exactly when a comparison of the tagged cells
-    does, that is when a ranks below b."""
+    """The reference for the engine's tie rule: db with every cell c of
+    q's atoms tagged as c * TAG + its variable's rank, so that distinct
+    variables never take equal values. `rank_order` lists the variables
+    from the smallest rank to the largest, ranks from 1. A tie between a
+    and b passes a<b over db exactly when a comparison of the tagged
+    cells does, that is when a ranks below b."""
     if not q.is_self_join_free:
         raise EngineError("disjointify requires a self-join-free query")
     ranks = {v: i + 1 for i, v in enumerate(rank_order)}
-    assert len(ranks) < W and set(q.variables) <= set(ranks)
+    assert len(ranks) < TAG and set(q.variables) <= set(ranks)
     rels = []
     for a in q.atoms:
         rel = db.relation(a.symbol)
-        if any(c % W for row in rel.rows for c in row):
-            raise EngineError("disjointify expects an untagged database")
-        rows = [tuple(c + ranks[v] for c, v in zip(row, a.vars)) for row in rel.rows]
+        rows = [tuple(c * TAG + ranks[v] for c, v in zip(row, a.vars)) for row in rel.rows]
         rels.append(Relation(a.symbol, rel.arity, tuple(rows)))
     return db.replace(*rels)
 
@@ -122,8 +121,8 @@ def predicate_rank_order(q: ConjunctiveQuery, p: MinPredicate) -> list[str]:
 
 
 def untagged(answer: Answer) -> Answer:
-    """`answer` with the rank of every cell dropped."""
-    return Answer({v: c.base * W for v, c in answer.assignment.items()})
+    """An answer over `disjointify`'s cells mapped back to the values."""
+    return Answer({v: c.base // TAG for v, c in answer.assignment.items()})
 
 
 # Inputs the random generator never makes: a variable repeated in an

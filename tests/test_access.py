@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from minjoin import (
+    EngineError,
     IntractableQueryError,
     LexDA,
     MinPredicate,
@@ -352,6 +353,24 @@ def test_min_da_out_of_bounds_and_probe_budget(rng):
     assert probes.steps <= budget + 1
 
 
+def test_access_refuses_a_non_integer_index():
+    # both index kinds, ranked and unranked, with and without a predicate:
+    # a float or a string is no index, before any bounds check; a bool is
+    q, db = _star()
+    for ix in (build_min_da(q, ("x0", "x1"), db), build_unranked_da_pred(q, MinPredicate("x0", ("x1", "x2")), db),
+               build_unranked_da_pred(q, None, db)):
+        lexdas = list(ix.secondary.values())
+        assert lexdas and all(isinstance(lex, LexDA) for lex in lexdas)
+        assert ix.total >= 3 and max(lex.total for lex in lexdas) >= 3
+        for da in (ix, *lexdas):
+            for bad in (0.5, 1.5, 2.9, "1", None, -0.5, float(da.total)):
+                with pytest.raises(EngineError, match="is not an integer") as err:
+                    da.access(bad)
+                assert not isinstance(err.value, OutOfBoundsError)
+            if da.total >= 2:
+                assert da.access(True) == da.access(1) and da.access(False) == da.access(0)
+
+
 def test_min_da_rejects_intractable():
     q, _, _ = parse_query("Q(x0,u,v,x1,x2) :- R0(x0,u), R1(u,v), R2(v,x1), R3(x1,x2).")
     db = Database(
@@ -554,8 +573,8 @@ def test_count_with_predicate_comparison_sides_on_ties(rng):
 
 
 def test_count_with_predicate_reads_raw_cells():
-    # cells that are no multiple of W: every task compares them as they
-    # are, and answers as the oracle does
+    # cells built straight into Relation, x0 tied with x1: every task
+    # compares them as they are, and answers as the oracle does
     q = parse_query("Q(x0,x1,y) :- R(x0,y), S(x1,y).")[0]
     p = MinPredicate("x0", ("x1",))
     db = Database({"R": Relation("R", 2, ((1, 1), (2, 1), (5, 1))), "S": Relation("S", 2, ((1, 1), (3, 1)))})
@@ -627,17 +646,18 @@ def test_is_nonempty_random_agrees_with_oracle(rng):
             assert is_nonempty(q, pred, db) == want, (q.to_text(), str(pred))
 
 
-@pytest.mark.parametrize("shift", [-(2**62), 2**62])
+@pytest.mark.parametrize("shift", [-(2**62), 2**62, -(2**70), 2**70])
 def test_values_at_64_bit_scale_agree_with_oracle(rng, shift):
-    # a cell of base +-2^62 is base * W + rank, far beyond 64 bits: every
-    # order, fold and answer must still be the oracle's
+    # a cell is the value: +-2^62 is near the edge of 64 bits and +-2^70
+    # far beyond it, and every order, fold and answer must still be the
+    # oracle's
     counted = ranked = 0
     while counted < 30 or ranked < 30:
         q = rand_acyclic_query(rng, max_atoms=4)
         db = rand_database(rng, q, dom=5, max_rows=6, base_shift=shift)
         p = rand_predicate(rng, q)
         want = oracle_answers(q, db, predicate=p)
-        assert all(abs(v.base) >= 2**62 - 5 for a in want for v in a.assignment.values())
+        assert all(abs(v.base) >= abs(shift) - 5 for a in want for v in a.assignment.values())
         if classify(Task.COUNTING, q, p).tractable and classify(Task.ENUM_PRED, q, p).tractable:
             try:
                 assert count_with_predicate(q, p, db) == len(want), (q.to_text(), str(p))

@@ -157,20 +157,27 @@ def test_cli_eliminate_manifest(star_dir, tmp_path, capsys):
 @pytest.mark.parametrize("pred", [PRED, "PREDICATE x0 < MIN(x1,x2).\n"])
 def test_cli_eliminate_parts_load_back(star_dir, tmp_path, capsys, pred):
     # each part's files hold the input's own values and the fork ids: the
-    # parts, loaded back, tile the answers of Q AND P
+    # parts, loaded back, tile the answers of Q AND P, also over negative
+    # values and values beyond 64 bits, with ties between x0 and x1, x2
     (star_dir / "q_p.mq").write_text(STAR + pred)
-    out = tmp_path / "parts"
-    assert main(["eliminate", "--query", str(star_dir / "q_p.mq"), "--data", str(star_dir / "data"),
-                 "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    big = tmp_path / "big"
+    big.mkdir()
+    (big / "R0").write_text(f"-5\n{2**64 + 3}\n{2**64 + 9}\n")
+    (big / "R1").write_text(f"-5,0\n{2**64 + 9},0\n{-(2**70)},1\n")
+    (big / "R2").write_text(f"{2**64 + 3},0\n-5,0\n{2**65},1\n")
     q, p, _ = minjoin.parse_query(STAR + pred)
-    want = minjoin.oracle_answers(q, minjoin.load_database_dir(star_dir / "data", q), predicate=p)
-    got = []
-    for part in manifest["parts"]:
-        pq = minjoin.parse_query(part["query"])[0]
-        got += [a.project(q.free_vars) for a in minjoin.oracle_answers(pq, minjoin.load_database_dir(out, pq))]
-    assert len(got) == len(set(got)) and set(got) == want and want
-    assert set(manifest) == {"source_query", "predicate", "parts"}
+    for data in (star_dir / "data", big):
+        out = tmp_path / f"parts_{data.name}"
+        assert main(["eliminate", "--query", str(star_dir / "q_p.mq"), "--data", str(data),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        want = minjoin.oracle_answers(q, minjoin.load_database_dir(data, q), predicate=p)
+        got = []
+        for part in manifest["parts"]:
+            pq = minjoin.parse_query(part["query"])[0]
+            got += [a.project(q.free_vars) for a in minjoin.oracle_answers(pq, minjoin.load_database_dir(out, pq))]
+        assert len(got) == len(set(got)) and set(got) == want and want
+        assert set(manifest) == {"source_query", "predicate", "parts"}
 
 
 def test_cli_empty_range_prints_no_answers(star_dir, capsys):
@@ -423,7 +430,7 @@ def test_cli_oracle_access_fails_an_answer_that_is_not_one(star_dir, monkeypatch
             self._da = da
 
         def access(self, k):
-            return Answer({**self._da.access(k).assignment, "y": TaggedValue(99, 0)})
+            return Answer({**self._da.access(k).assignment, "y": TaggedValue(99)})
 
     monkeypatch.setattr("minjoin.cli._build_da", lambda *args: Stub(build(*args)))
     args = ["--query", str(star_dir / "q_ranked.mq"), "--data", str(star_dir / "data")]

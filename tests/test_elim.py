@@ -26,7 +26,7 @@ from minjoin import (
     tree_for_query,
 )
 from minjoin.elim import _fork_sides
-from minjoin.model import W, Database, Relation
+from minjoin.model import Database, Relation
 
 from conftest import (
     disjointify,
@@ -54,8 +54,9 @@ def test_fork_sides_unique_join(rng):
     for _ in range(20):
         n_a = rng.randint(1, 12)
         n_b = rng.randint(1, 12)
-        avals = [rng.randrange(40) * W + 1 for _ in range(n_a)]
-        bvals = [rng.randrange(40) * W + 2 for _ in range(n_b)]
+        # fork keys 2*c + bit, as elim.fork_bits makes them: no a equals a b
+        avals = [2 * rng.randrange(40) + 1 for _ in range(n_a)]
+        bvals = [2 * rng.randrange(40) for _ in range(n_b)]
         a_side, b_side, L = _fork_sides(set(avals), set(bvals))
         for a in set(avals):
             assert len(a_side[a]) <= L

@@ -16,35 +16,41 @@ from minjoin import (
     oracle_answers,
     remove_self_joins,
 )
-from minjoin.model import W
 from minjoin.parser import parse_query
 
-from conftest import disjointify, rand_acyclic_query, rand_database, untagged
+from conftest import TAG, disjointify, rand_acyclic_query, rand_database, untagged
 
-tv = st.builds(TaggedValue, st.integers(-(2**40), 2**40), st.integers(0, 12))
-
-
-@given(tv, tv)
-def test_tagged_value_order_is_lexicographic(a, b):
-    assert (a < b) == ((a.base, a.rank) < (b.base, b.rank))
+big = st.integers(-(2**70), 2**70)
 
 
-@given(st.integers(-(2**70), 2**70), st.integers(0, W - 1), st.integers(-(2**70), 2**70), st.integers(0, W - 1))
+@given(big, big)
+def test_tagged_value_order_is_lexicographic(c1, c2):
+    a, b = TaggedValue(c1), TaggedValue(c2)
+    assert (a < b) == ((a.base,) < (b.base,)) == (c1 < c2) and (a == b) == (c1 == c2)
+
+
+@given(big, st.integers(0, TAG - 1), big, st.integers(0, TAG - 1))
 def test_cells_encode_base_and_rank_in_order(b1, r1, b2, r2):
-    c1, c2 = b1 * W + r1, b2 * W + r2
-    assert divmod(c1, W) == (b1, r1)
-    assert Answer({"x": c1})["x"] == TaggedValue(b1, r1)
-    assert Answer({"x": TaggedValue(b1, r1)}) == Answer({"x": c1})
+    # a cell is the value itself; the conftest reference's tagged cells
+    # c * TAG + rank decode back and keep the (base, rank) order
+    assert Answer({"x": b1})["x"] == TaggedValue(b1) and Answer({"x": b1}).assignment == {"x": TaggedValue(b1)}
+    assert Answer({"x": TaggedValue(b1)}) == Answer({"x": b1})
+    c1, c2 = b1 * TAG + r1, b2 * TAG + r2
+    assert divmod(c1, TAG) == (b1, r1)
+    assert untagged(Answer({"x": c1})) == Answer({"x": b1})
     assert (c1 < c2) == ((b1, r1) < (b2, r2)) and (c1 == c2) == ((b1, r1) == (b2, r2))
-    assert NEG_INF < c1 < POS_INF
+    assert NEG_INF < b1 < POS_INF and NEG_INF < c1 < POS_INF
 
 
 def test_from_ints_rejects_non_integers():
-    assert Relation.from_ints("R", 1, [[True], [-3]]).rows == ((1 * W,), (-3 * W,))
+    assert Relation.from_ints("R", 1, [[True], [-3]]).rows == ((1,), (-3,))
     for bad in (1.5, "2", None, TaggedValue(1)):
         with pytest.raises(EngineError, match=r"relation R: row \(.*\) holds a non-integer value"):
             Relation.from_ints("R", 1, [[0], [bad]])
-    # the arity error names the row as given, not as encoded
+    for bad in (1.5, "2", None, TaggedValue(1.5), (1,)):
+        with pytest.raises(EngineError, match=r"answer: x=.* holds a non-integer value"):
+            Answer({"y": 0, "x": bad})
+    # the arity error names the row as given
     with pytest.raises(EngineError, match=r"relation R: row \(1,\) has 1 entries, arity is 2"):
         Relation.from_ints("R", 2, [[1]])
 
@@ -129,18 +135,14 @@ def test_disjointify_per_cell_rewrite():
     q, _, _ = parse_query("Q(x1,y) :- R1(x1,y).")
     db = Database({"R1": Relation.from_ints("R1", 2, [[1, 0]])})
     d2 = disjointify(db, q, ["x1", "y"])
-    assert d2.relation("R1").rows[0] == (1 * W + 1, 0 * W + 2)
+    assert d2.relation("R1").rows[0] == (1 * TAG + 1, 0 * TAG + 2)
 
 
-def test_disjointify_requires_untagged_and_self_join_free():
+def test_disjointify_requires_self_join_free():
     q, _, _ = parse_query("Q(x,y) :- R(x), R(y).")
     db = Database({"R": Relation.from_ints("R", 1, [[1]])})
     with pytest.raises(EngineError):
         disjointify(db, q, ["x", "y"])
-    q2, _, _ = parse_query("Q(x) :- R(x).")
-    tagged = Database({"R": Relation("R", 1, ((1 * W + 3,),))})
-    with pytest.raises(EngineError):
-        disjointify(tagged, q2, ["x"])
 
 
 def test_disjointify_is_order_embedding(rng):

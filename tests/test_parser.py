@@ -1,7 +1,6 @@
 import pytest
 
 from minjoin import DataFileError, QuerySyntaxError, load_database, parse_query
-from minjoin.model import W
 from minjoin.parser import load_database_dir
 
 
@@ -75,7 +74,7 @@ def test_load_database_basic(tmp_path):
     db = load_database([f0, f1], q)
     assert len(db.relation("R0")) == 2
     assert len(db.relation("R1")) == 2
-    assert db.relation("R1").rows[0][0] == 1 * W
+    assert db.relation("R1").rows == ((1, 0), (2, 0))
 
 
 def test_load_database_dedup_and_empty(tmp_path):
@@ -103,7 +102,7 @@ def test_load_database_dir(tmp_path):
     q, _, _ = parse_query("Q(x) :- R(x).")
     _write(tmp_path, "R", "7\n")
     db = load_database_dir(tmp_path, q)
-    assert db.relation("R").rows[0][0] == 7 * W
+    assert db.relation("R").rows == ((7,),)
     q2, _, _ = parse_query("Q(x) :- Missing(x).")
     with pytest.raises(DataFileError):
         load_database_dir(tmp_path, q2)
