@@ -6,7 +6,8 @@ prefix-sum descent over the buckets of the count pass
 the answers that satisfy the pair's order, in the order that the
 dyadic fork rewrite would give them, without forking a row: a parent
 row reads its bounded children in fork blocks, each a run of the
-child's bucket. MinDAIndex layers a sorted entry array over per-part
+child's bucket, cut over the domains of `elim.fork_replay`, the replay
+that the rewrite forks. MinDAIndex layers a sorted entry array over per-part
 LexDA structures, one per enforced order, so the k-th answer under a
 min-of-variables order comes back in logarithmically many probes.
 Unranked direct access with a predicate is a MinDAIndex with one entry
@@ -39,7 +40,7 @@ from .model import (
     MinRanking,
     negate_database,
 )
-from .elim import fork_bits, fork_domains, fork_tree, min_orders, min_predicate_orders
+from .elim import fork_bits, fork_replay, fork_tree, min_orders, min_predicate_orders
 from .partition import OrderTreePair, StrictPartialOrder
 from .reduce import cut_at_x0, restrict_predicate_to_free
 from .semiring import count_answers, count_buckets, order_checks
@@ -52,7 +53,7 @@ class _Fence:
     The child's variable w is above the parent's u when the parent holds
     a (`up`), below it otherwise; the columns and the side come from
     `semiring.order_checks`, as the count pass's bounds do. `dom` is the
-    pair's fork domain (`elim.fork_domains`), over the fork keys of the
+    pair's fork domain (`elim.fork_replay`), over the fork keys of the
     cells (`elim.fork_bits`) on the pair's side `le`, and `ranks[key]`
     lists the ranks of w in it along the child's bucket, which is sorted
     by (w, row). A cell that a fork drops is missing from the domain and
@@ -142,7 +143,8 @@ class LexDA:
     its bucket sorts and the block cuts of each row with bounded
     children. The fences take the count pass's bounded children, in
     rewrite order, with their columns and sides (`semiring.order_checks`).
-    A row's bounded children come in fork blocks (see `_Fence`). Their
+    A row's bounded children come in fork blocks (see `_Fence`), cut over
+    the domains of `elim.fork_replay`, whose rows the rewrite forks. Their
     blocks, first order pair outermost, are chosen before the mixed radix
     over its children.
     """
@@ -161,7 +163,7 @@ class LexDA:
         fences: dict[int, _Fence] = {}  # bounded child -> its fence, needed at build only
         fenced: dict[int, list[int]] = {}  # node -> its bounded children, first pair first
         if pair is not None:
-            doms = fork_domains(q, db, pair)
+            doms = fork_replay(q, db, pair)[0]
             for c, ((a, b, _, _, le), u_col, w_col, up) in order_checks(plan, pair.sites(q.variables))[1].items():
                 p = plan.parent[c]
                 key_vars = plan.tree.vars_of[c] & plan.tree.vars_of[p]

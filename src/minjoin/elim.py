@@ -14,12 +14,10 @@ rewritten databases quasilinear and makes the answer projection a
 bijection. Every step reads the cells as stored and takes each pair's
 side on a tie from its site: a filter keeps a tie exactly when the pair
 passes it, and a fork domain keeps a tie's two cells apart (`fork_bits`),
-a's below b's exactly then. The rewrite's tie order is kept without the
-rewrite: `fork_tree` and `fork_domains` give direct access the tree that
-LexDA would descend over the rewritten part, and the domains that its
-fork blocks are cut over. `fork_domains` replays the rewrite's filters
-and forks on its own, so that the rewrite stays an independent
-reference for direct access.
+a's below b's exactly then. One replay, `fork_replay`, works out the rows
+that an order's filters and forks leave and each fork's domain. The
+rewrite forks those rows; direct access cuts its fork blocks over those
+domains, on the tree that `fork_tree` gives, and forks no row.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ class EliminationPart:
     database: Database
     order: StrictPartialOrder | None
     min_var: str | None
-    tree: object | None = None  # enforcing RootedJoinTree over the rewritten query
+    tree: RootedJoinTree | None = None  # enforces the order; its nodes hold q's variables, no fork variable
 
 
 @dataclass(frozen=True)
@@ -75,26 +73,24 @@ def fork_bits(le: bool) -> tuple[int, int]:
     return (0, 1) if le else (1, 0)
 
 
-def _fork_sides(values_a, values_b):
-    """Dyadic fork ids for both sides of a strict inequality a < b, over
-    the fork keys of a's and b's cells.
+def _fork_sides(dom):
+    """Dyadic fork ids for both sides of a strict inequality a < b, per
+    fork key of the pair's sorted domain (`fork_replay`).
 
-    Ranks over the merged sorted domain are padded to L bits; position i
-    with prefix p yields fork id (1 << i) | p. The a side owns positions
-    where its bit is 0, the b side those where its bit is 1, so a pair
-    shares a fork id exactly at the first differing bit, and only when
-    a < b. Each value gets at most L ids.
+    Ranks in dom are padded to L bits; position i with prefix p yields
+    fork id (1 << i) | p. The a side owns positions where its bit is 0,
+    the b side those where its bit is 1, so a pair shares a fork id
+    exactly at the first differing bit, and only when a < b. Each key
+    gets at most L ids: an a key at rank 2^L-1 and a b key at rank 0
+    get none, which drops their rows.
     """
-    dom = sorted(set(values_a) | set(values_b))
-    rank = {v: i for i, v in enumerate(dom)}
     L = max(1, (len(dom) - 1).bit_length())
     a_side, b_side = {}, {}
-    for v, r in rank.items():
+    for r, key in enumerate(dom):
         a_ids, b_ids = [], []
         for i in range(L):
             (b_ids if r >> (L - i - 1) & 1 else a_ids).append((1 << i) | r >> (L - i))
-        a_side[v] = tuple(a_ids)
-        b_side[v] = tuple(b_ids)
+        a_side[key], b_side[key] = tuple(a_ids), tuple(b_ids)
     return a_side, b_side, L
 
 
@@ -108,25 +104,20 @@ def eliminate_enforced_order(
     answers of q satisfying pair.order, projected onto var(q).
 
     Requires a tree that enforces the order; each pair decides a tie by
-    its site's side. The rewritten part keeps q's cells as they are, and
-    a fork id is a positive int. Fresh symbols and variables are
-    namespaced with `part_tag`.
+    its site's side. The rows are those that `fork_replay` leaves, each
+    forked by `_fork_sides` over its pairs' domains, first pair
+    outermost. The part keeps q's cells as they are, and a fork id is a
+    positive int. Fresh symbols and variables are namespaced with
+    `part_tag`.
     """
     if not q.is_full or not q.is_self_join_free:
         raise EngineError("enforced-order elimination needs a full self-join-free query")
     t = pair.tree
-    plan = TreePlan(q, t)
-    rows_of = {n: list(plan.rows(db, n)) for n in t.nodes()}
-    schema_of = {n: list(plan.schema[n]) for n in t.nodes()}
+    doms, rows_of = fork_replay(q, db, pair)
+    forks: dict[int, list] = {n: [] for n in t.nodes()}  # node -> (fork variable, column, bit, ids per key)
     fresh_vars: list[str] = []
     taken = set(q.variables)
-
-    for j, (a, b, nodes, ends, le) in enumerate(pair.sites(q.variables)):
-        for n in nodes:
-            sch = schema_of[n]
-            ai, bi = sch.index(a), sch.index(b)
-            rows = rows_of[n]
-            rows_of[n] = [r for r in rows if r[ai] <= r[bi]] if le else [r for r in rows if r[ai] < r[bi]]
+    for j, (a, b, _, ends, le) in enumerate(pair.sites(q.variables)):
         if ends is None:
             continue
         fv = f"v{j + 1}{part_tag}"
@@ -135,27 +126,22 @@ def eliminate_enforced_order(
             k += 1
             fv = f"v{j + 1}{part_tag}_{k}"
         taken.add(fv)
-        na, nb = ends
-        acol = schema_of[na].index(a)
-        bcol = schema_of[nb].index(b)
-        ka, kb = fork_bits(le)
-        a_side, b_side, _ = _fork_sides(
-            {2 * r[acol] + ka for r in rows_of[na]}, {2 * r[bcol] + kb for r in rows_of[nb]}
-        )
         fresh_vars.append(fv)
-        rows_of[na] = [r + (f,) for r in rows_of[na] for f in a_side[2 * r[acol] + ka]]
-        schema_of[na].append(fv)
-        rows_of[nb] = [r + (f,) for r in rows_of[nb] for f in b_side[2 * r[bcol] + kb]]
-        schema_of[nb].append(fv)
+        a_side, b_side, _ = _fork_sides(doms[a, b])
+        for n, v, bit, side in zip(ends, (a, b), fork_bits(le), (a_side, b_side)):
+            forks[n].append((fv, q.atoms[n].vars.index(v), bit, side))
 
     taken = set(db.relations) | {a.symbol for a in q.atoms}
     atoms: list[Atom] = []
     rels: dict[str, Relation] = {}
     for n in t.nodes():
-        sym = fresh_symbol(f"{plan.symbol[n]}{part_tag}", taken)
-        vars_ = tuple(schema_of[n])
+        rows, vars_ = rows_of[n], q.atoms[n].vars
+        for fv, col, bit, side in forks[n]:
+            rows = [r + (f,) for r in rows for f in side[2 * r[col] + bit]]
+            vars_ += (fv,)
+        sym = fresh_symbol(f"{q.atoms[n].symbol}{part_tag}", taken)
         atoms.append(Atom(sym, vars_))
-        rels[sym] = Relation(sym, len(vars_), tuple(rows_of[n]))
+        rels[sym] = Relation._of_distinct(sym, len(vars_), tuple(rows))
     head = q.free_vars + tuple(fresh_vars)
     q2 = ConjunctiveQuery(tuple(atoms), head, q.name)
     return q2, Database(rels)
@@ -180,35 +166,34 @@ def fork_tree(q: ConjunctiveQuery, pair: OrderTreePair, x: str) -> RootedJoinTre
     return RootedJoinTree(dict(enumerate(own)), g.parent, g.root)
 
 
-def fork_domains(q: ConjunctiveQuery, db: Database, pair: OrderTreePair) -> dict[tuple, list]:
-    """Per pair a<b across an edge, the sorted domain over which
-    `eliminate_enforced_order` cuts its dyadic fork blocks: the fork keys
-    (`fork_bits`) of the a cells of the node holding a and of the b cells
-    of the node holding b, among the rows that the pairs before it in
-    rewrite order leave. A pair's row filter drops rows, and so does a
-    fork: it gives no fork id to an a at rank 2^L-1 or to a b at rank 0
-    (see `_fork_sides`). Rows that join nothing count, and so do rows
-    that a later filter drops."""
+def fork_replay(q: ConjunctiveQuery, db: Database, pair: OrderTreePair) -> tuple[dict[tuple, list], dict]:
+    """The one replay of an order's row filters and fork drops, in
+    rewrite order (`OrderTreePair.sites`), on the pair's tree. Returns,
+    per pair a<b across an edge, its sorted fork domain: the fork keys
+    (`fork_bits`) of the a cells of the node holding a and of the b
+    cells of the node holding b, among the rows that the pairs before it
+    leave. Also returns, per node, the rows that every pair leaves, in
+    stored order. A pair's row filter drops rows, and so does a fork: it
+    gives no fork id to an a key at rank 2^L-1 or to a b key at rank 0
+    (see `_fork_sides`). Rows that join nothing count in a domain, and
+    so do rows that a later filter drops. `eliminate_enforced_order`
+    forks the rows, and `LexDA` cuts its fork blocks over the domains."""
     plan = TreePlan(q, pair.tree)
-    left: dict[int, list] = {}  # node -> its rows left, once a step touched it
-
-    def rows(n):
-        return left[n] if n in left else plan.rows(db, n)
-
+    rows = {n: plan.rows(db, n) for n in plan.order}
     doms = {}
     for a, b, nodes, ends, le in pair.sites(q.variables):
         for n in nodes:
             ai, bi = plan.schema[n].index(a), plan.schema[n].index(b)
-            left[n] = [r for r in rows(n) if r[ai] <= r[bi]] if le else [r for r in rows(n) if r[ai] < r[bi]]
+            rows[n] = [r for r in rows[n] if r[ai] <= r[bi]] if le else [r for r in rows[n] if r[ai] < r[bi]]
         if ends is None:
             continue
         (na, ca), (nb, cb) = [(n, plan.schema[n].index(v)) for n, v in zip(ends, (a, b))]
         ka, kb = fork_bits(le)
-        dom = doms[a, b] = sorted({2 * r[ca] + ka for r in rows(na)} | {2 * r[cb] + kb for r in rows(nb)})
+        dom = doms[a, b] = sorted({2 * r[ca] + ka for r in rows[na]} | {2 * r[cb] + kb for r in rows[nb]})
         if len(dom) == 1 << max(1, (len(dom) - 1).bit_length()):  # rank 2^L-1 exists
-            left[na] = [r for r in rows(na) if 2 * r[ca] + ka != dom[-1]]
-        left[nb] = [r for r in rows(nb) if 2 * r[cb] + kb != dom[0]]
-    return doms
+            rows[na] = [r for r in rows[na] if 2 * r[ca] + ka != dom[-1]]
+        rows[nb] = [r for r in rows[nb] if 2 * r[cb] + kb != dom[0]]
+    return doms, rows
 
 
 def min_orders(q: ConjunctiveQuery, x0: str, xs, rank: Sequence[str] | None = None) -> list[OrderTreePair]:

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from minjoin import Answer, Atom, ConjunctiveQuery, Database, EngineError, MinPredicate, Relation, parse_query
+from minjoin.model import fresh_symbol
+from minjoin.structure import TreePlan
 
 
 def rand_acyclic_query(
@@ -123,6 +125,84 @@ def predicate_rank_order(q: ConjunctiveQuery, p: MinPredicate) -> list[str]:
 def untagged(answer: Answer) -> Answer:
     """An answer over `disjointify`'s cells mapped back to the values."""
     return Answer({v: c.base // TAG for v, c in answer.assignment.items()})
+
+
+
+def _fork_sides(values_a, values_b):
+    """Dyadic fork ids for both sides of a strict inequality a < b, over
+    the merged sorted domain of a's and b's fork keys: ranks padded to L
+    bits, position i with prefix p yields fork id (1 << i) | p, the a
+    side at the 0 bits and the b side at the 1 bits."""
+    dom = sorted(set(values_a) | set(values_b))
+    rank = {v: i for i, v in enumerate(dom)}
+    L = max(1, (len(dom) - 1).bit_length())
+    a_side, b_side = {}, {}
+    for v, r in rank.items():
+        a_ids, b_ids = [], []
+        for i in range(L):
+            (b_ids if r >> (L - i - 1) & 1 else a_ids).append((1 << i) | r >> (L - i))
+        a_side[v] = tuple(a_ids)
+        b_side[v] = tuple(b_ids)
+    return a_side, b_side
+
+
+def fork_rewrite_reference(q: ConjunctiveQuery, db: Database, pair, part_tag: str = ""):
+    """The reference for `elim.eliminate_enforced_order`, independent of
+    the engine's replay (`elim.fork_replay`): it applies each order
+    pair's row filter, then forks its rows, in rewrite order, each fork
+    domain taken from the forked rows left so far. Each pair decides a
+    tie by its site's side, and the part keeps q's cells as stored."""
+    t = pair.tree
+    plan = TreePlan(q, t)
+    rows_of = {n: list(plan.rows(db, n)) for n in t.nodes()}
+    schema_of = {n: list(plan.schema[n]) for n in t.nodes()}
+    fresh_vars: list[str] = []
+    taken = set(q.variables)
+
+    for j, (a, b, nodes, ends, le) in enumerate(pair.sites(q.variables)):
+        for n in nodes:
+            sch = schema_of[n]
+            ai, bi = sch.index(a), sch.index(b)
+            rows = rows_of[n]
+            rows_of[n] = [r for r in rows if r[ai] <= r[bi]] if le else [r for r in rows if r[ai] < r[bi]]
+        if ends is None:
+            continue
+        fv = f"v{j + 1}{part_tag}"
+        k = 0
+        while fv in taken:
+            k += 1
+            fv = f"v{j + 1}{part_tag}_{k}"
+        taken.add(fv)
+        na, nb = ends
+        acol = schema_of[na].index(a)
+        bcol = schema_of[nb].index(b)
+        # fork keys 2*c + bit: a tie's a below its b exactly when it passes
+        ka, kb = (0, 1) if le else (1, 0)
+        a_side, b_side = _fork_sides(
+            {2 * r[acol] + ka for r in rows_of[na]}, {2 * r[bcol] + kb for r in rows_of[nb]}
+        )
+        fresh_vars.append(fv)
+        rows_of[na] = [r + (f,) for r in rows_of[na] for f in a_side[2 * r[acol] + ka]]
+        schema_of[na].append(fv)
+        rows_of[nb] = [r + (f,) for r in rows_of[nb] for f in b_side[2 * r[bcol] + kb]]
+        schema_of[nb].append(fv)
+
+    taken = set(db.relations) | {a.symbol for a in q.atoms}
+    atoms: list[Atom] = []
+    rels: dict[str, Relation] = {}
+    for n in t.nodes():
+        sym = fresh_symbol(f"{plan.symbol[n]}{part_tag}", taken)
+        vars_ = tuple(schema_of[n])
+        atoms.append(Atom(sym, vars_))
+        rels[sym] = Relation(sym, len(vars_), tuple(rows_of[n]))
+    head = q.free_vars + tuple(fresh_vars)
+    return ConjunctiveQuery(tuple(atoms), head, q.name), Database(rels)
+
+
+def part_cells(q: ConjunctiveQuery, db: Database):
+    """A part as output: its query's text, then each relation's symbol,
+    arity and rows, in order."""
+    return q.to_text(), [(sym, rel.arity, rel.rows) for sym, rel in db.relations.items()]
 
 
 # Inputs the random generator never makes: a variable repeated in an

@@ -35,6 +35,8 @@ from minjoin.model import Database, Relation
 from conftest import (
     disjointify,
     edge_instances,
+    fork_rewrite_reference,
+    part_cells,
     predicate_rank_order,
     rand_acyclic_query,
     rand_database,
@@ -148,11 +150,14 @@ def _tally():
 
 def _check_against_forked_part(q, db, rank, x, otp, seen):
     """LexDA that enforces otp's order returns, for every k, the answer
-    that LexDA over the fork rewrite's part returns, both on the plain
-    cells with each tie on its pair's side; and so does LexDA over the
-    copy tagged by `rank` (conftest.disjointify) with a pair that no tie
-    passes, its answer untagged."""
-    forked = LexDA(*eliminate_enforced_order(q, db, otp, "_f"), x)
+    that LexDA over the reference fork rewrite's part returns
+    (conftest.fork_rewrite_reference), both on the plain cells with each
+    tie on its pair's side; and so does LexDA over the copy tagged by
+    `rank` (conftest.disjointify) with a pair that no tie passes, its
+    answer untagged. The engine's rewrite is the reference's part."""
+    ref = fork_rewrite_reference(q, db, otp, "_f")
+    assert part_cells(*eliminate_enforced_order(q, db, otp, "_f")) == part_cells(*ref)
+    forked = LexDA(*ref, x)
     direct = LexDA(q, db, x, otp)
     tagged = LexDA(q, disjointify(db, q, rank), x, replace(otp, ties=frozenset()))
     assert direct.total == forked.total == tagged.total, (q.to_text(), x, str(otp.order))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -25,12 +26,14 @@ from minjoin import (
     remove_self_joins,
     tree_for_query,
 )
-from minjoin.elim import _fork_sides
+from minjoin.elim import _fork_sides, fork_bits, fork_replay, min_orders
 from minjoin.model import Database, Relation
 
 from conftest import (
     disjointify,
     edge_instances,
+    fork_rewrite_reference,
+    part_cells,
     predicate_rank_order,
     rand_acyclic_query,
     rand_database,
@@ -51,18 +54,35 @@ def _part_answers(res):
 
 
 def test_fork_sides_unique_join(rng):
-    for _ in range(20):
-        n_a = rng.randint(1, 12)
-        n_b = rng.randint(1, 12)
-        # fork keys 2*c + bit, as elim.fork_bits makes them: no a equals a b
-        avals = [2 * rng.randrange(40) + 1 for _ in range(n_a)]
-        bvals = [2 * rng.randrange(40) for _ in range(n_b)]
-        a_side, b_side, L = _fork_sides(set(avals), set(bvals))
-        for a in set(avals):
-            assert len(a_side[a]) <= L
-            for b in set(bvals):
-                common = set(a_side[a]) & set(b_side[b])
-                assert len(common) == (1 if a < b else 0), (a, b)
+    # over every domain size up to 40 and both tie sides: an a key and a
+    # b key share exactly one fork id when a < b, none otherwise, and the
+    # keys that get no id are exactly those that fork_replay's drop rule
+    # removes, the last a key when len(dom) is a power of two, the first
+    # b key always
+    q = parse_query("Q(a,b) :- R(a), S(b).")[0]
+    (otp,) = min_orders(q, "a", ["b"])
+    for pair in (otp, replace(otp, ties=frozenset())):
+        (site,) = pair.sites(q.variables)
+        ka, kb = fork_bits(site.le)
+        for size in range(1, 41):
+            dom = sorted(rng.sample(range(4 * size), size))
+            akeys = [k for k in dom if k % 2 == ka]
+            bkeys = [k for k in dom if k % 2 == kb]
+            db = Database({
+                "R": Relation.from_ints("R", 1, [[k // 2] for k in akeys]),
+                "S": Relation.from_ints("S", 1, [[k // 2] for k in bkeys]),
+            })
+            doms, rows = fork_replay(q, db, pair)
+            assert doms == {("a", "b"): dom}
+            a_side, b_side, L = _fork_sides(dom)
+            na, nb = site.ends
+            assert {2 * c + ka for c, in rows[na]} == {k for k in akeys if a_side[k]}
+            assert {2 * c + kb for c, in rows[nb]} == {k for k in bkeys if b_side[k]}
+            for a in akeys:
+                assert len(a_side[a]) <= L
+                for b in bkeys:
+                    common = set(a_side[a]) & set(b_side[b])
+                    assert len(common) == (1 if a < b else 0), (a, b)
 
 
 # -- enforced-order elimination ----------------------------------------------
@@ -271,9 +291,11 @@ def test_eliminate_min_predicate_random_sweep(rng):
 
 def test_count_answers_with_order_matches_fork_rewrite(rng):
     # the counting pass enforces each order without forks, on the plain
-    # cells with each pair's side on a tie; the fork rewrite over the
-    # tagged data, with a pair that no tie passes, counted with no order,
-    # is the reference, and the rewrite over the plain cells agrees
+    # cells with each pair's side on a tie. The reference rewrite
+    # (conftest.fork_rewrite_reference) over the tagged data, with a pair
+    # that no tie passes, counted with no order, gives the count; the
+    # reference rewrite over the plain cells agrees, and the engine's
+    # rewrite is exactly its part
     def check(q, p, db):
         try:
             q2, d, otps = min_predicate_orders(q, p, db)
@@ -282,8 +304,10 @@ def test_count_answers_with_order_matches_fork_rewrite(rng):
         crossing = 0
         for otp in otps or ():
             tagged = disjointify(d, q2, predicate_rank_order(q2, p))
-            want = count_answers(*eliminate_enforced_order(q2, tagged, replace(otp, ties=frozenset())))
-            assert count_answers(q2, d, otp) == want == count_answers(*eliminate_enforced_order(q2, d, otp))
+            ref = fork_rewrite_reference(q2, d, otp)
+            assert part_cells(*eliminate_enforced_order(q2, d, otp)) == part_cells(*ref)
+            want = count_answers(*fork_rewrite_reference(q2, tagged, replace(otp, ties=frozenset())))
+            assert count_answers(q2, d, otp) == want == count_answers(*ref)
             crossing += sum(site.ends is not None for site in otp.sites(q2.variables))
         return crossing
 
@@ -329,3 +353,35 @@ def test_elimination_blowup_envelope():
         bound_factor = max(1, (2 * scale + 2).bit_length()) ** 2
         for part in res.parts:
             assert part.database.size <= 3 * db.size * bound_factor
+
+
+def test_eliminate_parts_pinned():
+    # eliminate's parts are its output: each part's query text, symbols,
+    # rows and row order, and which instances are refused, pinned over a
+    # seeded sample, so that a change to the rewrite that should not move
+    # them shows here
+    rng = random.Random(23)
+    digest = hashlib.sha256()
+    counts = Counter()
+
+    def run(q, p, db):
+        counts["instances"] += 1
+        try:
+            res = eliminate_min_predicate(q, p, db)
+        except (IntractableQueryError, UnsupportedPredicateError) as e:
+            counts["refused"] += 1
+            digest.update(type(e).__name__.encode())
+            return
+        for part in res.parts:
+            counts["parts"] += 1
+            counts["forked"] += len(part.query.free_vars) > len(res.source_vars)
+            counts["rows"] += part.database.size
+            digest.update(repr(part_cells(part.query, part.database)).encode())
+
+    for _ in range(800):
+        q = rand_acyclic_query(rng, max_atoms=5, max_arity=3, full=rng.random() < 0.5)
+        run(q, rand_predicate(rng, q), rand_database(rng, q, dom=8, max_rows=10))
+    for q, db in edge_instances(rng):
+        run(q, rand_predicate(rng, q), db)
+    assert counts == {"instances": 824, "refused": 108, "parts": 758, "forked": 297, "rows": 8908}
+    assert digest.hexdigest() == "684a3381098cfd4abd2f31fc10a66405af9383d71ce7905b8ecd0cfc6e0252da"
