@@ -13,7 +13,9 @@ by commas, semicolons or whitespace.
 
 from __future__ import annotations
 
+import json
 import re
+from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import DataFileError, EngineError, QuerySyntaxError
@@ -143,7 +145,7 @@ def _read_text(path: Path, what: str) -> str:
     """A file's text; a file that cannot be read as text is a
     DataFileError naming it."""
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as err:
         raise DataFileError(f"cannot read {what} {path}: {err.strerror}") from None
     except UnicodeDecodeError:
@@ -158,13 +160,63 @@ def parse_query_file(path: str | Path):
 _SEPARATORS = str.maketrans(",;", "  ")
 # a character that no cell [+-]?[0-9]+ and no separator holds
 _NOT_CELL_TEXT = re.compile(r"[^0-9+\-,;\s]")
+# deletes the characters of cells, leaving a text's separators and line breaks
+_CELL_CHARS = str.maketrans("", "", "0123456789+-")
+
+
+def _bulk_rows(text: str, arity: int) -> Iterable[tuple[int, ...]] | None:
+    """The rows of `text` from whole-file passes with no Python loop per
+    row, or None when the file needs the line loop. The bulk path takes
+    a text whose every line, split at `\\n` only, is `arity` cells joined
+    by single commas, each cell an int as Python writes it."""
+    if text and not text.endswith("\n"):
+        text += "\n"
+    lines = text.count("\n")
+    if not arity or text.translate(_CELL_CHARS) != ("," * (arity - 1) + "\n") * lines:
+        return None
+    try:
+        # a JSON int, -?(0|[1-9][0-9]*), is a cell that int() reads the
+        # same; "+1", "01", "1-2", "-" and an empty cell are JSON errors
+        cells = json.loads("[" + text[:-1].replace("\n", ",") + "]")
+    except ValueError:
+        return None
+    return zip(*[iter(cells)] * arity)
+
+
+def _line_rows(text: str, sym: str, arity: int) -> list[tuple[int, ...]]:
+    """The rows of `sym`'s file `text`, one line at a time; a malformed
+    line is a DataFileError at `sym:line`."""
+    # int() also takes "1_0" and non-ASCII digits: check lines if need be
+    checked = _NOT_CELL_TEXT.search(text) is not None
+    rows: list[tuple[int, ...]] = []
+    lines = zip(text.splitlines(), text.translate(_SEPARATORS).splitlines())
+    for ln, (raw, line) in enumerate(lines, start=1):
+        cells = line.split()
+        if not cells and not raw.strip():
+            continue
+        if len(cells) != arity:
+            raise DataFileError(f"{sym}:{ln}: row has {len(cells)} columns, {sym} has arity {arity}")
+        try:
+            if checked and _NOT_CELL_TEXT.search(line):
+                raise ValueError
+            rows.append(tuple(map(int, cells)))
+        except ValueError:
+            raise DataFileError(f"{sym}:{ln}: non-integer cell") from None
+    return rows
 
 
 def load_database(paths: list[str | Path], query: ConjunctiveQuery) -> Database:
     """Load one data file per relation symbol of `query`.
 
-    Each file must be named exactly like its symbol. Rows are deduplicated;
-    an empty file is a legal empty relation.
+    Each file must be named exactly like its symbol and is read as UTF-8.
+    A file of arity >= 1 whose every line is `arity` cells joined by
+    single commas, each cell written as Python writes an int (no `+`, no
+    leading zero), is parsed in whole-file passes. Any other file is
+    parsed one line at a time, which names the first malformed line; both
+    give the same rows. Line breaks are those of `str.splitlines`.
+    Whitespace-only lines are skipped; a line of separators only is a row
+    of 0 columns. Rows are deduplicated, first occurrence kept; an empty
+    file is a legal empty relation.
     """
     by_name = {Path(p).name: Path(p) for p in paths}
     arities: dict[str, int] = {}
@@ -178,25 +230,10 @@ def load_database(paths: list[str | Path], query: ConjunctiveQuery) -> Database:
         if path is None:
             raise DataFileError(f"no data file for relation {sym!r}")
         text = _read_text(path, "data file")
-        # int() also takes "1_0" and non-ASCII digits: check lines if need be
-        checked = _NOT_CELL_TEXT.search(text) is not None
-        rows: list[tuple[int, ...]] = []
-        lines = zip(text.splitlines(), text.translate(_SEPARATORS).splitlines())
-        for ln, (raw, line) in enumerate(lines, start=1):
-            cells = line.split()
-            if not cells and not raw.strip():
-                continue
-            if len(cells) != arity:
-                raise DataFileError(
-                    f"{path.name}:{ln}: row has {len(cells)} columns, {sym} has arity {arity}"
-                )
-            try:
-                if checked and _NOT_CELL_TEXT.search(line):
-                    raise ValueError
-                rows.append(tuple(map(int, cells)))
-            except ValueError:
-                raise DataFileError(f"{path.name}:{ln}: non-integer cell") from None
-        relations[sym] = Relation(sym, arity, tuple(rows))
+        rows = _bulk_rows(text, arity)
+        if rows is None:
+            rows = _line_rows(text, sym, arity)
+        relations[sym] = Relation._of_distinct(sym, arity, tuple(dict.fromkeys(rows)))
     return Database(relations)
 
 

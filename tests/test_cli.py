@@ -477,6 +477,22 @@ def test_cli_unreadable_data_file_is_a_data_error(star_dir, capsys):
     assert err == [f"data error: cannot read data file {d / 'R1'}: not UTF-8 text"]
 
 
+def test_cli_data_files_are_utf8_in_any_locale(tmp_path):
+    # under the C locale with no UTF-8 coercion the default text encoding
+    # is ASCII; a valid UTF-8 file must still reach the cell check
+    (tmp_path / "q.mq").write_text("Q(x,y) :- R(x,y).\n", encoding="utf-8")
+    d = tmp_path / "data"
+    d.mkdir()
+    (d / "R").write_text("1,2\n\u0661,3\n", encoding="utf-8")
+    src = str(Path(minjoin.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C")
+    args = ["count", "--query", str(tmp_path / "q.mq"), "--data", str(d)]
+    run = subprocess.run(
+        [sys.executable, "-m", "minjoin.cli", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (3, "", "data error: R:2: non-integer cell\n")
+
+
 def test_cli_ranking_with_a_predicate_is_refused(star_dir, capsys):
     args = ["--query", str(star_dir / "q_both.mq"), "--data", str(star_dir / "data")]
     for cmd in (["access"], ["enumerate", "--ranked"], ["oracle", "access"]):
