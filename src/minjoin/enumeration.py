@@ -5,7 +5,9 @@ Every stream is one odometer over join buckets. The full and ranked
 streams read the buckets of the count pass (`semiring.count_buckets`),
 as LexDA does; the predicate stream orders its buckets by threshold.
 Each stream is a generator of answers that adds its work to one
-StepCounter, so delay properties are assertable without clocks.
+StepCounter and keeps its delays in a record (`_Run`) that it updates
+once per run of answers. So delay properties are assertable without
+clocks, and taking an answer costs no bookkeeping beyond a count.
 
 The task functions, `enumerate_with_predicate` (p None: the plain
 stream) and `enumerate_ranked_min`, take the query as declared, check
@@ -16,6 +18,7 @@ its verdict and restrict it (`reduce.restrict_predicate_to_free`);
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from heapq import heapify, heappop, heapreplace
 from operator import itemgetter
 from typing import Iterator
 
@@ -35,15 +38,45 @@ from .semiring import count_buckets, thresholds
 from .structure import Task, TreePlan, classify, group_by, tree_for_query
 
 
+class _Run:
+    """A stream's delays, updated by its generator once per run of answers.
+
+    A run is a stretch of answers whose every gap after the first is one
+    step: a leaf run of the descent, or one emission of the ranked merge.
+    The record holds the current run's `first` answer (its 1-based
+    index), the step count `at` which it was yielded, its `gap` to the
+    answer before it, and the `widest` gap of any answer before it.
+    Nothing is recorded while `first` is 0.
+    """
+
+    __slots__ = ("first", "at", "gap", "widest")
+
+    def __init__(self):
+        self.first = self.at = self.gap = self.widest = 0
+
+    def open(self, first: int, at: int) -> None:
+        """Start the run whose first answer is answer `first`, yielded at
+        step `at`; the last run ended with the answer before it."""
+        if self.gap > self.widest:
+            self.widest = self.gap
+        self.gap = at - self.at - (first - 1 - self.first)
+        self.first, self.at = first, at
+
+
 class AnswerStream:
     """Single-consumer cursor over a generator of answers, with delay
     instrumentation.
 
-    `steps` reads the StepCounter that the generator adds its work to;
-    `max_delay` tracks the largest step gap between consecutive
-    emissions. No stream runs a semijoin pass, so `build_steps` counts
-    every input row that preprocessing reads, dangling ones included; a
-    predicate stream adds the rows that it buckets. Draining twice is not
+    `advance` only checks the buffer, counts the emission and fetches the
+    next answer. `steps` reads the StepCounter that the generator adds
+    its work to. `max_delay`, the largest step gap between consecutive
+    emissions, and `avg_delay` are computed when read, from `emitted` and
+    the `run` record that the generator updates; a stream over an
+    iterator that keeps no counter and no record reads every figure as 0.
+
+    No stream runs a semijoin pass, so `build_steps` counts every input
+    row that preprocessing reads, dangling ones included; a predicate
+    stream adds the rows that it buckets. Draining twice is not
     supported: the cursor is consumed.
     """
 
@@ -53,14 +86,14 @@ class AnswerStream:
         counter: StepCounter | None = None,
         build_steps: int = 0,
         skipped: StepCounter | None = None,
+        run: _Run | None = None,
     ):
         self._answers = answers
         self._counter = counter if counter is not None else StepCounter()
         self._skipped = skipped
+        self._run = run if run is not None else _Run()
         self.build_steps = build_steps
         self.emitted = 0
-        self.max_delay = 0
-        self._last_steps = 0
         self._buffer = next(answers, None)
 
     @property
@@ -71,12 +104,27 @@ class AnswerStream:
     def skips(self) -> int:
         return self._skipped.steps if self._skipped is not None else 0
 
+    def _delays(self) -> tuple[int, int]:
+        """(the step count at the last emission, the largest gap so far).
+
+        The buffered answer may already have opened a new run: then the
+        last emission closed the run before it, which ended `gap` steps
+        before the record's first answer."""
+        r, e = self._run, self.emitted
+        if e < r.first or not r.first:
+            return r.at - r.gap, r.widest
+        return r.at + e - r.first, max(r.widest, r.gap)
+
+    @property
+    def max_delay(self) -> int:
+        return self._delays()[1]
+
     @property
     def avg_delay(self) -> float:
         """Mean step gap per emission, over the steps up to the last
         emission: like `max_delay`, it leaves out the prefetch of the next
         answer and the exhaustion probe, so avg_delay <= max_delay."""
-        return self._last_steps / max(1, self.emitted)
+        return self._delays()[0] / max(1, self.emitted)
 
     def has_next(self) -> bool:
         return self._buffer is not None
@@ -90,11 +138,6 @@ class AnswerStream:
         if self._buffer is None:
             raise EngineError("stream is exhausted")
         self.emitted += 1
-        steps = self._counter.steps
-        delay = steps - self._last_steps
-        if delay > self.max_delay:
-            self.max_delay = delay
-        self._last_steps = steps
         self._buffer = next(self._answers, None)
 
     def __iter__(self):
@@ -107,7 +150,7 @@ class AnswerStream:
         return list(self)
 
 
-def _descend(plan: TreePlan, buckets, counter: StepCounter, cut=None):
+def _descend(plan: TreePlan, buckets, counter: StepCounter, run: _Run, cut=None):
     """Nested-loop descent over a bucketed join tree (the odometer).
 
     `buckets[n]` maps each key of node n (`plan.key[n]`) to its rows; the
@@ -129,6 +172,8 @@ def _descend(plan: TreePlan, buckets, counter: StepCounter, cut=None):
     each row fills only the leaf's own variables. Every test of a row
     costs one step, as in a plain odometer: one per emission, and one for
     the test that fails (or finds the bucket's end) and closes a run.
+    Each emission after a run's first is one step after the one before,
+    so `run` is opened once per run that emits.
     """
     order = plan.order  # any topological order works for the odometer
     pos = {n: i for i, n in enumerate(order)}
@@ -147,13 +192,13 @@ def _descend(plan: TreePlan, buckets, counter: StepCounter, cut=None):
     items: list = [None] * len(where)
     if cut is not None:
         bound_col, keys, search = cut
-    of_sorted = Answer._of_sorted
+    new = object.__new__
     lists = [tables[0].get((), ())] + [()] * last
     stops = [len(lists[0])] + [0] * last
     idx = [-1] * (last + 1)
     cur = [None] * (last + 1)
     neg_bound = None
-    i = steps = 0
+    i = steps = emitted = 0
     while True:
         if i < last:
             steps += 1
@@ -171,16 +216,20 @@ def _descend(plan: TreePlan, buckets, counter: StepCounter, cut=None):
         else:
             # the leaf run: one step per emission, and one to close it
             lst, stop = lists[i], stops[i]
-            for p, v, j, c in upper:
-                items[p] = (v, cur[j][c])
             counter.add(steps)
-            steps = 0
-            for row in (lst if stop == len(lst) else lst[:stop]):
-                counter.steps += 1
-                for p, v, c in leaf:
-                    items[p] = (v, row[c])
-                yield of_sorted(tuple(items))
             steps = 1
+            if stop:
+                for p, v, j, c in upper:
+                    items[p] = (v, cur[j][c])
+                run.open(emitted + 1, counter.steps + 1)
+                emitted += stop
+                for row in (lst if stop == len(lst) else lst[:stop]):
+                    counter.steps += 1
+                    for p, v, c in leaf:
+                        items[p] = (v, row[c])
+                    a = new(Answer)
+                    a._items = tuple(items)
+                    yield a
         i -= 1
         if i < 0:
             counter.add(steps)
@@ -201,9 +250,9 @@ def enumerate_full_acyclic(
 
 def _full_stream(q: ConjunctiveQuery, db: Database, root_sort_var: str | None = None) -> AnswerStream:
     """`enumerate_full_acyclic` over a full self-join-free query."""
-    counter, built = StepCounter(), StepCounter()
+    counter, built, run = StepCounter(), StepCounter(), _Run()
     plan, buckets, _ = count_buckets(q, db, root_sort_var, counter=built)
-    return AnswerStream(_descend(plan, buckets, counter), counter, built.steps)
+    return AnswerStream(_descend(plan, buckets, counter, run), counter, built.steps, run=run)
 
 
 def enumerate_with_predicate(
@@ -257,34 +306,51 @@ def enumerate_with_predicate(
             build_steps += len(rows)
     # a bucket sorted by decreasing threshold is sorted by its negation
     keys = [None] + [(lambda r, t=theta[n]: -t[r]) for n in plan.order[1:]]
-    counter = StepCounter()
+    counter, run = StepCounter(), _Run()
     answers = _descend(
-        plan, buckets, counter, cut=(x0_col, keys, bisect_left if p.strict else bisect_right),
+        plan, buckets, counter, run, cut=(x0_col, keys, bisect_left if p.strict else bisect_right),
     )
-    return AnswerStream(answers, counter, build_steps)
+    return AnswerStream(answers, counter, build_steps, run=run)
 
 
-def _ranked_merge(subs, xs, counter: StepCounter, skipped: StepCounter):
+def _ranked_merge(subs, take, counter: StepCounter, skipped: StepCounter, run: _Run):
     """Merge sorted per-variable streams; emit each answer only from the
-    stream whose variable attains its minimum (smallest index on ties)."""
-    heads = [next(s, None) for s in subs]
-    ids = range(len(xs))
-    while True:
-        best = None
-        for i in ids:
-            a = heads[i]
-            if a is not None and (best is None or (a._cell(xs[i]), i) < best):
-                best = (a._cell(xs[i]), i)
-        counter.add(1)
-        if best is None:
-            return
-        r = best[1]
-        a = heads[r]
-        heads[r] = next(subs[r], None)
-        if min(ids, key=lambda j: (a._cell(xs[j]), j)) == r:
+    stream whose variable attains its minimum (smallest index on ties).
+
+    `take[i]` is the position of stream i's variable in an answer's
+    items. Each head's ranking cells are read once, when it is pulled:
+    they give its key in its own stream and whether that stream is
+    responsible for it. The heads sit in a heap by (key, stream index).
+    A pick costs one step, and so does the probe that finds every stream
+    exhausted. Each emission is a run of its own.
+    """
+
+    def pull(i):
+        a = next(subs[i], None)
+        if a is None:
+            return None
+        items = a._items
+        cells = [items[p][1] for p in take]
+        return cells[i], i, a, cells.index(min(cells)) == i
+
+    heap = [h for h in map(pull, range(len(subs))) if h is not None]
+    heapify(heap)
+    emitted = 0
+    while heap:
+        counter.steps += 1
+        _, r, a, mine = heap[0]
+        h = pull(r)
+        if h is None:
+            heappop(heap)
+        else:
+            heapreplace(heap, h)
+        if mine:
+            emitted += 1
+            run.open(emitted, counter.steps)
             yield a
         else:
-            skipped.add(1)
+            skipped.steps += 1
+    counter.steps += 1
 
 
 def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
@@ -311,12 +377,13 @@ def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
         raise EngineError("ranking needs at least one variable")
     classify(Task.RANKED_ENUM, q, xs).require()
     q, _, db = restrict_predicate_to_free(q, None, negate_database(db) if maximize else db)
-    counter, skipped, built = StepCounter(), StepCounter(), StepCounter()
+    counter, skipped, built, run = StepCounter(), StepCounter(), StepCounter(), _Run()
     subs = []
     for x in xs:
         plan, buckets, _ = count_buckets(q, db, x, counter=built)
-        subs.append(_descend(plan, buckets, counter))
-    answers = _ranked_merge(subs, xs, counter, skipped)
+        subs.append(_descend(plan, buckets, counter, _Run()))
+    take = [sorted(q.variables).index(x) for x in xs]
+    answers = _ranked_merge(subs, take, counter, skipped, run)
     if maximize:
         answers = (a.negated() for a in answers)
-    return AnswerStream(answers, counter, built.steps, skipped)
+    return AnswerStream(answers, counter, built.steps, skipped, run=run)

@@ -332,9 +332,11 @@ def remove_self_joins(q: ConjunctiveQuery, db: Database) -> tuple[ConjunctiveQue
 
 
 def negate_database(db: Database) -> Database:
-    """Negate every cell; turns MAX problems into MIN problems."""
+    """Negate every cell; turns MAX problems into MIN problems. Negation
+    keeps distinct rows distinct, so the rows are not checked again."""
+    neg = operator.neg
     new_rels = {
-        sym: Relation(sym, rel.arity, tuple([tuple(map(operator.neg, row)) for row in rel.rows]))
+        sym: Relation._of_distinct(sym, rel.arity, tuple([tuple(map(neg, row)) for row in rel.rows]))
         for sym, rel in db.relations.items()
     }
     return Database(new_rels)

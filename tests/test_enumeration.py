@@ -1,10 +1,14 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from minjoin import (
+    Answer,
     EngineError,
     MinPredicate,
+    MinRanking,
     Task,
     classify,
     enumerate_full_acyclic,
@@ -15,7 +19,8 @@ from minjoin import (
     remove_self_joins,
     semijoin_reduce,
 )
-from minjoin.model import Database, Relation
+from minjoin.enumeration import AnswerStream
+from minjoin.model import ConjunctiveQuery, Database, Relation
 
 from conftest import (
     edge_instances,
@@ -252,6 +257,115 @@ def test_step_count_after_every_emission_pinned():
         "boolean": [1, 2],
         "boolean_predicate": [1, 2],
     }
+
+
+def _figures(s):
+    return s.steps, s.emitted, s.max_delay, s.avg_delay, s.skips
+
+
+def test_stream_figures_after_every_advance_pinned():
+    # every figure a stream reports, before the first advance and after
+    # each one, for the plain, root-sorted, predicate (strict and not) and
+    # ranked MIN and MAX streams, pinned over a seeded sample; "opens"
+    # counts the reads taken while the buffered answer opens a new run (a
+    # gap of more than one step), where a per-run record of the delays is
+    # off by one if it is wrong
+    rng = random.Random(29)
+    digest = hashlib.sha256()
+    counts = Counter()
+
+    def record(kind, make):
+        counts["streams"] += 1
+        try:
+            s = make()
+        except EngineError as e:
+            counts["refused"] += 1
+            digest.update(f"{kind}:{type(e).__name__}:{e}".encode())
+            return
+        seen = [(kind, *_figures(s))]
+        while s.has_next():
+            a = s.peek()
+            before = s.steps
+            s.advance()
+            counts["emissions"] += 1
+            if s.has_next() and s.steps - before > 1:
+                counts["opens"] += 1
+            seen.append((repr(a), *_figures(s)))
+        digest.update(repr(seen).encode())
+
+    def streams(q, db):
+        p = rand_predicate(rng, q, strict_ok=False)
+        xs = tuple(rng.sample(q.free_vars, rng.randint(1, len(q.free_vars)))) if q.free_vars else ()
+        record("plain", lambda: enumerate_with_predicate(q, None, db))
+        if q.variables:
+            full = ConjunctiveQuery(q.atoms, q.variables, q.name)
+            v = rng.choice(q.variables)
+            record("root_sorted", lambda: enumerate_full_acyclic(full, db, root_sort_var=v))
+        record("predicate", lambda: enumerate_with_predicate(q, p, db))
+        if p.x0 not in p.xs:
+            record("strict", lambda: enumerate_with_predicate(q, MinPredicate(p.x0, p.xs, True), db))
+        if xs:
+            record("ranked_min", lambda: enumerate_ranked_min(q, xs, db))
+            record("ranked_max", lambda: enumerate_ranked_min(q, MinRanking(xs, maximize=True), db))
+
+    for _ in range(250):
+        q = rand_acyclic_query(rng, max_atoms=4, max_arity=3, full=rng.random() < 0.5)
+        streams(q, rand_database(rng, q, dom=5, max_rows=8))
+    for q, db in edge_instances(rng):
+        streams(q, db)
+    assert counts == {"streams": 1468, "refused": 78, "emissions": 9002, "opens": 4495}
+    assert digest.hexdigest() == "ca71496b861ad36c97faf38a6ffe54ec738ecd6f358e61e5644b136178ccbd9c"
+
+
+def test_stream_delays_with_no_one_or_a_boolean_answer():
+    # the figures (steps, emitted, max_delay, avg_delay, skips) of streams
+    # whose record holds no run or a single one
+    q, _, _ = parse_query("Q(x,y) :- R(x), S(x,y).")
+    boolean, _, _ = parse_query("Q() :- R(x), S(x,y).")
+    none = Database({"R": Relation.from_ints("R", 1, [[1], [2]]), "S": Relation.from_ints("S", 2, [[3, 0]])})
+    one = none.replace(Relation.from_ints("S", 2, [[2, 5], [4, 0]]))
+    pred = MinPredicate("x", ("y",))
+
+    empty = {
+        "plain": enumerate_full_acyclic(q, none),
+        "predicate": enumerate_with_predicate(q, pred, none),
+        "ranked": enumerate_ranked_min(q, ("x", "y"), none),
+        "boolean": enumerate_with_predicate(boolean, None, none),
+        "boolean_predicate": enumerate_with_predicate(boolean, pred, none),
+    }
+    for name, s in empty.items():
+        assert not s.has_next(), name
+        with pytest.raises(EngineError, match="exhausted"):
+            s.advance()
+        steps = 3 if name == "ranked" else 1
+        assert _figures(s) == (steps, 0, 0, 0.0, 0), name
+        assert isinstance(s.avg_delay, float), name
+
+    single = {
+        "plain": enumerate_full_acyclic(q, one),
+        "predicate": enumerate_with_predicate(q, pred, one),
+        "ranked_max": enumerate_ranked_min(q, MinRanking(("x", "y"), maximize=True), one),
+        "boolean": enumerate_with_predicate(boolean, None, one),
+        "boolean_predicate": enumerate_with_predicate(boolean, pred, one),
+    }
+    seen = {}
+    for name, s in single.items():
+        before = _figures(s)
+        got = s.drain()
+        seen[name] = (before, got, _figures(s))
+    answer = [Answer({"x": 2, "y": 5})]
+    assert seen == {
+        "plain": ((2, 0, 0, 0.0, 0), answer, (4, 1, 2, 2.0, 0)),
+        "predicate": ((2, 0, 0, 0.0, 0), answer, (4, 1, 2, 2.0, 0)),
+        "ranked_max": ((7, 0, 0, 0.0, 0), answer, (11, 1, 7, 7.0, 1)),
+        "boolean": ((1, 0, 0, 0.0, 0), [Answer({})], (2, 1, 1, 1.0, 0)),
+        "boolean_predicate": ((1, 0, 0, 0.0, 0), [Answer({})], (2, 1, 1, 1.0, 0)),
+    }
+
+    # a stream built over a plain iterator keeps no counter and no record
+    hand = AnswerStream(iter(answer * 2))
+    assert hand.drain() == answer * 2
+    assert _figures(hand) == (0, 2, 0, 0.0, 0)
 
 
 def test_enumerate_with_predicate_random(rng):
