@@ -7,9 +7,11 @@ the answers that satisfy the pair's order, in the order that the
 dyadic fork rewrite would give them, without forking a row: a parent
 row reads its bounded children in fork blocks, each a run of the
 child's bucket, cut over the domains of `elim.fork_replay`, the replay
-that the rewrite forks. MinDAIndex layers a sorted entry array over per-part
-LexDA structures, one per enforced order, so the k-th answer under a
-min-of-variables order comes back in logarithmically many probes.
+that the rewrite forks. The build keeps one flat int tuple per such
+row: offsets, then each bounded child's block bounds (see `LexDA`).
+MinDAIndex layers a sorted entry array over per-part LexDA structures,
+one per enforced order, so the k-th answer under a min-of-variables
+order comes back in logarithmically many probes.
 Unranked direct access with a predicate is a MinDAIndex with one entry
 per part, in part order. Counting with a predicate counts each enforced
 order with the count pass over its tree. Every task reads the cells as
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import accumulate
 
 from .errors import EngineError, OutOfBoundsError
@@ -63,32 +64,25 @@ class _Fence:
     Per parent row, the child rows on u's side come in the dyadic blocks
     that the fork rewrite cuts: a block holds the ranks that agree with
     u's above their highest differing bit, and blocks come farthest
-    first. Each block is a run of the bucket, and `cuts` gives the runs'
-    bounds. When every column before w holds a variable of the parent
-    key (`runs` None), row order is w order, so a run is read as it is.
+    first. Each block is a run of the bucket; `levels[u]` holds the ranks
+    at which the blocks of a parent row with u cell u start, filled by
+    `levels_at` when the build first meets u, and LexDA's build cuts the
+    runs. When every column before w holds a variable of the parent key
+    (`runs` None), row order is w order, so a run is read as it is.
     Otherwise `runs[key, lo, hi]` holds the bucket positions of every
     dyadic run in row order, with their prefix sums: a merge-sort tree
     of row references.
     """
 
-    __slots__ = ("u_col", "up", "u_bit", "dom", "rank", "levels", "ranks", "runs")
+    __slots__ = ("u_col", "up", "u_bit", "bits", "dom", "rank", "levels", "ranks", "runs")
 
     def __init__(self, u_col, up, le, dom, rows_of, cum_of, w_col, contiguous):
         self.u_col, self.up, self.dom = u_col, up, dom
         a_bit, b_bit = fork_bits(le)
         self.u_bit, w_bit = (a_bit, b_bit) if up else (b_bit, a_bit)  # up: u is a, w is b
         self.rank = {v: i for i, v in enumerate(dom)}
-        bits = max(1, (len(dom) - 1).bit_length())  # fork levels, L
-        # per rank of u: the ranks at which its blocks start, then the end
-        # of its side. Up, a block at each clear bit h of u's rank r holds
-        # the ranks from ((r >> h) + 1) << h; down, a block at each set bit,
-        # highest first, holds the ranks from ((r >> h) - 1) << h.
-        if up:
-            self.levels = [[((r >> h) + 1) << h for h in range(bits) if not r >> h & 1] + [1 << bits]
-                           for r in range(len(dom) + 1)]
-        else:
-            self.levels = [[((r >> h) - 1) << h for h in reversed(range(r.bit_length())) if r >> h & 1] + [r]
-                           for r in range(len(dom) + 1)]
+        self.bits = bits = max(1, (len(dom) - 1).bit_length())  # fork levels, L
+        self.levels: dict[int, list[int]] = {}
         self.ranks = {key: [self.rank_of(2 * r[w_col] + w_bit) for r in rows] for key, rows in rows_of.items()}
         self.runs = None
         if contiguous:
@@ -109,12 +103,29 @@ class _Fence:
         got = self.rank.get(key)
         return bisect_left(self.dom, key) if got is None else got
 
-    def cuts(self, key, row) -> tuple[int, ...]:
-        """The bucket positions that bound the blocks of a parent row,
-        ascending, from the first row on its u's side to the end of that
-        side."""
-        at = partial(bisect_left, self.ranks[key])
-        return tuple(dict.fromkeys(map(at, self.levels[self.rank_of(2 * row[self.u_col] + self.u_bit)])))
+    def levels_at(self, u: int) -> list[int]:
+        """The ranks at which the blocks of a parent row with u cell u
+        start, then the end of its side; kept in `levels`.
+
+        Up, a block at each clear bit h of u's rank r holds the ranks from
+        ((r >> h) + 1) << h; down, a block at each set bit, highest first,
+        holds the ranks from ((r >> h) - 1) << h. Both ascend, save up at
+        r = 2^L, where u is above every key of a domain of 2^L keys, and
+        no kept row has that rank. Every kept child row's w key is in the
+        domain: filters drop no kept row, and a fork drops no kept row of
+        a parent (its extreme key has no key on its side in the domain,
+        whose child keys are those of kept rows, by induction up the
+        tree), so only the pair's own fork could, and it acts after its
+        domain is taken. So a parent row whose u is above every key has no
+        child row above it, counts 0 and is not kept.
+        """
+        r = self.rank_of(2 * u + self.u_bit)
+        if self.up:
+            lv = [((r >> h) + 1) << h for h in range(self.bits) if not r >> h & 1] + [1 << self.bits]
+        else:
+            lv = [((r >> h) - 1) << h for h in reversed(range(r.bit_length())) if r >> h & 1] + [r]
+        self.levels[u] = lv
+        return lv
 
 
 def _check_index(k: int, total: int) -> None:
@@ -147,6 +158,18 @@ class LexDA:
     the domains of `elim.fork_replay`, whose rows the rewrite forks. Their
     blocks, first order pair outermost, are chosen before the mixed radix
     over its children.
+
+    A kept row with F bounded children keeps one tuple of ints t: F + 1
+    offsets, then each child's distinct block bounds, ascending, so child
+    f's bounds are t[t[f]:t[f + 1]], and access bisects that slice. The
+    build cuts them in one pass over each bucket: a row's levels are
+    looked up once per u cell (`_Fence.levels_at`), each level's bisect
+    starts at the previous position, and a position is kept only when it
+    moves. `build_steps` adds the bounds, and a probe the bit length of
+    their count. Per-child lists of bounds with a shared offsets list
+    build a little faster but make access slower, since each child then
+    reads two containers where the tuple is one; a tuple of per-child
+    tuples takes about 45 % more memory for the same bounds.
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database, x: str | None, pair: OrderTreePair | None = None):
@@ -173,19 +196,32 @@ class LexDA:
         # per node: (child, parent key, the child's index among the
         # bounded children or None) in child order; per node with bounded
         # children: (child's index, up, runs) first pair first, and per
-        # bucket key, per kept row, the block cuts of each bounded child
+        # bucket key, per kept row, its cut tuple: the offsets, then the
+        # block bounds of each bounded child
         self._kids = {n: [(c, plan.parent_key[c], fenced[n].index(c) if c in fences else None)
                           for c in plan.children[n]] for n in plan.order}
         self._fenced = {n: [(plan.children[n].index(c), fences[c].up, fences[c].runs) for c in kids]
                         for n, kids in fenced.items()}
         self._cuts: dict[int, dict] = {}
         for n, kids in fenced.items():
-            bounded = [(fences[c], plan.parent_key[c]) for c in kids]
-            cuts = self._cuts[n] = {}
+            bounded = [(f, f.ranks, plan.parent_key[c], f.u_col, f.levels) for c in kids for f in [fences[c]]]
+            head = len(kids) + 1
+            cuts_of = self._cuts[n] = {}
             for key, rows in self._rows[n].items():
-                cuts[key] = [tuple(f.cuts(pk(row), row) for f, pk in bounded)
-                             for row in rows]
-                built.add(sum(len(bounds) for row_cuts in cuts[key] for bounds in row_cuts))
+                bucket = cuts_of[key] = []
+                for row in rows:
+                    cuts = [head] * head  # each offset is set once its child's bounds are in
+                    for f, (fence, ranks, pk, u_col, levels) in enumerate(bounded, 1):
+                        wr = ranks[pk(row)]
+                        last, pos = -1, 0
+                        for level in levels.get(row[u_col]) or fence.levels_at(row[u_col]):
+                            pos = bisect_left(wr, level, pos)
+                            if pos != last:
+                                cuts.append(pos)
+                                last = pos
+                        cuts[f] = len(cuts)
+                    bucket.append(tuple(cuts))
+                built.add(sum(map(len, bucket)) - head * len(bucket))
         self.build_steps = built.steps
 
     def root_groups(self):
@@ -235,24 +271,26 @@ class LexDA:
             for c, pk, f in kids:
                 ck = pk(row)
                 ccum = cum_of[c][ck]
-                clo, chi = (0, len(ccum) - 1) if f is None else (cuts[f][0], cuts[f][-1])
+                clo, chi = (0, len(ccum) - 1) if f is None else (cuts[cuts[f]], cuts[cuts[f + 1] - 1])
                 size *= ccum[chi] - ccum[clo]
                 reads.append([c, ck, ccum, None, clo, chi])
-            for (ci, up, runs), bounds in zip(fenced.get(node, ()), cuts or ()):
+            for f, (ci, up, runs) in enumerate(fenced.get(node, ())):
                 read = reads[ci]
                 _, ck, ccum, _, clo, chi = read
                 rest = size // (ccum[chi] - ccum[clo])
                 t, local = divmod(local, rest)
-                # the block that holds index t of the blocks read in order
+                # the block that holds index t of the blocks read in order,
+                # among the child's bounds cuts[lo:hi]
+                lo, hi = cuts[f], cuts[f + 1]
                 if up:  # from the side's end, each block forward
-                    j = bisect_right(bounds, ccum[chi] - 1 - t, key=ccum.__getitem__) - 1
-                    start = ccum[chi] - ccum[bounds[j + 1]]
+                    j = bisect_right(cuts, ccum[chi] - 1 - t, lo, hi, key=ccum.__getitem__) - 1
+                    start = ccum[chi] - ccum[cuts[j + 1]]
                 else:
-                    j = bisect_right(bounds, ccum[clo] + t, key=ccum.__getitem__) - 1
-                    start = ccum[bounds[j]] - ccum[clo]
+                    j = bisect_right(cuts, ccum[clo] + t, lo, hi, key=ccum.__getitem__) - 1
+                    start = ccum[cuts[j]] - ccum[clo]
                 if probes is not None:
-                    probes.add(max(1, len(bounds).bit_length()))
-                blo, bhi = bounds[j], bounds[j + 1]
+                    probes.add((hi - lo).bit_length())
+                blo, bhi = cuts[j], cuts[j + 1]
                 local += (t - start) * rest
                 size = rest * (ccum[bhi] - ccum[blo])
                 if runs is None:

@@ -3,7 +3,8 @@
 Two shipped families:
   * star: three relations sharing one join variable, ranked by the
     minimum of three per-relation score variables; each star row also
-    times one count with PREDICATE r1 <= MIN(r2,r3) (`pred_count_ms`);
+    times one count with PREDICATE r1 <= MIN(r2,r3) (`pred_count_ms`)
+    and the same task ranked by MAX(r1,r2,r3) (`max_*`);
   * path: a four-atom chain with a min-predicate from one end to the two
     variables at the other end (enumeration-only territory).
 
@@ -20,7 +21,7 @@ import time
 from .access import build_min_da, count_via_access, count_with_predicate
 from .enumeration import enumerate_ranked_min, enumerate_with_predicate
 from .instrument import StepCounter
-from .model import Database, Relation
+from .model import Database, MinRanking, Relation
 from .parser import parse_query
 
 STAR_BODY = "Q(r1,r2,r3,s) :- W1(r1,s), W2(r2,s), W3(r3,s).\n"
@@ -55,7 +56,8 @@ def _pred_count_ms(db: Database) -> float:
 def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
     """Build the star-family index per size; record build steps, the rows
     of the part databases summed over parts (every part reads the one
-    restricted database, unforked), and per-access probe counts."""
+    restricted database, unforked), and per-access probe counts; then
+    build the MAX index over the same instance (`max_build_*`)."""
     rows = []
     for n in sizes:
         q, _, r, db = _instance(STAR_TEXT, n, seed)
@@ -76,6 +78,9 @@ def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
             total_probes += probes.steps
         cv_probes = StepCounter()
         count = count_via_access(ix, cv_probes)
+        t0 = time.perf_counter()
+        max_ix = build_min_da(q, MinRanking(r.xs, maximize=True), db)
+        max_build_s = time.perf_counter() - t0
         size = db.size
         m = max(size, 1)  # an empty instance (star sizes below 3) normalizes by 1
         rows.append(
@@ -92,6 +97,8 @@ def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
                 "avg_probes": total_probes / samples,
                 "build_seconds": build_s,
                 "pred_count_ms": _pred_count_ms(db),
+                "max_build_seconds": max_build_s,
+                "max_build_steps": max_ix.build_steps,
             }
         )
     return rows
@@ -135,7 +142,7 @@ def bench_enum_pred(sizes, seed: int = 0, emissions: int = 20000) -> list[dict]:
 def bench_ranked(sizes, seed: int = 0, emissions: int = 5000) -> list[dict]:
     """Star-family ranked enumeration: steps to the k-th emission against
     the |D| + k*|X| envelope, the seconds to the first answer and the ms
-    per 1k emissions."""
+    per 1k emissions, by MIN and then by MAX (`max_emit_1k_ms`)."""
     rows = []
     for n in sizes:
         q, _, r, db = _instance(STAR_TEXT, n, seed)
@@ -144,6 +151,7 @@ def bench_ranked(sizes, seed: int = 0, emissions: int = 5000) -> list[dict]:
         build_s = time.perf_counter() - t0
         k, emit_1k_ms = _drain_timed(s, emissions)
         total_steps = s.build_steps + s.steps
+        max_emit_1k_ms = _drain_timed(enumerate_ranked_min(q, MinRanking(r.xs, maximize=True), db), emissions)[1]
         rows.append(
             {
                 "family": "star",
@@ -155,6 +163,7 @@ def bench_ranked(sizes, seed: int = 0, emissions: int = 5000) -> list[dict]:
                 "build_seconds": build_s,
                 "emit_1k_ms": emit_1k_ms,
                 "pred_count_ms": _pred_count_ms(db),
+                "max_emit_1k_ms": max_emit_1k_ms,
             }
         )
     return rows

@@ -1,3 +1,6 @@
+import hashlib
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -29,6 +32,7 @@ from minjoin import (
     remove_self_joins,
     single_access,
 )
+from minjoin import access as access_module
 from minjoin.elim import fork_tree, min_orders
 from minjoin.model import Database, Relation
 
@@ -239,6 +243,58 @@ def test_lexda_with_order_keeps_the_tie_order_of_rows_that_join_nothing(dangling
     ix = build_min_da(q, ("x", "z"), db)
     at = [tuple(ix.access(k)[v].base for v in "xyz") for k in (6, 7)]
     assert at == ([(2, 0, 5), (2, 0, 3)] if dangling else [(2, 0, 3), (2, 0, 5)])
+
+
+def test_lexda_counts_pinned(monkeypatch):
+    # every LexDA that the two index builds make, pinned by its total and
+    # build steps and, for every k, its answer and probe count, so that a
+    # change to the fork-block bounds that should move no count shows
+    # here; the sample includes rows behind a non-key column (`_Fence.runs`)
+    # and fork domains of exactly 2^L keys, where a u cell above every
+    # key would rank 2^L and its levels would not ascend
+    rng = random.Random(27)
+    digest = hashlib.sha256()
+    counts = Counter()
+    replay = access_module.fork_replay
+
+    def spy(q, db, pair):
+        doms, rows = replay(q, db, pair)
+        counts["domains"] += len(doms)
+        counts["2^L keys"] += sum(len(d) > 1 and len(d) & (len(d) - 1) == 0 for d in doms.values())
+        return doms, rows
+
+    monkeypatch.setattr(access_module, "fork_replay", spy)
+
+    def pin(ix):
+        for lex in ix.secondary.values():
+            counts["lexdas"] += 1
+            counts["runs"] += sum(runs is not None for fs in lex._fenced.values() for _, _, runs in fs)
+            digest.update(repr((lex.total, lex.build_steps)).encode())
+            for k in range(lex.total):
+                probes = StepCounter()
+                digest.update(repr((repr(lex.access(k, probes)), probes.steps)).encode())
+
+    def run(q, db):
+        xs = tuple(rng.sample(q.free_vars, rng.randint(1, len(q.free_vars)))) if q.free_vars else ()
+        if xs and classify(Task.RANKED_DA, q, xs).tractable:
+            pin(build_min_da(q, xs, db))
+        p = rand_predicate(rng, q)
+        if classify(Task.UNRANKED_DA_PRED, q, p).tractable:
+            try:
+                pin(build_unranked_da_pred(q, p, db))
+            except UnsupportedPredicateError:
+                counts["refused"] += 1
+
+    for _ in range(150):
+        q = rand_acyclic_query(rng, max_atoms=4, max_arity=3, full=rng.random() < 0.5)
+        run(q, with_dangling_rows(rng, q, rand_database(rng, q, dom=4, max_rows=8)))
+    for q, db in edge_instances(rng):
+        run(q, db)
+    q, _, _ = parse_query("Q(x0,z,x1,y) :- R0(x0,y), R1(z,x1,y).")
+    for _ in range(5):
+        run(q, rand_database(rng, q, dom=6, max_rows=12))
+    assert counts == {"lexdas": 830, "domains": 912, "2^L keys": 226, "runs": 432, "refused": 13}
+    assert digest.hexdigest() == "cae09cd404e49e1395b3a09c9198e2b596604c73fe174877561e4e5093d5fa16"
 
 
 def test_build_min_da_needs_no_fork_rewrite(monkeypatch):
