@@ -7,8 +7,9 @@ the answers that satisfy the pair's order, in the order that the
 dyadic fork rewrite would give them, without forking a row: a parent
 row reads its bounded children in fork blocks, each a run of the
 child's bucket, cut over the domains of `elim.fork_replay`, the replay
-that the rewrite forks. The build keeps one flat int tuple per such
-row: offsets, then each bounded child's block bounds (see `LexDA`).
+that the rewrite forks. The build keeps one flat int record per such
+row, as bytes when its ints fit in a byte: offsets, then each bounded
+child's block bounds (see `LexDA`).
 MinDAIndex layers a sorted entry array over per-part LexDA structures,
 one per enforced order, so the k-th answer under a min-of-variables
 order comes back in logarithmically many probes.
@@ -71,7 +72,8 @@ class _Fence:
     (`runs` None), row order is w order, so a run is read as it is.
     Otherwise `runs[key, lo, hi]` holds the bucket positions of every
     dyadic run in row order, with their prefix sums: a merge-sort tree
-    of row references.
+    of row references. The positions are bytes when no bucket of the
+    child has more than 256 rows, and a list otherwise.
     """
 
     __slots__ = ("u_col", "up", "u_bit", "bits", "dom", "rank", "levels", "ranks", "runs")
@@ -88,13 +90,14 @@ class _Fence:
         if contiguous:
             return
         self.runs = {}
+        pack = bytes if all(len(rows) <= 256 for rows in rows_of.values()) else list
         for key, rows in rows_of.items():
             wr, cum = self.ranks[key], cum_of[key]
             for hb in range(bits):
                 lo = 0
                 while lo < len(wr):
                     hi = bisect_left(wr, ((wr[lo] >> hb) + 1) << hb, lo)
-                    at = sorted(range(lo, hi), key=rows.__getitem__)
+                    at = pack(sorted(range(lo, hi), key=rows.__getitem__))
                     self.runs[key, lo, hi] = at, list(accumulate((cum[i + 1] - cum[i] for i in at), initial=0))
                     lo = hi
 
@@ -159,17 +162,24 @@ class LexDA:
     blocks, first order pair outermost, are chosen before the mixed radix
     over its children.
 
-    A kept row with F bounded children keeps one tuple of ints t: F + 1
+    A kept row with F bounded children keeps one record of ints t: F + 1
     offsets, then each child's distinct block bounds, ascending, so child
     f's bounds are t[t[f]:t[f + 1]], and access bisects that slice. The
     build cuts them in one pass over each bucket: a row's levels are
     looked up once per u cell (`_Fence.levels_at`), each level's bisect
     starts at the previous position, and a position is kept only when it
     moves. `build_steps` adds the bounds, and a probe the bit length of
-    their count. Per-child lists of bounds with a shared offsets list
+    their count. A node's records are bytes when their ints fit in a
+    byte: an offset is at most F + 1 plus each child's fork levels plus
+    one, and a bound at most the length of the child's bucket. Otherwise
+    they are tuples. Bytes index and slice as a tuple does, and with its
+    slot in the bucket's list a 13-int record takes 54 B as bytes and
+    152 B as a tuple. One flat array per bucket, with each row's start,
+    would about halve the records' memory again, but it made access
+    about 4 % and the build 7-10 % slower, since each read then adds the
+    row's start. Per-child lists of bounds with a shared offsets list
     build a little faster but make access slower, since each child then
-    reads two containers where the tuple is one; a tuple of per-child
-    tuples takes about 45 % more memory for the same bounds.
+    reads two containers where the record is one.
     """
 
     def __init__(self, q: ConjunctiveQuery, db: Database, x: str | None, pair: OrderTreePair | None = None):
@@ -196,7 +206,7 @@ class LexDA:
         # per node: (child, parent key, the child's index among the
         # bounded children or None) in child order; per node with bounded
         # children: (child's index, up, runs) first pair first, and per
-        # bucket key, per kept row, its cut tuple: the offsets, then the
+        # bucket key, per kept row, its cut record: the offsets, then the
         # block bounds of each bounded child
         self._kids = {n: [(c, plan.parent_key[c], fenced[n].index(c) if c in fences else None)
                           for c in plan.children[n]] for n in plan.order}
@@ -206,6 +216,10 @@ class LexDA:
         for n, kids in fenced.items():
             bounded = [(f, f.ranks, plan.parent_key[c], f.u_col, f.levels) for c in kids for f in [fences[c]]]
             head = len(kids) + 1
+            # a record's offsets are at most width, its positions a child bucket's length
+            width = head + sum(fences[c].bits + 1 for c in kids)
+            longest = max((len(wr) for c in kids for wr in fences[c].ranks.values()), default=0)
+            pack = bytes if max(width, longest) < 256 else tuple
             cuts_of = self._cuts[n] = {}
             for key, rows in self._rows[n].items():
                 bucket = cuts_of[key] = []
@@ -220,7 +234,7 @@ class LexDA:
                                 cuts.append(pos)
                                 last = pos
                         cuts[f] = len(cuts)
-                    bucket.append(tuple(cuts))
+                    bucket.append(pack(cuts))
                 built.add(sum(map(len, bucket)) - head * len(bucket))
         self.build_steps = built.steps
 

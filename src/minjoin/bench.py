@@ -4,7 +4,8 @@ Two shipped families:
   * star: three relations sharing one join variable, ranked by the
     minimum of three per-relation score variables; each star row also
     times one count with PREDICATE r1 <= MIN(r2,r3) (`pred_count_ms`)
-    and the same task ranked by MAX(r1,r2,r3) (`max_*`);
+    and the same task ranked by MAX(r1,r2,r3) (`max_*`), and each index
+    row the live memory of one MIN index (`index_mb`);
   * path: a four-atom chain with a min-predicate from one end to the two
     variables at the other end (enumeration-only territory).
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import tracemalloc
 
 from .access import build_min_da, count_via_access, count_with_predicate
 from .enumeration import enumerate_ranked_min, enumerate_with_predicate
@@ -53,11 +55,22 @@ def _pred_count_ms(db: Database) -> float:
     return (time.perf_counter() - t0) * 1e3
 
 
+def _index_mb(q, xs, db: Database) -> float:
+    """tracemalloc's live MB (10^6 bytes) after one build_min_da over db."""
+    tracemalloc.start()
+    try:
+        ix = build_min_da(q, xs, db)
+        return tracemalloc.get_traced_memory()[0] / 1e6  # while ix is live
+    finally:
+        tracemalloc.stop()
+
+
 def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
     """Build the star-family index per size; record build steps, the rows
     of the part databases summed over parts (every part reads the one
     restricted database, unforked), and per-access probe counts; then
-    build the MAX index over the same instance (`max_build_*`)."""
+    build the MAX index over the same instance (`max_build_*`), and last
+    one untimed MIN index under tracemalloc (`index_mb`)."""
     rows = []
     for n in sizes:
         q, _, r, db = _instance(STAR_TEXT, n, seed)
@@ -99,6 +112,7 @@ def bench_min_da(sizes, seed: int = 0, access_samples: int = 200) -> list[dict]:
                 "pred_count_ms": _pred_count_ms(db),
                 "max_build_seconds": max_build_s,
                 "max_build_steps": max_ix.build_steps,
+                "index_mb": _index_mb(q, r.xs, db),
             }
         )
     return rows

@@ -33,6 +33,7 @@ from minjoin import (
     single_access,
 )
 from minjoin import access as access_module
+from minjoin.bench import STAR_TEXT, bench_min_da
 from minjoin.elim import fork_tree, min_orders
 from minjoin.model import Database, Relation
 
@@ -295,6 +296,78 @@ def test_lexda_counts_pinned(monkeypatch):
         run(q, rand_database(rng, q, dom=6, max_rows=12))
     assert counts == {"lexdas": 830, "domains": 912, "2^L keys": 226, "runs": 432, "refused": 13}
     assert digest.hexdigest() == "cae09cd404e49e1395b3a09c9198e2b596604c73fe174877561e4e5093d5fa16"
+
+
+
+NON_CONTIGUOUS_TEXT = "Q(x0,z,x1,y) :- R0(x0,y), R1(z,x1,y).\nORDER BY MIN(x0,x1).\n"
+
+
+def _packing(ix):
+    """Per (kind, container, wide), the number of the cut records and runs
+    of an index's LexDAs; a record is wide when a bounded child of its node
+    has a bucket of 256 rows or more, a run when its child has one of more
+    than 256, so a position or bound may not fit in a byte."""
+    seen = Counter()
+    for lex in ix.secondary.values():
+        for n, fs in lex._fenced.items():
+            longest = [max(map(len, lex._rows[lex._plan.children[n][ci]].values()), default=0) for ci, _, _ in fs]
+            seen.update(("record", type(t).__name__, max(longest) >= 256) for b in lex._cuts[n].values() for t in b)
+            for m, (_, _, runs) in zip(longest, fs):
+                seen.update(("run", type(at).__name__, m > 256) for at, _ in (runs or {}).values())
+    return seen
+
+
+def _star_db(rng, wide):
+    if wide:  # W1's one bucket has 300 rows, with ties against W2 and W3
+        rows = {"W1": [(v, 0) for v in range(0, 600, 2)], "W2": [(151, 0), (7, 0)], "W3": [(160, 0), (300, 0)]}
+    else:
+        rows = {s: rng.sample([(a, b) for a in range(40) for b in range(5)], 60) for s in ("W1", "W2", "W3")}
+    return Database({s: Relation.from_ints(s, 2, rs) for s, rs in rows.items()})
+
+
+def _non_contiguous_db(rng, wide):
+    if wide:  # R1's one bucket has 300 rows, its z column out of x1 order
+        r0, r1 = [(150, 0), (7, 0)], [(rng.randrange(10), v, 0) for v in range(300)]
+    else:
+        r0 = rng.sample([(a, b) for a in range(40) for b in range(5)], 60)
+        r1 = rng.sample([(a, b, c) for a in range(10) for b in range(20) for c in range(5)], 100)
+    return Database({"R0": Relation.from_ints("R0", 2, r0), "R1": Relation.from_ints("R1", 3, r1)})
+
+
+@pytest.mark.parametrize(
+    "text, make, wide, kinds",
+    [
+        (STAR_TEXT, _star_db, False, {("record", "bytes", False)}),
+        (STAR_TEXT, _star_db, True, {("record", "bytes", False), ("record", "tuple", True)}),
+        (NON_CONTIGUOUS_TEXT, _non_contiguous_db, False, {("record", "bytes", False), ("run", "bytes", False)}),
+        (
+            NON_CONTIGUOUS_TEXT,
+            _non_contiguous_db,
+            True,
+            {("record", "bytes", False), ("record", "tuple", True), ("run", "list", True)},
+        ),
+    ],
+    ids=["star-narrow", "star-wide", "non-contiguous-narrow", "non-contiguous-wide"],
+)
+def test_lexda_packs_records_in_bytes_when_they_fit(text, make, wide, kinds):
+    # cut records and run positions are bytes when every int fits in a
+    # byte, and keep a tuple and a list when a bucket is too long for one;
+    # either way every access is an answer, in MIN order
+    q, _, r = parse_query(text)
+    db = make(random.Random(28), wide)
+    ix = build_min_da(q, r.xs, db)
+    assert set(_packing(ix)) == kinds
+    want = oracle_answers(q, db)
+    seq = [ix.access(k) for k in range(ix.total)]
+    assert ix.total == len(want) and set(seq) <= want
+    assert [min(a[x] for x in r.xs) for a in seq] == [min(a[x] for x in r.xs) for a in oracle_sorted(want, r.xs)]
+
+
+def test_min_index_memory_per_input_row():
+    # tracemalloc's live bytes of one star-family MIN index per input row;
+    # with its cut records as tuples of boxed ints it took about 250
+    for row in bench_min_da([2**12, 2**14], seed=1, access_samples=1):
+        assert row["index_mb"] * 1e6 / row["size"] <= 200, row
 
 
 def test_build_min_da_needs_no_fork_rewrite(monkeypatch):
