@@ -23,7 +23,8 @@ here builds forked parts.
 
 Each task function takes the query as declared: it checks its verdict
 (`Verdict.require`), prepares the instance with one call to
-`reduce.restrict_predicate_to_free`, then runs its pass.
+`reduce.restrict_predicate_to_free`, which carries out the verdict's
+plan, then runs its pass.
 """
 
 from __future__ import annotations
@@ -390,9 +391,9 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
         xs = xs.xs
     if not xs:
         raise EngineError("ranking needs at least one variable")
-    classify(Task.RANKED_DA, q, xs).require()
+    plan = classify(Task.RANKED_DA, q, xs).require()
     counter = StepCounter()
-    q1, _, d1 = restrict_predicate_to_free(q, None, negate_database(db) if maximize else db)
+    q1, _, d1 = restrict_predicate_to_free(q, None, negate_database(db) if maximize else db, plan)
     counter.add(d1.size)
 
     var_pos = {v: i for i, v in enumerate(q1.variables)}
@@ -475,8 +476,8 @@ def build_unranked_da_pred(q: ConjunctiveQuery, p: MinPredicate | None, db: Data
     answer or none. `build_steps` counts as `build_min_da` does: the
     restricted rows, once, when there are orders, and each LexDA's build
     steps."""
-    classify(Task.UNRANKED_DA_PRED, q, p).require()
-    q2, d, otps = min_predicate_orders(q, p, db)
+    plan = classify(Task.UNRANKED_DA_PRED, q, p).require()
+    q2, d, otps = min_predicate_orders(q, p, db, plan)
     x = next(iter(q2.free_vars), None)
     entries, secondary, part_info = [], {}, []
     running = 0
@@ -500,8 +501,8 @@ def count_with_predicate(q: ConjunctiveQuery, p: MinPredicate | None, db: Databa
     no fork rewrite, on the cells as given (any ints), each tie on its
     pair's side.
     """
-    classify(Task.COUNTING, q, p).require()
-    q2, d, otps = min_predicate_orders(q, p, db)
+    plan = classify(Task.COUNTING, q, p).require()
+    q2, d, otps = min_predicate_orders(q, p, db, plan)
     return sum(count_answers(q2, d, otp) for otp in otps or [None])
 
 
@@ -509,5 +510,5 @@ def is_nonempty(q: ConjunctiveQuery, p: MinPredicate | None, db: Database) -> bo
     """Boolean task for Q AND P (for Q when p is None); needs only
     acyclicity. Q AND P holds when the cut of an atom holding x0 keeps a
     row (see `reduce.cut_at_x0`)."""
-    classify(Task.BOOLEAN, q, p).require()
-    return cut_at_x0(q, p, db)[2] > 0
+    plan = classify(Task.BOOLEAN, q, p).require()
+    return cut_at_x0(q, p, db, plan.tree)[2] > 0

@@ -51,7 +51,7 @@ def cmd_classify(args) -> int:
         return EXIT_OK
     width = max(len(v.task.value) for v in verdicts)
     for v in verdicts:
-        verdict = "tractable" if v.tractable else f"INTRACTABLE  [{v.witness}]"
+        verdict = "tractable" if v.tractable else f"{v.status.upper()}  [{v.reason()}]"
         print(f"{v.task.value:<{width}}  {verdict}")
     return EXIT_OK
 
@@ -130,7 +130,7 @@ def _ranks_by_order(missing: str | None):
             return missing
         if p is not None:
             raise UnsupportedPredicateError(
-                f"the query declares both PREDICATE {p} and ORDER BY {r}; "
+                None, f"the query declares both PREDICATE {p} and ORDER BY {r}; "
                 "a ranking combined with a predicate is not supported"
             )
         return None
@@ -295,11 +295,11 @@ def cmd_task(args) -> int:
         return EXIT_SYNTAX
     try:
         result = task.engine(q, p, r, db)
-    except (IntractableQueryError, UnsupportedPredicateError) as err:
+    except IntractableQueryError as err:
         if not args.force_oracle:
             raise
         result = task.oracle(r, oracle_answers(q, db, predicate=p))
-        print(f"# oracle fallback ({err})", file=sys.stderr)
+        print(f"# oracle fallback ({err.verdict or err})", file=sys.stderr)
     task.show(args, result)
     return EXIT_OK
 
@@ -318,8 +318,8 @@ def cmd_oracle(args) -> int:
     task.show(args, want)
     try:
         got = task.engine(q, p, r, db)
-    except (IntractableQueryError, UnsupportedPredicateError) as err:
-        print(f"# engine refused: {err}", file=sys.stderr)
+    except IntractableQueryError as err:
+        print(f"# engine refused: {err.verdict or err}", file=sys.stderr)
         return EXIT_OK
     divergence = task.diverges(args, got, want)
     if divergence is not None:
@@ -408,8 +408,8 @@ def main(argv=None) -> int:
     except QuerySyntaxError as err:
         print(f"query error: {err}", file=sys.stderr)
         return EXIT_SYNTAX
-    except (IntractableQueryError, UnsupportedPredicateError) as err:
-        print(f"refused: {err}", file=sys.stderr)
+    except IntractableQueryError as err:
+        print(f"refused: {err.verdict or err}", file=sys.stderr)
         return EXIT_INTRACTABLE
     except DataFileError as err:
         print(f"data error: {err}", file=sys.stderr)

@@ -38,6 +38,7 @@ from .partition import OrderTreePair, StrictPartialOrder, partition_min_orders
 from .reduce import cut_at_x0, restrict_predicate_to_free
 from .structure import (
     Hypergraph,
+    Plan,
     RootedJoinTree,
     Task,
     TreePlan,
@@ -213,20 +214,21 @@ def min_orders(q: ConjunctiveQuery, x0: str, xs, rank: Sequence[str] | None = No
 
 
 def min_predicate_orders(
-    q: ConjunctiveQuery, p: MinPredicate | None, db: Database
+    q: ConjunctiveQuery, p: MinPredicate | None, db: Database, plan: Plan | None = None
 ) -> tuple[ConjunctiveQuery, Database, list[OrderTreePair] | None]:
     """(Q AND P, D) as a full self-join-free query over the free
     variables, its database, and the enforced orders that partition the
     residual predicate; every answer satisfies exactly one order.
 
-    Folds existential inequalities into the data, restricts to the free
-    variables and partitions, ranking x0 the smallest, or the largest
-    for the strict variant, and the others in declaration order: the
-    ranks decide each pair's side on a tie (see `min_orders`). With no
-    residual predicate the orders are None; a Boolean head is one
-    nullary atom that holds the empty row or none.
+    Folds existential inequalities into the data at the fold sites of
+    `plan`, the verdict's (`reduce.restrict_predicate_to_free`),
+    restricts to the free variables and partitions, ranking x0 the
+    smallest, or the largest for the strict variant, and the others in
+    declaration order: the ranks decide each pair's side on a tie (see
+    `min_orders`). With no residual predicate the orders are None; a
+    Boolean head is one nullary atom that holds the empty row or none.
     """
-    q2, residual, d2 = restrict_predicate_to_free(q, p, db)
+    q2, residual, d2 = restrict_predicate_to_free(q, p, db, plan)
     if residual is None:
         return q2, d2, None
     x0 = residual.x0
@@ -248,12 +250,12 @@ def eliminate_min_predicate(
     rank, partition), then eliminate each enforced order. The parts hold
     the input's own cells and the fork ids.
     """
-    classify(Task.ELIMINATION, q, p).require()
+    plan = classify(Task.ELIMINATION, q, p).require()
     if q.is_boolean:
-        q1, d1, _ = cut_at_x0(q, p, db)
+        q1, d1, _ = cut_at_x0(q, p, db, plan.tree)
         return EliminationResult((EliminationPart(q1, d1, None, None),), ())
 
-    q2, d, otps = min_predicate_orders(q, p, db)
+    q2, d, otps = min_predicate_orders(q, p, db, plan)
     parts = [EliminationPart(q2, d, None, None)] if otps is None else [
         EliminationPart(*eliminate_enforced_order(q2, d, otp, f"_p{i}"), otp.order, p.x0, otp.tree)
         for i, otp in enumerate(otps)]

@@ -11,7 +11,8 @@ clocks, and taking an answer costs no bookkeeping beyond a count.
 
 The task functions, `enumerate_with_predicate` (p None: the plain
 stream) and `enumerate_ranked_min`, take the query as declared, check
-its verdict and restrict it (`reduce.restrict_predicate_to_free`);
+its verdict and restrict it by the verdict's plan
+(`reduce.restrict_predicate_to_free`);
 `enumerate_with_predicate` reads a full query as declared.
 """
 
@@ -276,13 +277,11 @@ def enumerate_with_predicate(
     has threshold -inf, so the root filter and the cut drop it, and a row
     with no partner above is never looked up.
     """
-    classify(Task.ENUM_PRED, q, p).require()
+    proved = classify(Task.ENUM_PRED, q, p).require()
     if q.is_full:
-        if p is not None:
-            p.check_vars(q)
         q, db = remove_self_joins(q, db)
     else:
-        q, p, db = restrict_predicate_to_free(q, p, db)
+        q, p, db = restrict_predicate_to_free(q, p, db, proved)
     if p is None:
         return _full_stream(q, db)
     x0 = p.x0
@@ -375,8 +374,8 @@ def enumerate_ranked_min(q: ConjunctiveQuery, xs, db: Database) -> AnswerStream:
             raise EngineError(f"ranking variable {x!r} not in the query")
     if not xs:
         raise EngineError("ranking needs at least one variable")
-    classify(Task.RANKED_ENUM, q, xs).require()
-    q, _, db = restrict_predicate_to_free(q, None, negate_database(db) if maximize else db)
+    plan = classify(Task.RANKED_ENUM, q, xs).require()
+    q, _, db = restrict_predicate_to_free(q, None, negate_database(db) if maximize else db, plan)
     counter, skipped, built, run = StepCounter(), StepCounter(), StepCounter(), _Run()
     subs = []
     for x in xs:

@@ -20,17 +20,19 @@ class DataFileError(EngineError):
 
 
 class IntractableQueryError(EngineError):
-    """The requested task is classified intractable for this query."""
+    """The requested task is refused for this query: `verdict`, which
+    names the witness, is not tractable."""
 
-    def __init__(self, verdict):
-        super().__init__(f"intractable: {verdict}")
+    def __init__(self, verdict, message: str | None = None):
+        super().__init__(message or f"intractable: {verdict}")
         self.verdict = verdict
 
 
-class UnsupportedPredicateError(EngineError):
-    """Predicate touches existential variables in a configuration with no
-    sound tuple-removal rewrite; the instance is refused rather than
-    answered incorrectly."""
+class UnsupportedPredicateError(IntractableQueryError):
+    """A refusal for no fold site (an inequality through an existential
+    variable that no relation's tuples decide), a limit of restriction
+    and not a lower bound; or, with verdict None, the CLI's refusal of a
+    ranking declared next to a predicate."""
 
 
 class OutOfBoundsError(EngineError):

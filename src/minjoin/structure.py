@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import operator
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .errors import EngineError, InternalInvariantError, IntractableQueryError
+from .errors import EngineError, InternalInvariantError, IntractableQueryError, UnsupportedPredicateError
 from .model import ConjunctiveQuery, Database, MinPredicate, MinRanking, Row
 
 
@@ -109,6 +109,10 @@ class RootedJoinTree:
     def reroot(self, new_root: int) -> "RootedJoinTree":
         """Same edges, different root."""
         return RootedJoinTree.from_edges(self, self.edges(), new_root)
+
+    def rooted_at(self, v: str) -> "RootedJoinTree":
+        """Same edges, rooted at the lowest-index node that holds v."""
+        return self.reroot(min(n for n in self.nodes() if v in self.vars_of[n]))
 
     @classmethod
     def from_edges(cls, template: "RootedJoinTree", edges: set[frozenset[int]], root: int):
@@ -236,9 +240,7 @@ def tree_for_query(q: ConjunctiveQuery, at: str | None = None) -> RootedJoinTree
     t = join_tree(hypergraph_of(q))
     if t is None:
         raise EngineError("query is cyclic; no join tree exists")
-    if at is None:
-        return t
-    return t.reroot(min(n for n in t.nodes() if at in t.vars_of[n]))
+    return t if at is None else t.rooted_at(at)
 
 
 def no_key(row: Row) -> tuple:
@@ -304,10 +306,8 @@ class TreePlan:
 
 
 def is_free_connex(q: ConjunctiveQuery) -> bool:
-    h = hypergraph_of(q)
-    if join_tree(h) is None:
-        return False
-    return join_tree(h.with_edge(q.free_vars)) is not None
+    """Acyclic and free-connex: the structural verdict of `classify`."""
+    return classify(Task.ENUM_PRED, q, None).tractable
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +400,16 @@ RANKING_TASKS = {Task.RANKED_DA, Task.RANKED_ENUM, Task.SINGLE_ACCESS}
 
 @dataclass(frozen=True)
 class Witness:
-    kind: str  # "cyclic" | "not_free_connex" | "bad_path"
+    """Why a verdict refuses: lower bounds, a `core` that GYO leaves
+    (without or with the free-variables edge) or a chordless `path`; or no
+    fold site for `members` in branch `atom`, which `detail` explains."""
+
+    kind: str  # "cyclic" | "not_free_connex" | "bad_path" | "no_fold_site"
     path: tuple[str, ...] | None = None
     core: tuple[frozenset, ...] | None = None
+    members: tuple[str, ...] | None = None
+    atom: str | None = None
+    detail: str | None = None
 
     def to_json(self):
         out: dict = {"kind": self.kind}
@@ -410,6 +417,8 @@ class Witness:
             out["path"] = list(self.path)
         if self.core is not None:
             out["core"] = [sorted(e) for e in self.core]
+        if self.members is not None:
+            out["members"], out["atom"] = list(self.members), self.atom
         return out
 
     def __str__(self):
@@ -417,14 +426,49 @@ class Witness:
             return "chordless path " + "-".join(self.path)
         if self.kind == "cyclic":
             return "cyclic core " + ", ".join("{" + ",".join(sorted(e)) + "}" for e in self.core)
+        if self.kind == "no_fold_site":
+            return f"no fold site for {','.join(self.members)} in {self.atom}"
         return "not free-connex"
+
+
+class Fold(NamedTuple):
+    """A fold site: restriction keeps the rows of atom `atom` (an index)
+    whose x0 passes, by kind: row, the threshold of min(xs) through the
+    row, at the branch atom of xs; constant, the one best value of
+    min(xs), at the first atom holding x0, when the branch of xs shares
+    no free variable; pair, the row's xs[0]. An x0 site is an existential
+    x0 whose branch shares no free variable and holds no member: its best
+    value, its least cell over `atom`'s fully reduced rows, takes x0's
+    place at the sites after it."""
+
+    kind: str
+    atom: int
+    xs: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What `classify` built for a tractable verdict, for its task to carry
+    out: the query's GYO join tree (node i is atom i); but for the Boolean
+    task, the variables of each branch of the free-connex tree rooted at
+    its free-variables node, by branch atom; and the fold sites, in
+    restriction's order."""
+
+    tree: RootedJoinTree
+    branches: dict[int, frozenset[str]] | None = None
+    folds: tuple[Fold, ...] = ()
 
 
 @dataclass(frozen=True)
 class Verdict:
+    """A task's verdict; `plan`, None for a refusal, and `self_joins` take
+    no part in equality, repr or `to_json`."""
+
     task: Task
     tractable: bool
     witness: Witness | None = None
+    plan: Plan | None = field(default=None, compare=False, repr=False)
+    self_joins: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.tractable == (self.witness is not None):
@@ -437,82 +481,131 @@ class Verdict:
             "witness": self.witness.to_json() if self.witness else None,
         }
 
-    def require(self) -> None:
-        """Refuse an intractable task: raise IntractableQueryError with
-        this verdict and its witness."""
-        if not self.tractable:
-            raise IntractableQueryError(self)
+    @property
+    def status(self) -> str:
+        if self.tractable:
+            return "tractable"
+        return "unsupported" if self.witness.kind == "no_fold_site" else "intractable"
+
+    def reason(self) -> str:
+        """A refusal's witness and what it shows; the paper's lower bounds
+        are for self-join-free queries, the copy of one with self-joins."""
+        if self.status == "unsupported":
+            return f"{self.witness}; an implementation limit, not a lower bound"
+        if self.self_joins:
+            return f"{self.witness}; the lower bound is for the query's self-join-free copy"
+        return str(self.witness)
+
+    def require(self) -> Plan:
+        """The plan, or for a refusal IntractableQueryError with this
+        verdict: for no fold site, UnsupportedPredicateError."""
+        if self.tractable:
+            return self.plan
+        if self.status == "unsupported":
+            raise UnsupportedPredicateError(self, self.witness.detail)
+        raise IntractableQueryError(self)
 
     def __str__(self):
         if self.tractable:
             return f"{self.task.value}: tractable"
-        return f"{self.task.value}: intractable ({self.witness})"
+        return f"{self.task.value}: {self.status} ({self.reason()})"
 
 
-def _normalize_ranking(spec) -> tuple[str, ...]:
-    if isinstance(spec, MinRanking):
-        return spec.xs
-    if isinstance(spec, MinPredicate):
-        raise EngineError("ranking task classified with a predicate spec")
-    return tuple(spec)
+def _fold_sites(q: ConjunctiveQuery, p: MinPredicate, branches) -> tuple[Fold, ...] | Witness:
+    """p's fold sites (`Fold`) in restriction's order, or the witness of
+    the first inequality with none. Members group by branch, in
+    declaration order; with x0 existential, pair sites need every member
+    to share an atom with x0."""
+    free = set(q.free_vars)
+    xs = [x for x in p.xs if x != p.x0]
+    host = {v: b for b, vs in branches.items() for v in vs - free}
+    groups: dict[int, list[str]] = {}  # branch atom -> its existential members
+    for x in (x for x in xs if x not in free):
+        groups.setdefault(host[x], []).append(x)
+
+    def first(*vs) -> int:
+        return next(i for i, a in enumerate(q.atoms) if set(vs) <= set(a.vars))
+
+    if p.x0 in free:
+        folds = []
+        for b, group in groups.items():
+            symbol, reaches = q.atoms[b].symbol, p.x0 in q.atoms[b].vars
+            if not reaches and branches[b] & free:
+                return Witness("no_fold_site", members=tuple(group), atom=symbol, detail=(
+                    f"{p.x0} <= min({','.join(group)}): {p.x0!r} does not reach "
+                    f"branch atom {symbol}, and the branch is not independent"))
+            folds.append(Fold("row", b, tuple(group)) if reaches else Fold("constant", first(p.x0), tuple(group)))
+        return tuple(folds)
+    if all(any({p.x0, x} <= set(a.vars) for a in q.atoms) for x in xs):
+        return tuple(Fold("pair", first(p.x0, x), (x,)) for x in xs)
+    b0 = host[p.x0]
+    if branches[b0] & free or any(x in branches[b0] for x in xs):
+        return Witness("no_fold_site", members=(p.x0,), atom=q.atoms[b0].symbol, detail=(
+            f"{p}: existential {p.x0!r} is coupled to the rest of the query; "
+            "no sound tuple-removal rewrite exists"))
+    return (Fold("x0", first(p.x0)), *(Fold("pair", first(x), (x,)) for x in xs if x in free),
+            *(Fold("row", b, tuple(group)) for b, group in groups.items()))
 
 
 def classify(task: Task, q: ConjunctiveQuery, spec) -> Verdict:
-    """Structural verdict for one task; purely query-level, data-free.
+    """Structural verdict for one task; purely query-level, data-free. A
+    tractable verdict carries the plan that its task carries out (`Plan`).
 
     Tractability conditions:
       boolean                      acyclic
-      ranked_enum / enum_pred /
-      single_access                acyclic free-connex
+      ranked_enum / single_access  acyclic free-connex
+      enum_pred                    acyclic free-connex, and fold sites
       elimination / counting /
-      unranked_da_pred             acyclic free-connex, and not (x0 free with a
-                                   chordless >=3-path from x0 to a free MIN var)
+      unranked_da_pred             acyclic free-connex, not (x0 free with a
+                                   chordless >=3-path from x0 to a free MIN
+                                   var), and fold sites
       ranked_da                    acyclic free-connex, and no chordless
                                    >=3-path between two ranking variables
+
+    Fold sites: one per inequality through an existential member (`Fold`),
+    save for a Boolean head, cut at x0. If one lacks a site once the path
+    test passes, the verdict is "unsupported", a limit, not a lower bound.
 
     A predicate task with spec None (no predicate) gets the structural
     verdict, without the path condition.
     """
     h = hypergraph_of(q)
     tree, core = _gyo(h)
+    joins = not q.is_self_join_free
     if tree is None:
-        return Verdict(task, False, Witness("cyclic", core=core))
+        return Verdict(task, False, Witness("cyclic", core=core), self_joins=joins)
     if task is Task.BOOLEAN:
-        return Verdict(task, True)
+        return Verdict(task, True, plan=Plan(tree))
 
     tree2, core2 = _gyo(h.with_edge(q.free_vars))
     if tree2 is None:
-        return Verdict(task, False, Witness("not_free_connex", core=core2))
+        return Verdict(task, False, Witness("not_free_connex", core=core2), self_joins=joins)
+    tree2 = tree2.reroot(len(q.atoms))  # at the node of the free-variables edge
+    branches = {c: frozenset().union(*map(tree2.vars_of.get, tree2.subtree_ids(c)))
+                for c in tree2.children()[tree2.root]}
 
-    free = set(q.free_vars)
-    if task in (Task.RANKED_ENUM, Task.SINGLE_ACCESS, Task.RANKED_DA):
-        xs = _normalize_ranking(spec)
+    free, path, folds = set(q.free_vars), None, ()
+    if task in RANKING_TASKS:
+        if isinstance(spec, MinPredicate):
+            raise EngineError("ranking task classified with a predicate spec")
+        xs = spec.xs if isinstance(spec, MinRanking) else tuple(spec)
         if not set(xs) <= free:
             raise EngineError(f"{task.value}: ranking variables must be free")
         if task is Task.RANKED_DA:
             path = find_bad_path(h, xs, xs)
-            if path is not None:
-                return Verdict(task, False, Witness("bad_path", path=path))
-        return Verdict(task, True)
-
-    if task is Task.ENUM_PRED:
-        return Verdict(task, True)
-
-    if task in (Task.ELIMINATION, Task.COUNTING, Task.UNRANKED_DA_PRED):
-        p = spec
-        if p is None:
-            return Verdict(task, True)
-        if not isinstance(p, MinPredicate):
+    elif spec is not None:
+        if not isinstance(spec, MinPredicate):
             raise EngineError(f"{task.value}: needs a MinPredicate spec")
-        p.check_vars(q)
-        if p.x0 in free:
-            targets = (set(p.xs) & free) - {p.x0}
-            path = find_bad_path(h, {p.x0}, targets)
-            if path is not None:
-                return Verdict(task, False, Witness("bad_path", path=path))
-        return Verdict(task, True)
-
-    raise EngineError(f"unknown task {task!r}")
+        spec.check_vars(q)
+        if task is not Task.ENUM_PRED and spec.x0 in free:
+            path = find_bad_path(h, {spec.x0}, (set(spec.xs) & free) - {spec.x0})
+        if path is None and not q.is_boolean:
+            folds = _fold_sites(q, spec, branches)
+            if isinstance(folds, Witness):
+                return Verdict(task, False, folds, self_joins=joins)
+    if path is not None:
+        return Verdict(task, False, Witness("bad_path", path=path), self_joins=joins)
+    return Verdict(task, True, plan=Plan(tree, branches, folds))
 
 
 def classify_all(q: ConjunctiveQuery, p: MinPredicate | None, r: MinRanking | None) -> list[Verdict]:

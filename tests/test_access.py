@@ -280,11 +280,11 @@ def test_lexda_counts_pinned(monkeypatch):
         if xs and classify(Task.RANKED_DA, q, xs).tractable:
             pin(build_min_da(q, xs, db))
         p = rand_predicate(rng, q)
-        if classify(Task.UNRANKED_DA_PRED, q, p).tractable:
-            try:
-                pin(build_unranked_da_pred(q, p, db))
-            except UnsupportedPredicateError:
-                counts["refused"] += 1
+        verdict = classify(Task.UNRANKED_DA_PRED, q, p)
+        if verdict.tractable:
+            pin(build_unranked_da_pred(q, p, db))
+        elif verdict.status == "unsupported":  # no fold site, refused by the verdict
+            counts["refused"] += 1
 
     for _ in range(150):
         q = rand_acyclic_query(rng, max_atoms=4, max_arity=3, full=rng.random() < 0.5)

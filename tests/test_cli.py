@@ -689,3 +689,34 @@ def test_cli_engine_error_without_a_handler_exits_3(star_dir, monkeypatch, capsy
     rc = main(["count", "--query", str(star_dir / "q.mq"), "--data", str(star_dir / "data")])
     assert rc == 3
     assert capsys.readouterr().err == "error: stream is exhausted\n"
+
+
+def test_cli_no_fold_site_is_one_witness_for_every_predicate_task(tmp_path, capsys):
+    # README's example: classify prints the witness as an implementation
+    # limit, each predicate task but bool is refused with it, bool answers
+    text, rels = CONTRACT_INSTANCES["existential"]
+    args = _instance(tmp_path, "q", text, rels)
+    witness = "no fold site for e in U; an implementation limit, not a lower bound"
+    assert main(["classify", "--query", args[1]]) == 0
+    lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    for task in ("elimination", "counting", "unranked_da_pred", "enum_pred"):
+        assert lines[task] == f"UNSUPPORTED  [{witness}]", task
+    assert lines["boolean"] == "tractable"
+    runs = {"count": "counting", "enumerate": "enum_pred", "access": "unranked_da_pred",
+            "eliminate --out parts": "elimination"}
+    for cmd, task in runs.items():
+        assert main([*cmd.split(), *args]) == 2, cmd
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"refused: {task}: unsupported ({witness})\n"), cmd
+    assert main(["bool", *args]) == 0
+    assert capsys.readouterr().out == "nonempty\n"
+
+
+def test_cli_classify_says_a_self_join_refusal_is_for_the_self_join_free_copy(tmp_path, capsys):
+    (tmp_path / "q.mq").write_text("Q(x,u,v,y) :- R(x,u), R(u,v), R(v,y).\nORDER BY MIN(x,y).\n")
+    assert main(["classify", "--query", str(tmp_path / "q.mq")]) == 0
+    lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["ranked_da"] == (
+        "INTRACTABLE  [chordless path x-u-v-y; the lower bound is for the query's self-join-free copy]"
+    )
+    assert lines["ranked_enum"] == "tractable"

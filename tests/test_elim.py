@@ -318,7 +318,7 @@ def test_count_answers_with_order_matches_fork_rewrite(rng):
         if q.is_boolean:
             continue
         p = rand_predicate(rng, q)
-        if not classify(Task.COUNTING, q, p).tractable:
+        if classify(Task.COUNTING, q, p).status == "intractable":  # no fold site: check returns 0
             continue
         crossing += check(q, p, rand_database(rng, q, dom=6, max_rows=8))
         strict += p.strict

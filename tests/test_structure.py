@@ -285,10 +285,12 @@ def test_classify_rejects_non_free_ranking():
 
 
 def test_classify_predicate_existential_x_side():
-    # x0 existential: the bad-path condition is vacuous
+    # x0 existential: the bad-path condition is vacuous, so the refusal is
+    # not the path x0-u-v-x1; x0's branch holds the free u, and no fold site is
     q, _, _ = parse_query(PATH_QUERY.replace("Q(x0,u,v,x1,x2)", "Q(u,v,x1,x2)"))
     p = MinPredicate("x0", ("x1", "x2"))
-    assert classify(Task.ELIMINATION, q, p).tractable
+    v = classify(Task.ELIMINATION, q, p)
+    assert v.witness.kind == "no_fold_site" and v.witness.members == ("x0",)
 
 
 def test_classify_all_is_purely_structural():
