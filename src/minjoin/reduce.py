@@ -7,7 +7,10 @@ task's verdict (`structure.Plan`) and tests no shape: `classify` built
 the join tree, found each fold site, and refused a query with none.
 A fold filters the tuples of one relation, which is sound only where the
 predicate's truth on the answers through a tuple is a function of that
-tuple alone (`structure.Fold`).
+tuple alone (`structure.Fold`). Every such cut, the Boolean task's cut at
+x0 (`cut_at_x0`) included, runs through one loop (`_fold`) that reads
+the threshold pass; only the projection to the free variables runs the
+full reducer.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .model import (
     fresh_symbol,
     remove_self_joins,
 )
-from .semiring import NEG_INF, thresholds
-from .structure import Plan, RootedJoinTree, Task, TreePlan, classify, tree_for_query
+from .semiring import NEG_INF, POS_INF, thresholds
+from .structure import Fold, Plan, RootedJoinTree, Task, TreePlan, classify, tree_for_query
 
 
 def semijoin_reduce(q: ConjunctiveQuery, db: Database, tree: RootedJoinTree | None = None) -> Database:
@@ -100,24 +103,20 @@ def cut_at_x0(
     of Q's body satisfies P; and the number of rows kept. `tree` is Q's
     join tree (`Plan.tree`).
 
-    All variables are treated as existential: per row, the max-min
-    threshold says how large min(X) can get among the homomorphisms
-    through it, so the cut is one scan of that atom. Without a predicate,
-    x0 is Q's first variable, X is empty and the threshold is +inf
-    exactly for the rows that extend to a homomorphism.
+    All variables are treated as existential, so the cut is one row fold
+    (`_fold`) of min(X) at that atom. Without a predicate, x0 is Q's
+    first variable, X is empty and the threshold is +inf exactly for the
+    rows that extend to a homomorphism.
     """
     if p is None:
-        x0, xs, below = q.variables[0], [], operator.le
+        x0, xs, below = q.variables[0], (), operator.le
     else:
         p.check_vars(q)
-        x0, xs, below = p.x0, [x for x in p.xs if x != p.x0], p.below
+        x0, xs, below = p.x0, tuple(x for x in p.xs if x != p.x0), p.below
     q1, d1 = remove_self_joins(q, db)
-    t = tree.rooted_at(x0)
-    theta = thresholds(q1, xs, t, d1)[t.root]
-    atom = q1.atoms[t.root]
-    xi = atom.vars.index(x0)
-    kept = tuple(row for row, th in theta.items() if below(row[xi], th))
-    return q1, d1.replace(Relation(atom.symbol, atom.arity, kept)), len(kept)
+    n = next(i for i, a in enumerate(q1.atoms) if x0 in a.vars)
+    d1 = _fold(q1, x0, below, (Fold("row", n, xs),), tree, d1)
+    return q1, d1, len(d1.relation(q1.atoms[n].symbol))
 
 
 def restrict_predicate_to_free(
@@ -147,7 +146,7 @@ def restrict_predicate_to_free(
     q, db = remove_self_joins(q, db)
     residual = None
     if p is not None:
-        db = _fold(q, p, plan, db)
+        db = _fold(q, p.x0, p.below, plan.folds, plan.tree, db)
         if p.x0 in q.free_vars:
             xs = tuple(x for x in p.xs if x in q.free_vars and x != p.x0)
             residual = MinPredicate(p.x0, xs, p.strict) if xs else None
@@ -155,33 +154,29 @@ def restrict_predicate_to_free(
     return q2, residual, d2
 
 
-def _fold(q: ConjunctiveQuery, p: MinPredicate, plan: Plan, db: Database) -> Database:
-    """`db` with the plan's fold sites (`structure.Fold`) carried out in
-    order, each over one atom's rows. A threshold is that of the all-free
-    query, on the join tree rooted at the site; a row whose repeated
-    columns disagree has none: it joins nothing."""
-    below = p.below
+def _fold(
+    q: ConjunctiveQuery, x0: str, below, folds: tuple[Fold, ...], tree: RootedJoinTree, db: Database
+) -> Database:
+    """`db` with the fold sites `folds` (`structure.Fold`) of x0 `below`
+    min(xs) carried out in order, each over one atom's rows. A threshold
+    is that of the all-free query, on `tree` rerooted at the site; a row
+    whose repeated columns disagree has none: it joins nothing. An x0
+    site reads the pass with no members: its rows above -inf are those
+    in some answer, and x0's best value is their least x0 cell, +inf,
+    which no later site passes, when there is none."""
     best = None  # x0's best value, once an "x0" site has found it
-    for kind, n, xs in plan.folds:
+    for kind, n, xs in folds:
         atom = q.atoms[n]
-        if kind == "x0":
-            # every tuple left by the full reduction is in some answer of
-            # the all-free query, so x0's best value is its least entry
-            xi = atom.vars.index(p.x0)
-            cells = [r[xi] for r in semijoin_reduce(q, db, plan.tree).relation(atom.symbol).rows]
-            if not cells:  # the all-free query has no answers at all
-                return db.replace(*(Relation(a.symbol, a.arity, ()) for a in q.atoms))
-            best = min(cells)
-            continue
         if kind == "pair":
             value = operator.itemgetter(atom.vars.index(xs[0]))
-        elif kind == "row":
-            theta = thresholds(q, xs, plan.tree.reroot(n), db)[n]
+        else:
+            theta = thresholds(q, xs, tree.reroot(n), db)[n]
+            if kind == "x0":
+                xi = atom.vars.index(x0)
+                best = min((r[xi] for r, th in theta.items() if th > NEG_INF), default=POS_INF)
+                continue
             value = lambda r: theta.get(r, NEG_INF)
-        else:  # constant: min(xs) has one best value overall
-            bound = max(thresholds(q, xs, plan.tree.reroot(n), db)[n].values(), default=NEG_INF)
-            value = lambda r: bound
-        left = (lambda r: best) if best is not None else operator.itemgetter(atom.vars.index(p.x0))
+        left = (lambda r: best) if best is not None else operator.itemgetter(atom.vars.index(x0))
         kept = tuple(r for r in db.relation(atom.symbol).rows if below(left(r), value(r)))
         db = db.replace(Relation._of_distinct(atom.symbol, atom.arity, kept))
     return db

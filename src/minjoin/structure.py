@@ -434,12 +434,12 @@ class Witness:
 class Fold(NamedTuple):
     """A fold site: restriction keeps the rows of atom `atom` (an index)
     whose x0 passes, by kind: row, the threshold of min(xs) through the
-    row, at the branch atom of xs; constant, the one best value of
-    min(xs), at the first atom holding x0, when the branch of xs shares
-    no free variable; pair, the row's xs[0]. An x0 site is an existential
-    x0 whose branch shares no free variable and holds no member: its best
-    value, its least cell over `atom`'s fully reduced rows, takes x0's
-    place at the sites after it."""
+    row, at the branch atom of xs, or, when that branch shares no free
+    variable, at the first atom holding x0, whose rows in some answer all
+    see the branch's one best value; pair, the row's xs[0]. An x0 site is
+    an existential x0 whose branch shares no free variable and holds no
+    member: its best value, its least cell over `atom`'s rows in some
+    answer, takes x0's place at the sites after it."""
 
     kind: str
     atom: int
@@ -450,9 +450,9 @@ class Fold(NamedTuple):
 class Plan:
     """What `classify` built for a tractable verdict, for its task to carry
     out: the query's GYO join tree (node i is atom i); but for the Boolean
-    task, the variables of each branch of the free-connex tree rooted at
-    its free-variables node, by branch atom; and the fold sites, in
-    restriction's order."""
+    and ranking tasks, the variables of each branch of the free-connex
+    tree rooted at its free-variables node, by branch atom; and the fold
+    sites, in restriction's order."""
 
     tree: RootedJoinTree
     branches: dict[int, frozenset[str]] | None = None
@@ -534,7 +534,7 @@ def _fold_sites(q: ConjunctiveQuery, p: MinPredicate, branches) -> tuple[Fold, .
                 return Witness("no_fold_site", members=tuple(group), atom=symbol, detail=(
                     f"{p.x0} <= min({','.join(group)}): {p.x0!r} does not reach "
                     f"branch atom {symbol}, and the branch is not independent"))
-            folds.append(Fold("row", b, tuple(group)) if reaches else Fold("constant", first(p.x0), tuple(group)))
+            folds.append(Fold("row", b if reaches else first(p.x0), tuple(group)))
         return tuple(folds)
     if all(any({p.x0, x} <= set(a.vars) for a in q.atoms) for x in xs):
         return tuple(Fold("pair", first(p.x0, x), (x,)) for x in xs)
@@ -580,11 +580,8 @@ def classify(task: Task, q: ConjunctiveQuery, spec) -> Verdict:
     tree2, core2 = _gyo(h.with_edge(q.free_vars))
     if tree2 is None:
         return Verdict(task, False, Witness("not_free_connex", core=core2), self_joins=joins)
-    tree2 = tree2.reroot(len(q.atoms))  # at the node of the free-variables edge
-    branches = {c: frozenset().union(*map(tree2.vars_of.get, tree2.subtree_ids(c)))
-                for c in tree2.children()[tree2.root]}
 
-    free, path, folds = set(q.free_vars), None, ()
+    free, path, folds, branches = set(q.free_vars), None, (), None
     if task in RANKING_TASKS:
         if isinstance(spec, MinPredicate):
             raise EngineError("ranking task classified with a predicate spec")
@@ -593,16 +590,20 @@ def classify(task: Task, q: ConjunctiveQuery, spec) -> Verdict:
             raise EngineError(f"{task.value}: ranking variables must be free")
         if task is Task.RANKED_DA:
             path = find_bad_path(h, xs, xs)
-    elif spec is not None:
-        if not isinstance(spec, MinPredicate):
-            raise EngineError(f"{task.value}: needs a MinPredicate spec")
-        spec.check_vars(q)
-        if task is not Task.ENUM_PRED and spec.x0 in free:
-            path = find_bad_path(h, {spec.x0}, (set(spec.xs) & free) - {spec.x0})
-        if path is None and not q.is_boolean:
-            folds = _fold_sites(q, spec, branches)
-            if isinstance(folds, Witness):
-                return Verdict(task, False, folds, self_joins=joins)
+    else:
+        tree2 = tree2.reroot(len(q.atoms))  # at the node of the free-variables edge
+        branches = {c: frozenset().union(*map(tree2.vars_of.get, tree2.subtree_ids(c)))
+                    for c in tree2.children()[tree2.root]}
+        if spec is not None:
+            if not isinstance(spec, MinPredicate):
+                raise EngineError(f"{task.value}: needs a MinPredicate spec")
+            spec.check_vars(q)
+            if task is not Task.ENUM_PRED and spec.x0 in free:
+                path = find_bad_path(h, {spec.x0}, (set(spec.xs) & free) - {spec.x0})
+            if path is None and not q.is_boolean:
+                folds = _fold_sites(q, spec, branches)
+                if isinstance(folds, Witness):
+                    return Verdict(task, False, folds, self_joins=joins)
     if path is not None:
         return Verdict(task, False, Witness("bad_path", path=path), self_joins=joins)
     return Verdict(task, True, plan=Plan(tree, branches, folds))

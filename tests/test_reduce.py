@@ -1,4 +1,7 @@
+import hashlib
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -240,6 +243,37 @@ def test_eliminate_existential_never_removes_participants(rng):
             continue
         assert oracle_answers(q2, d2, predicate=p2) == oracle_answers(q, db, predicate=p)
         done += 1
+
+
+def test_restriction_and_boolean_cut_pinned():
+    # restriction's output and the Boolean cut, pinned over a seeded
+    # sample: every tractable counting verdict's restricted query text,
+    # residual predicate and relation rows (in order), and every Boolean
+    # verdict's answer; the sample reaches every fold kind, and x0 sites
+    # whose branch has no answer
+    digest = hashlib.sha256()
+    counts = Counter()
+    for seed in (5, 6):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            q = rand_acyclic_query(rng, max_atoms=4)
+            p = rand_predicate(rng, q)
+            db = rand_database(rng, q)
+            counting = classify(Task.COUNTING, q, p)
+            if counting.tractable:
+                counts["restrictions"] += 1
+                q2, p2, d2 = restrict_predicate_to_free(q, p, db, counting.plan)
+                digest.update(f"{q2.to_text()}|{p2}".encode())
+                for a in q2.atoms:
+                    counts["rows"] += len(d2.relation(a.symbol))
+                    digest.update(repr(d2.relation(a.symbol).rows).encode())
+            if classify(Task.BOOLEAN, q, p).tractable:
+                holds = is_nonempty(q, p, db)
+                counts["cuts"] += 1
+                counts["nonempty"] += holds
+                digest.update(b"1" if holds else b"0")
+    assert counts == {"restrictions": 3092, "rows": 19791, "cuts": 4000, "nonempty": 2305}
+    assert digest.hexdigest() == "7a6f37a9dcc5c5e030bd63b626e77bd183e2df047621dd78e288c981c2231080"
 
 
 # -- restrict_predicate_to_free ----------------------------------------------

@@ -13,10 +13,12 @@ import minjoin.structure as structure
 from minjoin import (
     IntractableQueryError,
     MinPredicate,
+    MinRanking,
     Task,
     UnsupportedPredicateError,
     build_min_da,
     classify,
+    classify_all,
     count_with_predicate,
     enumerate_ranked_min,
     enumerate_with_predicate,
@@ -26,7 +28,7 @@ from minjoin import (
     single_access,
 )
 from minjoin.errors import InternalInvariantError
-from minjoin.model import Database, Relation
+from minjoin.model import Atom, ConjunctiveQuery, Database, Relation
 
 from conftest import rand_acyclic_query, rand_database, rand_predicate
 
@@ -165,3 +167,69 @@ def test_count_with_a_disconnected_x0_honours_its_verdict():
                    "T": Relation.from_ints("T", 1, [[0], [1]])})
     assert classify(Task.COUNTING, q, p).tractable
     assert count_with_predicate(q, p, db) == len(oracle_answers(q, db, p))
+
+
+@pytest.mark.xfail(strict=True, raises=InternalInvariantError,
+                   reason="ROADMAP item 2: partition needs no chordless path between compared variables")
+def test_count_with_x0_in_a_branch_apart_from_a_member_honours_its_verdict():
+    q, p, _ = parse_query(
+        "Q(v2,v1,v4,v3,v6,v5,v7,v9,v8,v10,v13,v11,v12) :- R0(v2,v1), R1(v1,v4,v3), R2(v6,v4,v5), "
+        "R3(v7,v9,v8), R4(v10), R5(v13,v11,v12).\nPREDICATE v8 <= MIN(v5,v2,v7).\n")
+    db = Database({a.symbol: Relation.from_ints(a.symbol, a.arity, [[(i + j) % 2 for j in range(a.arity)]
+                                                                    for i in range(2)]) for a in q.atoms})
+    assert classify(Task.COUNTING, q, p).tractable
+    assert count_with_predicate(q, p, db) == len(oracle_answers(q, db, p))
+
+
+FOLD_SITE_TASKS = {Task.ELIMINATION, Task.COUNTING, Task.UNRANKED_DA_PRED, Task.ENUM_PRED}
+
+
+def _kinds(q, p, r):
+    return {v.task: v.witness.kind if v.witness else "tractable" for v in classify_all(q, p, r)}
+
+
+def _scrambled(rng, q, p, r):
+    """q, p and r with the variables renamed, and the atoms, each atom's
+    columns, the head and the members in a random order."""
+    names = rng.sample(q.variables, len(q.variables))
+    to = {v: f"w{i}" for i, v in enumerate(names)}.__getitem__
+    atoms = [Atom(a.symbol, tuple(map(to, rng.sample(a.vars, len(a.vars))))) for a in q.atoms]
+    rng.shuffle(atoms)
+    head = tuple(map(to, rng.sample(q.free_vars, len(q.free_vars))))
+    return (ConjunctiveQuery(tuple(atoms), head, q.name),
+            MinPredicate(to(p.x0), tuple(map(to, rng.sample(p.xs, len(p.xs)))), p.strict),
+            MinRanking(tuple(map(to, rng.sample(r.xs, len(r.xs))))))
+
+
+def test_verdicts_do_not_depend_on_names_or_order():
+    # a verdict reads the query's shape alone, so renaming variables and
+    # reordering atoms, columns, head and members moves no verdict kind;
+    # the one exception, ROADMAP item 5's, is pinned: the fold sites
+    # depend on the join tree that GYO builds in atom order, and the four
+    # fold-site tasks move together between tractable and no_fold_site
+    rng = random.Random(11)
+    flips = Counter()
+    for _ in range(3000):
+        q = rand_acyclic_query(rng, max_atoms=4)
+        p = rand_predicate(rng, q)
+        r = MinRanking(tuple(rng.sample(q.free_vars, rng.randint(1, len(q.free_vars)))))
+        before, after = _kinds(q, p, r), _kinds(*_scrambled(rng, q, p, r))
+        moved = {t for t in Task if before[t] != after[t]}
+        if moved:
+            assert moved == FOLD_SITE_TASKS, (q.to_text(), str(p))
+            assert {before[t] for t in moved} | {after[t] for t in moved} == {"tractable", "no_fold_site"}
+            flips[before[Task.COUNTING], after[Task.COUNTING]] += 1
+    assert flips == {("tractable", "no_fold_site"): 53, ("no_fold_site", "tractable"): 42}
+
+
+@pytest.mark.xfail(strict=True, raises=UnsupportedPredicateError,
+                   reason="ROADMAP item 5: GYO glues the independent R4(v7) under R2 in the second atom order")
+def test_fold_sites_do_not_depend_on_atom_order():
+    body = {"R0": "R0(v3,v1,v2)", "R1": "R1(v4)", "R2": "R2(v4)", "R3": "R3(v5,v6)", "R4": "R4(v7)"}
+    rows = {"R0": [[0, 1, 2], [1, 1, 5]], "R1": [[1], [2]], "R2": [[2], [3]],
+            "R3": [[1, 4], [3, 2], [5, 6], [2, 2]], "R4": [[0], [3]]}
+    db = Database({s: Relation.from_ints(s, len(rows[s][0]), rows[s]) for s in rows})
+    for order in (("R0", "R1", "R2", "R3", "R4"), ("R3", "R4", "R1", "R2", "R0")):
+        q, p, _ = parse_query(f"Q(v6,v5,v2,v4) :- {', '.join(map(body.get, order))}.\n"
+                              "PREDICATE v5 <= MIN(v6,v7).\n")
+        assert count_with_predicate(q, p, db) == len(oracle_answers(q, db, p)) == 4
