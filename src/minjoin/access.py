@@ -24,13 +24,13 @@ here builds forked parts.
 Each task function takes the query as declared: it checks its verdict
 (`Verdict.require`), prepares the instance with one call to
 `reduce.restrict_predicate_to_free`, which carries out the verdict's
-plan, then runs its pass.
+plan, then runs its pass over the plan's orders (`Plan.orders`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import EngineError, OutOfBoundsError
@@ -43,7 +43,7 @@ from .model import (
     MinRanking,
     negate_database,
 )
-from .elim import fork_bits, fork_replay, fork_tree, min_orders, min_predicate_orders
+from .elim import fork_bits, fork_replay, min_predicate_orders
 from .partition import OrderTreePair, StrictPartialOrder
 from .reduce import cut_at_x0, restrict_predicate_to_free
 from .semiring import count_answers, count_buckets, order_checks
@@ -151,17 +151,17 @@ class LexDA:
     deterministic.
 
     With an order-tree pair, only the answers that satisfy the pair's
-    order, each tie on its site's side, are accessed, in the order that
-    LexDA over `elim.eliminate_enforced_order`'s part gives, with no
-    rows forked. The count pass then runs on `elim.fork_tree`,
-    the tree that LexDA over the part would descend; `build_steps` adds
-    its bucket sorts and the block cuts of each row with bounded
-    children. The fences take the count pass's bounded children, in
-    rewrite order, with their columns and sides (`semiring.order_checks`).
-    A row's bounded children come in fork blocks (see `_Fence`), cut over
-    the domains of `elim.fork_replay`, whose rows the rewrite forks. Their
-    blocks, first order pair outermost, are chosen before the mixed radix
-    over its children.
+    order, each tie on its site's side, are accessed, with no rows
+    forked. The count pass runs on the pair's tree as handed; on
+    `elim.fork_tree`'s, as the plan's are, the answers come in the order
+    that LexDA over `elim.eliminate_enforced_order`'s part gives.
+    `build_steps` adds its bucket sorts and the block cuts of each row
+    with bounded children. The fences take the count pass's bounded
+    children, in rewrite order, with their columns and sides
+    (`semiring.order_checks`). A row's bounded children come in fork
+    blocks (see `_Fence`), cut over the domains of `elim.fork_replay`,
+    whose rows the rewrite forks. Their blocks, first order pair
+    outermost, are chosen before the mixed radix over its children.
 
     A kept row with F bounded children keeps one record of ints t: F + 1
     offsets, then each child's distinct block bounds, ascending, so child
@@ -189,8 +189,6 @@ class LexDA:
         self.query = q
         self.sort_var = x
         built = StepCounter()
-        if pair is not None:
-            pair = replace(pair, tree=fork_tree(q, pair, x))
         plan, self._rows, self._cum = count_buckets(q, db, x, pair, counter=built)
         self._plan = plan
         self.total: int = self._cum[plan.root].get((), [0])[-1]
@@ -380,15 +378,14 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
     `xs` is the ranking's variables, which means MIN, or a MinRanking; a
     MAX ranking is served as MIN over the negated database, and the
     answers carry the original values. For each ranking variable x, the
-    case "x attains the minimum" is partitioned into enforced orders, a
-    tie between two ranking variables won by the one declared first; each
-    order gets a LexDA on x that enforces it, and the per-value counts
-    merge into one prefix-summed entry array, ties by part. `build_steps`
-    counts the restricted rows, once, and each LexDA's build steps.
+    case "x attains the minimum" is partitioned into enforced orders
+    (`Plan.orders`), a tie between two ranking variables won by the one
+    declared first; each order gets a LexDA on x that enforces it, and
+    the per-value counts merge into one prefix-summed entry array, ties
+    by part. `build_steps` counts the restricted rows, once, and each
+    LexDA's build steps.
     """
     maximize = isinstance(xs, MinRanking) and xs.maximize
-    if isinstance(xs, MinRanking):
-        xs = xs.xs
     if not xs:
         raise EngineError("ranking needs at least one variable")
     plan = classify(Task.RANKED_DA, q, xs).require()
@@ -396,20 +393,14 @@ def build_min_da(q: ConjunctiveQuery, xs, db: Database) -> MinDAIndex:
     q1, _, d1 = restrict_predicate_to_free(q, None, negate_database(db) if maximize else db, plan)
     counter.add(d1.size)
 
-    var_pos = {v: i for i, v in enumerate(q1.variables)}
-    xs = sorted(dict.fromkeys(xs), key=lambda v: var_pos[v])
     part_info = []
     secondary: dict[int, LexDA] = {}
     raw_entries: list[tuple[int, int, int, int]] = []
-    qid = 0
-    for x in xs:
-        for otp in min_orders(q1, x, [v for v in xs if v != x]):
-            lex = LexDA(q1, d1, x, otp)
-            counter.add(lex.build_steps)
-            secondary[qid] = lex
-            part_info.append((q1, d1, otp.order, x))
-            raw_entries += [(val, qid, cnt, below) for val, cnt, below in lex.root_groups()]
-            qid += 1
+    for qid, (x, otp) in enumerate(plan.orders):
+        lex = secondary[qid] = LexDA(q1, d1, x, otp)
+        counter.add(lex.build_steps)
+        part_info.append((q1, d1, otp.order, x))
+        raw_entries += [(val, qid, cnt, below) for val, cnt, below in lex.root_groups()]
 
     raw_entries.sort(key=lambda e: (e[0], e[1]))
     entries: list[MinDAEntry] = []

@@ -1,8 +1,9 @@
 """Elimination of an enforced strict order from a full acyclic query, and
-the end-to-end min-predicate elimination. Its steps before the rewrite,
-`min_predicate_orders` and `min_orders`, also feed counting and direct
-access, which enforce each order in the count pass instead and build no
-forked parts; `eliminate` and the tests still run the rewrite.
+the end-to-end min-predicate elimination. The orders that a tractable
+verdict carries (`Plan.orders`, built by `plan_orders` with `min_orders`
+and `fork_tree`) also feed counting and direct access, which enforce
+each order in the count pass instead and build no forked parts;
+`eliminate` and the tests still run the rewrite.
 
 Each order pair is rewritten at its site in the tree, in rewrite order
 (`OrderTreePair.sites`). Order pairs whose variables share a node are
@@ -31,6 +32,7 @@ from .model import (
     ConjunctiveQuery,
     Database,
     MinPredicate,
+    MinRanking,
     Relation,
     fresh_symbol,
 )
@@ -43,6 +45,7 @@ from .structure import (
     Task,
     TreePlan,
     classify,
+    free_columns,
     join_tree,
     tree_for_query,
 )
@@ -213,27 +216,50 @@ def min_orders(q: ConjunctiveQuery, x0: str, xs, rank: Sequence[str] | None = No
             for otp in partition_min_orders(tree, x0, xs, var_order=q.variables)]
 
 
+def plan_orders(task: Task, q: ConjunctiveQuery, spec, tree: RootedJoinTree) -> tuple | None:
+    """`Plan.orders` for `classify`, over restriction's shape
+    (`structure.free_columns`), whose variables are q's free ones: for
+    ranked access, per ranking variable x in head order, the orders in
+    which x is the minimum, on `fork_tree` at x; for a residual predicate,
+    its orders, x0 ranked first, or last when strict (see `min_orders`),
+    on `fork_tree` at the first free variable for unranked access; for
+    predicate enumeration, the restricted tree rooted at x0, with no
+    order, its predicate read as declared for a full query."""
+    if q.is_boolean or spec is None or task in (Task.RANKED_ENUM, Task.SINGLE_ACCESS):
+        return None
+    free = q.free_vars  # a full query restricts to its own shape
+    shape = q if q.is_full else ConjunctiveQuery(
+        tuple(Atom(a.symbol, tuple(a.vars[i] for i in cols)) for a, cols in free_columns(q)), free, q.name)
+    if task is Task.RANKED_DA:
+        xs = sorted(set(spec.xs if isinstance(spec, MinRanking) else spec), key=free.index)
+        return tuple((x, replace(otp, tree=fork_tree(shape, otp, x)))
+                     for x in xs for otp in min_orders(shape, x, [v for v in xs if v != x]))
+    x0, xs = spec.x0, tuple(x for x in spec.xs if x in free and x != spec.x0)
+    if task is Task.ENUM_PRED and q.is_full:  # the restricted tree is q's own, same edges
+        return ((x0, OrderTreePair(StrictPartialOrder(frozenset()), tree.rooted_at(x0))),)
+    if x0 not in free or not xs:
+        return None
+    others = [v for v in free if v != x0]
+    rank = others + [x0] if spec.strict else [x0] + others
+    otps = min_orders(shape, x0, () if task is Task.ENUM_PRED else xs, rank)
+    if task is Task.UNRANKED_DA_PRED:
+        return tuple((free[0], replace(otp, tree=fork_tree(shape, otp, free[0]))) for otp in otps)
+    return tuple((x0, otp) for otp in otps)
+
+
 def min_predicate_orders(
     q: ConjunctiveQuery, p: MinPredicate | None, db: Database, plan: Plan | None = None
 ) -> tuple[ConjunctiveQuery, Database, list[OrderTreePair] | None]:
-    """(Q AND P, D) as a full self-join-free query over the free
-    variables, its database, and the enforced orders that partition the
-    residual predicate; every answer satisfies exactly one order.
-
-    Folds existential inequalities into the data at the fold sites of
-    `plan`, the verdict's (`reduce.restrict_predicate_to_free`),
-    restricts to the free variables and partitions, ranking x0 the
-    smallest, or the largest for the strict variant, and the others in
-    declaration order: the ranks decide each pair's side on a tie (see
-    `min_orders`). With no residual predicate the orders are None; a
-    Boolean head is one nullary atom that holds the empty row or none.
-    """
-    q2, residual, d2 = restrict_predicate_to_free(q, p, db, plan)
-    if residual is None:
-        return q2, d2, None
-    x0 = residual.x0
-    others = [v for v in q2.variables if v != x0]
-    return q2, d2, min_orders(q2, x0, residual.xs, others + [x0] if residual.strict else [x0] + others)
+    """(Q AND P, D) restricted by `plan`, the verdict's, or else
+    counting's (`reduce.restrict_predicate_to_free`): a full
+    self-join-free query over the free variables, its database, and the
+    plan's orders, which partition the residual predicate, or None when
+    there is none. A Boolean head is one nullary atom that holds the
+    empty row or none."""
+    if plan is None:
+        plan = classify(Task.COUNTING, q, p).require()
+    q2, _, d2 = restrict_predicate_to_free(q, p, db, plan)
+    return q2, d2, None if plan.orders is None else [otp for _, otp in plan.orders]
 
 
 def eliminate_min_predicate(
@@ -247,8 +273,8 @@ def eliminate_min_predicate(
     through which Q AND P holds (see `reduce.cut_at_x0`).
 
     Pipeline: `min_predicate_orders` (remove self-joins, fold, restrict,
-    rank, partition), then eliminate each enforced order. The parts hold
-    the input's own cells and the fork ids.
+    and the verdict's orders), then eliminate each enforced order. The
+    parts hold the input's own cells and the fork ids.
     """
     plan = classify(Task.ELIMINATION, q, p).require()
     if q.is_boolean:

@@ -36,7 +36,7 @@ from .model import (
 )
 from .reduce import restrict_predicate_to_free
 from .semiring import count_buckets, thresholds
-from .structure import Task, TreePlan, classify, group_by, tree_for_query
+from .structure import Task, TreePlan, classify, group_by
 
 
 class _Run:
@@ -267,8 +267,8 @@ def enumerate_with_predicate(
     declared: restriction would only rename its relations, and would drop
     a predicate such as x <= MIN(x), which changes the emission order.
     With no predicate left, this is the plain stream of
-    `enumerate_full_acyclic`. Otherwise the tree is
-    rooted at an atom containing x0; every tuple carries the best
+    `enumerate_full_acyclic`. Otherwise the tree is the plan's, rooted at
+    an atom containing x0 (`Plan.orders`); every tuple carries the best
     min-over-X value reachable below it (its threshold), buckets are
     scanned in decreasing threshold order, and a descent stops as soon as
     a threshold drops under the current x0 value.
@@ -284,9 +284,9 @@ def enumerate_with_predicate(
         q, p, db = restrict_predicate_to_free(q, p, db, proved)
     if p is None:
         return _full_stream(q, db)
-    x0 = p.x0
+    ((x0, pair),) = proved.orders  # no order: the tree rooted at x0
     xs = [x for x in p.xs if x != x0]
-    plan = TreePlan(q, tree_for_query(q, at=x0))
+    plan = TreePlan(q, pair.tree)
     theta = thresholds(q, xs, plan.tree, db)
     root = plan.root
     x0_col = plan.schema[root].index(x0)

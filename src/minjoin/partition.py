@@ -12,7 +12,8 @@ whose rows the pair filters, or else the one edge between a node holding
 a and a node holding b, which the fork rewrite forks and the count pass
 bounds. The site also carries the pair's side on a tie, where a and b
 hold equal cells: the pair passes it exactly when the pair is among the
-order's `ties` (see `elim.min_orders`).
+order's `ties` (see `elim.min_orders`, which `classify` runs through
+`elim.plan_orders`).
 """
 
 from __future__ import annotations
@@ -134,25 +135,17 @@ def partition_min_orders(
         # returns [(pair set, undirected edge set over node ids)]
         tree = make_maximally_branching(tree)
         xs = [x for x in xs if x != x0]
-        trunk_nodes = [n for n in tree.nodes() if x0 in tree.vars_of[n]]
-        trunk_neighbors: set[str] = set()
-        for n in trunk_nodes:
-            trunk_neighbors |= tree.vars_of[n]
-        trunk_neighbors.discard(x0)
+        trunk_neighbors = set().union(*(vs for vs in tree.vars_of.values() if x0 in vs)) - {x0}
         x_trunk = [x for x in xs if x in trunk_neighbors]
-        residual = [x for x in xs if x not in trunk_neighbors]
+        residual_set = set(xs) - trunk_neighbors
 
         branch_roots = []
-        residual_set = set(residual)
         covered: set[str] = set()
         for r in tree.nodes():
             p = tree.parent[r]
             if p is None or x0 in tree.vars_of[r] or x0 not in tree.vars_of[p]:
                 continue
-            sub_vars = set()
-            for i in tree.subtree_ids(r):
-                sub_vars |= tree.vars_of[i]
-            hit = residual_set & sub_vars
+            hit = residual_set & set().union(*(tree.vars_of[i] for i in tree.subtree_ids(r)))
             if hit:
                 branch_roots.append((r, sorted(hit, key=position.__getitem__)))
                 covered |= hit
@@ -163,12 +156,8 @@ def partition_min_orders(
             )
 
         trunk_pairs = frozenset((x0, x) for x in x_trunk)
-        removed = set()
-        for r, _ in branch_roots:
-            removed |= set(tree.subtree_ids(r))
-        trunk_edges = {
-            e for e in tree.edges() if not (e & removed)
-        }
+        removed = set().union(*(tree.subtree_ids(r) for r, _ in branch_roots))
+        trunk_edges = {e for e in tree.edges() if not (e & removed)}
 
         per_branch: list[list[tuple[frozenset, set]]] = []
         for r, x_r in branch_roots:
@@ -177,29 +166,18 @@ def partition_min_orders(
             for x in x_r:
                 top = tree.highest(x)  # within the branch by connectivity
                 sub = tree.subtree(r).reroot(top)
-                for pairs, edges in rec(sub, x, [v for v in x_r if v != x]):
-                    options.append(
-                        (pairs | {(x0, x)}, edges | {frozenset((attach, top))})
-                    )
+                options += [(pairs | {(x0, x)}, edges | {frozenset((attach, top))})
+                            for pairs, edges in rec(sub, x, [v for v in x_r if v != x])]
             per_branch.append(options)
 
-        results: list[tuple[frozenset, set]] = []
-        for combo in itertools.product(*per_branch):
-            pairs = set(trunk_pairs)
-            edges = set(trunk_edges)
-            for ps, es in combo:
-                pairs |= ps
-                edges |= es
-            results.append((frozenset(pairs), edges))
-        return results
+        return [(trunk_pairs.union(*(ps for ps, _ in combo)), trunk_edges.union(*(es for _, es in combo)))
+                for combo in itertools.product(*per_branch)]
 
     out: list[OrderTreePair] = []
     for pairs, edges in rec(t.copy(), x0, list(xs)):
         tree = RootedJoinTree.from_edges(t, edges, t.root)
         if not tree.satisfies_running_intersection():
-            raise InternalInvariantError(
-                "rearranged tree is not a join tree; precondition violated"
-            )
+            raise InternalInvariantError("rearranged tree is not a join tree; precondition violated")
         pair = OrderTreePair(StrictPartialOrder(pairs), tree)
         pair.sites(var_order)  # raises unless the tree enforces every pair
         out.append(pair)

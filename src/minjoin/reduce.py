@@ -28,7 +28,7 @@ from .model import (
     remove_self_joins,
 )
 from .semiring import NEG_INF, POS_INF, thresholds
-from .structure import Fold, Plan, RootedJoinTree, Task, TreePlan, classify, tree_for_query
+from .structure import Fold, Plan, RootedJoinTree, Task, TreePlan, classify, free_columns, tree_for_query
 
 
 def semijoin_reduce(q: ConjunctiveQuery, db: Database, tree: RootedJoinTree | None = None) -> Database:
@@ -67,21 +67,16 @@ def _project_to_free(q: ConjunctiveQuery, db: Database, tree: RootedJoinTree) ->
     A full query is only renamed: each atom keeps its rows as given, and
     the passes that read them drop the rows that join nothing. Otherwise
     relations are fully reduced first, which only projection needs, then
-    projected per-atom; atoms left with no free variables are dropped
-    (their only residual effect, emptiness, has already propagated through
-    the reduction to every relation).
+    projected per-atom (`structure.free_columns`); atoms left with no
+    free variables are dropped (their only residual effect, emptiness,
+    has already propagated through the reduction to every relation).
     """
     taken = set(db.relations) | {a.symbol for a in q.atoms}
-    full = q.is_full
-    if not full:
+    if not q.is_full:
         db = semijoin_reduce(q, db, tree)
-    free = set(q.free_vars)
     new_atoms: list[Atom] = []
     new_rels: dict[str, Relation] = {}
-    for a in q.atoms:
-        keep_cols = tuple(i for i, v in enumerate(a.vars) if v in free)
-        if not keep_cols and not full:
-            continue
+    for a, keep_cols in free_columns(q):
         sym = fresh_symbol(f"{a.symbol}_f", taken)
         vars_ = tuple(a.vars[i] for i in keep_cols)
         rel = db.relation(a.symbol)

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import EngineError, InternalInvariantError, IntractableQueryError, UnsupportedPredicateError
-from .model import ConjunctiveQuery, Database, MinPredicate, MinRanking, Row
+from .model import Atom, ConjunctiveQuery, Database, MinPredicate, MinRanking, Row
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,14 @@ class Hypergraph:
 
 def hypergraph_of(q: ConjunctiveQuery) -> Hypergraph:
     return Hypergraph(frozenset(q.variables), tuple(frozenset(a.vars) for a in q.atoms))
+
+
+def free_columns(q: ConjunctiveQuery) -> list[tuple[Atom, tuple[int, ...]]]:
+    """Restriction's shape: each atom that holds a free variable, every
+    atom of a full query, with the columns of its free variables."""
+    free, full = set(q.free_vars), q.is_full
+    return [(a, cols) for a in q.atoms for cols in [tuple(i for i, v in enumerate(a.vars) if v in free)]
+            if cols or full]
 
 
 class RootedJoinTree:
@@ -76,12 +84,6 @@ class RootedJoinTree:
         if len(order) != len(self.vars_of):
             raise InternalInvariantError("tree is disconnected")
         return order
-
-    def depths(self) -> dict[int, int]:
-        d = {self.root: 0}
-        for n in self.bfs_order()[1:]:
-            d[n] = d[self.parent[n]] + 1
-        return d
 
     def edges(self) -> set[frozenset[int]]:
         return {frozenset((i, p)) for i, p in self.parent.items() if p is not None}
@@ -137,12 +139,12 @@ class RootedJoinTree:
     # -- variable placement --------------------------------------------
 
     def highest(self, v: str) -> int:
-        """The node containing v closest to the root (unique by connectivity)."""
-        depths = self.depths()
-        cands = [i for i in self.nodes() if v in self.vars_of[i]]
-        if not cands:
+        """The node containing v closest to the root (unique by connectivity):
+        the first in BFS order."""
+        top = next((n for n in self.bfs_order() if v in self.vars_of[n]), None)
+        if top is None:
             raise EngineError(f"variable {v!r} not in the tree")
-        return min(cands, key=lambda i: (depths[i], i))
+        return top
 
     # -- validity ------------------------------------------------------
 
@@ -451,12 +453,15 @@ class Plan:
     """What `classify` built for a tractable verdict, for its task to carry
     out: the query's GYO join tree (node i is atom i); but for the Boolean
     and ranking tasks, the variables of each branch of the free-connex
-    tree rooted at its free-variables node, by branch atom; and the fold
-    sites, in restriction's order."""
+    tree rooted at its free-variables node, by branch atom; the fold
+    sites, in restriction's order; and the orders that the task enforces,
+    each as (x, an order-tree pair whose tree is rooted at x), or None
+    (`elim.plan_orders`)."""
 
     tree: RootedJoinTree
     branches: dict[int, frozenset[str]] | None = None
     folds: tuple[Fold, ...] = ()
+    orders: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -549,7 +554,8 @@ def _fold_sites(q: ConjunctiveQuery, p: MinPredicate, branches) -> tuple[Fold, .
 
 def classify(task: Task, q: ConjunctiveQuery, spec) -> Verdict:
     """Structural verdict for one task; purely query-level, data-free. A
-    tractable verdict carries the plan that its task carries out (`Plan`).
+    tractable verdict carries the plan that its task carries out (`Plan`),
+    its orders partitioned here.
 
     Tractability conditions:
       boolean                      acyclic
@@ -558,7 +564,8 @@ def classify(task: Task, q: ConjunctiveQuery, spec) -> Verdict:
       elimination / counting /
       unranked_da_pred             acyclic free-connex, not (x0 free with a
                                    chordless >=3-path from x0 to a free MIN
-                                   var), and fold sites
+                                   var, or between two that avoids x0 and
+                                   its neighbours), and fold sites
       ranked_da                    acyclic free-connex, and no chordless
                                    >=3-path between two ranking variables
 
@@ -599,14 +606,17 @@ def classify(task: Task, q: ConjunctiveQuery, spec) -> Verdict:
                 raise EngineError(f"{task.value}: needs a MinPredicate spec")
             spec.check_vars(q)
             if task is not Task.ENUM_PRED and spec.x0 in free:
-                path = find_bad_path(h, {spec.x0}, (set(spec.xs) & free) - {spec.x0})
+                near, members = h.adjacency()[spec.x0] | {spec.x0}, (set(spec.xs) & free) - {spec.x0}
+                far = Hypergraph(h.vertices - near, tuple(e - near for e in h.edges))  # x0's neighbours removed
+                path = find_bad_path(h, {spec.x0}, members) or find_bad_path(far, members - near, members - near)
             if path is None and not q.is_boolean:
                 folds = _fold_sites(q, spec, branches)
                 if isinstance(folds, Witness):
                     return Verdict(task, False, folds, self_joins=joins)
     if path is not None:
         return Verdict(task, False, Witness("bad_path", path=path), self_joins=joins)
-    return Verdict(task, True, plan=Plan(tree, branches, folds))
+    from . import elim  # elim imports this module
+    return Verdict(task, True, plan=Plan(tree, branches, folds, elim.plan_orders(task, q, spec, tree)))
 
 
 def classify_all(q: ConjunctiveQuery, p: MinPredicate | None, r: MinRanking | None) -> list[Verdict]:

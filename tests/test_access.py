@@ -159,18 +159,20 @@ def _check_against_forked_part(q, db, rank, x, otp, seen):
     (conftest.fork_rewrite_reference), both on the plain cells with each
     tie on its pair's side; and so does LexDA over the copy tagged by
     `rank` (conftest.disjointify) with a pair that no tie passes, its
-    answer untagged. The engine's rewrite is the reference's part."""
+    answer untagged. The engine's rewrite is the reference's part. LexDA
+    descends the tree it is handed, here `fork_tree`'s, as in the plan."""
     ref = fork_rewrite_reference(q, db, otp, "_f")
     assert part_cells(*eliminate_enforced_order(q, db, otp, "_f")) == part_cells(*ref)
+    fork = replace(otp, tree=fork_tree(q, otp, x))
     forked = LexDA(*ref, x)
-    direct = LexDA(q, db, x, otp)
-    tagged = LexDA(q, disjointify(db, q, rank), x, replace(otp, ties=frozenset()))
+    direct = LexDA(q, db, x, fork)
+    tagged = LexDA(q, disjointify(db, q, rank), x, replace(fork, ties=frozenset()))
     assert direct.total == forked.total == tagged.total, (q.to_text(), x, str(otp.order))
     for k in range(forked.total):
         want = forked.access(k).project(q.variables)
         assert direct.access(k) == want == untagged(tagged.access(k)), (q.to_text(), x, str(otp.order), k)
     seen["parts"] += 1
-    seen["other tree"] += fork_tree(q, otp, x).edges() != otp.tree.edges()
+    seen["other tree"] += fork.tree.edges() != otp.tree.edges()
     for _, up, runs in (f for fs in direct._fenced.values() for f in fs):
         seen["b in the parent"] += not up
         seen["rows not in b order"] += runs is not None

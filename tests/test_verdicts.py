@@ -1,14 +1,17 @@
 """Verdicts against behaviour: a tractable verdict is answered, and a
 refusal is the verdict's own, with its witness. The task functions carry
-out the plan of their verdict, so no task runs GYO outside `classify`
-but to build the trees that decide its tie orders."""
+out the plan of their verdict, orders included, so no task runs GYO
+outside `classify` but for the count pass with no order, whose tree
+decides its tie order."""
 
 import random
 import traceback
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+import minjoin.elim as elim
 import minjoin.structure as structure
 from minjoin import (
     IntractableQueryError,
@@ -17,20 +20,24 @@ from minjoin import (
     Task,
     UnsupportedPredicateError,
     build_min_da,
+    build_unranked_da_pred,
     classify,
     classify_all,
     count_with_predicate,
+    eliminate_min_predicate,
     enumerate_ranked_min,
     enumerate_with_predicate,
     oracle_answers,
     oracle_sorted,
     parse_query,
+    restrict_predicate_to_free,
     single_access,
 )
-from minjoin.errors import InternalInvariantError
+from minjoin.bench import PATH_TEXT
+from minjoin.cli import main
 from minjoin.model import Atom, ConjunctiveQuery, Database, Relation
 
-from conftest import rand_acyclic_query, rand_database, rand_predicate
+from conftest import predicate_rank_order, rand_acyclic_query, rand_database, rand_predicate
 
 
 def _refusal(run, verdict):
@@ -110,6 +117,49 @@ def test_the_plan_holds_the_join_tree_that_restriction_reads():
             assert sum(x in vs for vs in v.plan.branches.values()) == 1
 
 
+def _same_orders(got, want):
+    """Two lists of (x, order-tree pair) agree: the same variables, pairs,
+    ties, tree parent maps and roots, in the same order."""
+    shape = [(x, otp.order.pairs, otp.ties, otp.tree.parent, otp.tree.root) for x, otp in got]
+    assert shape == [(x, otp.order.pairs, otp.ties, otp.tree.parent, otp.tree.root) for x, otp in want]
+
+
+def test_the_plan_holds_the_orders_of_the_restricted_query_on_the_seed_7_sample():
+    # the orders that classify builds from the query alone are those that
+    # min_orders and fork_tree give over the query that restriction
+    # returns, and exist exactly when it leaves a residual predicate;
+    # ranked access ranks by the predicate's free variables
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(3000):
+        q = rand_acyclic_query(rng, max_atoms=4)
+        p = rand_predicate(rng, q)
+        db = rand_database(rng, q)
+        for task in (Task.COUNTING, Task.UNRANKED_DA_PRED):
+            v = classify(task, q, p)
+            if not v.tractable:
+                continue
+            q2, residual, _ = restrict_predicate_to_free(q, p, db, v.plan)
+            assert (v.plan.orders is None) == (residual is None), (q.to_text(), str(p))
+            if residual is None:
+                continue
+            x = residual.x0 if task is Task.COUNTING else q2.free_vars[0]
+            want = [(x, otp if task is Task.COUNTING else replace(otp, tree=elim.fork_tree(q2, otp, x)))
+                    for otp in elim.min_orders(q2, residual.x0, residual.xs, predicate_rank_order(q2, p))]
+            _same_orders(v.plan.orders, want)
+            seen[task.value] += 1
+        xs = tuple(dict.fromkeys(x for x in (p.x0, *p.xs) if x in q.free_vars))
+        v = classify(Task.RANKED_DA, q, xs)
+        if xs and v.tractable:
+            q1, _, _ = restrict_predicate_to_free(q, None, db, v.plan)
+            xs = sorted(xs, key=q1.variables.index)
+            _same_orders(v.plan.orders, [(x, replace(otp, tree=elim.fork_tree(q1, otp, x)))
+                                         for x in xs for otp in elim.min_orders(q1, x, [y for y in xs if y != x])])
+            seen["ranked_da"] += 1
+            seen["ranked_da orders"] += len(v.plan.orders)
+    assert seen == {"counting": 1038, "unranked_da_pred": 1038, "ranked_da": 2554, "ranked_da orders": 4465}
+
+
 STAR = "Q(r1,r2,r3,s) :- W1(r1,s), W2(r2,s), W3(r3,s).\n"
 
 
@@ -119,32 +169,44 @@ def _star_db():
 
 
 def test_gyo_runs_only_inside_classify_and_for_tie_trees(monkeypatch):
-    # classify runs GYO twice; the rest are the trees over the restricted
-    # query that decide tie orders (min_orders, fork_tree, count_buckets)
+    # classify runs GYO twice, and once per tree of the plan's orders
+    # (min_orders, fork_tree); outside it, only the count pass with no
+    # order roots its own tree, which decides its tie order (count_buckets)
     gyo, runs = structure._gyo, []
 
     def counted(h):
-        runs.append([f.filename for f in traceback.extract_stack()])
+        runs.append([(f.filename, f.name) for f in traceback.extract_stack()])
         return gyo(h)
 
     monkeypatch.setattr(structure, "_gyo", counted)
 
-    def count(run):
+    def within(stack, module, function):
+        return any(name.endswith(module) and f == function for name, f in stack)
+
+    def count(run, apart=0):
+        # the number of runs; `apart` of them outside classify, each in count_buckets
         runs.clear()
         run()
-        assert not any(name.endswith("reduce.py") for stack in runs for name in stack)
+        assert not any(name.endswith("reduce.py") for stack in runs for name, _ in stack)
+        outside = [s for s in runs if not within(s, "structure.py", "classify")]
+        assert len(outside) == apart and all(within(s, "semiring.py", "count_buckets") for s in outside)
         return len(runs)
 
     q, _, r = parse_query(STAR + "ORDER BY MIN(r1,r2,r3).\n")
     qp, p, _ = parse_query(STAR + "PREDICATE r1 <= MIN(r2,r3).\n")
+    qe, pe, _ = parse_query(PATH_TEXT)
     qx, px, _ = parse_query("Q(x,u) :- R(x,z), S(z,y), T(u).\nPREDICATE x <= MIN(y).\n")
     db = _star_db()
+    de = Database({a.symbol: Relation.from_ints(a.symbol, 2, [(0, 1), (1, 1), (1, 0)]) for a in qe.atoms})
     dx = Database({"R": Relation.from_ints("R", 2, [[4, 1], [9, 1], [2, 2]]),
                    "S": Relation.from_ints("S", 2, [[1, 6], [2, 1]]), "T": Relation.from_ints("T", 1, [[0]])})
     assert count(lambda: build_min_da(q, r.xs, db)) == 8
-    assert count(lambda: enumerate_ranked_min(q, r.xs, db)) == 5
+    assert count(lambda: build_unranked_da_pred(qp, p, db)) == 4
     assert count(lambda: count_with_predicate(qp, p, db)) == 3
-    assert count(lambda: count_with_predicate(qx, px, dx)) == 3
+    assert count(lambda: eliminate_min_predicate(qp, p, db)) == 3
+    assert count(lambda: enumerate_with_predicate(qe, pe, de).drain()) == 2
+    assert count(lambda: enumerate_ranked_min(q, r.xs, db).drain(), apart=3) == 5
+    assert count(lambda: count_with_predicate(qx, px, dx), apart=1) == 3
 
 
 @pytest.mark.xfail(strict=True, raises=IntractableQueryError,
@@ -157,28 +219,78 @@ def test_single_access_honours_its_verdict():
     assert r.key(single_access(q, r.xs, db, 0)) == r.key(first)
 
 
-@pytest.mark.xfail(strict=True, raises=InternalInvariantError,
-                   reason="ROADMAP item 2: partition needs no chordless path between compared variables")
-def test_count_with_a_disconnected_x0_honours_its_verdict():
-    q, _, _ = parse_query("Q(a,b,c,d,z) :- R(a,b), S(b,c), U(c,d), T(z).\n")
-    p = MinPredicate("z", ("d", "a"))
-    pair = [(0, 1), (1, 0), (1, 1)]
-    db = Database({**{s: Relation.from_ints(s, 2, pair) for s in ("R", "S", "U")},
-                   "T": Relation.from_ints("T", 1, [[0], [1]])})
-    assert classify(Task.COUNTING, q, p).tractable
-    assert count_with_predicate(q, p, db) == len(oracle_answers(q, db, p))
+MEMBER_PATH = "Q(a,b,c,d,z) :- R(a,b), S(b,c), U(c,d), T(z).\nPREDICATE z <= MIN(d,a).\n"
 
 
-@pytest.mark.xfail(strict=True, raises=InternalInvariantError,
-                   reason="ROADMAP item 2: partition needs no chordless path between compared variables")
-def test_count_with_x0_in_a_branch_apart_from_a_member_honours_its_verdict():
-    q, p, _ = parse_query(
-        "Q(v2,v1,v4,v3,v6,v5,v7,v9,v8,v10,v13,v11,v12) :- R0(v2,v1), R1(v1,v4,v3), R2(v6,v4,v5), "
-        "R3(v7,v9,v8), R4(v10), R5(v13,v11,v12).\nPREDICATE v8 <= MIN(v5,v2,v7).\n")
+def _count_refuses(tmp_path, capsys, text, path):
+    """Counting refuses text's query on the chordless path `path`, and so
+    does `minjoin count`: it exits 2 with the witness."""
+    q, p, _ = parse_query(text)
+    v = classify(Task.COUNTING, q, p)
+    assert (v.witness.kind, v.witness.path) == ("bad_path", path)
     db = Database({a.symbol: Relation.from_ints(a.symbol, a.arity, [[(i + j) % 2 for j in range(a.arity)]
                                                                     for i in range(2)]) for a in q.atoms})
-    assert classify(Task.COUNTING, q, p).tractable
-    assert count_with_predicate(q, p, db) == len(oracle_answers(q, db, p))
+    _refusal(lambda: count_with_predicate(q, p, db), v)
+    (tmp_path / "q.mq").write_text(text)
+    (tmp_path / "data").mkdir()
+    for a in q.atoms:
+        rows = db.relation(a.symbol).rows
+        (tmp_path / "data" / a.symbol).write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    capsys.readouterr()
+    assert main(["count", "--query", str(tmp_path / "q.mq"), "--data", str(tmp_path / "data")]) == 2
+    assert f"refused: counting: intractable (chordless path {'-'.join(path)})" in capsys.readouterr().err
+
+
+def test_count_with_a_disconnected_x0_honours_its_verdict(tmp_path, capsys):
+    # the members a and d are joined by a chordless path away from z
+    _count_refuses(tmp_path, capsys, MEMBER_PATH, ("a", "b", "c", "d"))
+    q, p, _ = parse_query(MEMBER_PATH)
+    for task in (Task.ELIMINATION, Task.UNRANKED_DA_PRED):
+        assert classify(task, q, p).witness.path == ("a", "b", "c", "d")
+    assert classify(Task.ENUM_PRED, q, p).tractable
+
+
+def test_count_with_x0_in_a_branch_apart_from_a_member_honours_its_verdict(tmp_path, capsys):
+    # x0 = v8 shares an atom with the member v7; the members v2 and v5
+    # are joined by a chordless path in another component
+    _count_refuses(tmp_path, capsys,
+                   "Q(v2,v1,v4,v3,v6,v5,v7,v9,v8,v10,v13,v11,v12) :- R0(v2,v1), R1(v1,v4,v3), R2(v6,v4,v5), "
+                   "R3(v7,v9,v8), R4(v10), R5(v13,v11,v12).\nPREDICATE v8 <= MIN(v5,v2,v7).\n",
+                   ("v2", "v1", "v4", "v5"))
+
+
+def test_counting_with_a_member_path_counts_triangles():
+    # with R = S = U = E over 1..n and T = 1..2n+1, let C(f, g) count the
+    # answers with R's a column mapped by f and U's d column by g: then
+    # C(2a, 2d+1) - C(2a, 2d) counts the paths a-b-c-d with a > d and
+    # C(2a+1, 2d) - C(2a, 2d) those with a < d, so the paths less both
+    # are the closed walks a-b-c-a: four counts give a triangle count
+    q, p, _ = parse_query(MEMBER_PATH)
+    assert classify(Task.COUNTING, q, p).witness.path == ("a", "b", "c", "d")
+    path = ConjunctiveQuery(q.atoms[:3], ("a", "b", "c", "d"))
+    rng = random.Random(17)
+    with_triangles = 0
+    for _ in range(20):
+        n = rng.randint(3, 8)
+        edges = {e for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4
+                 for e in ((u, v), (v, u))}
+
+        def db(f, g):
+            return Database({"R": Relation.from_ints("R", 2, [(f(a), b) for a, b in edges]),
+                             "S": Relation.from_ints("S", 2, edges),
+                             "U": Relation.from_ints("U", 2, [(c, g(d)) for c, d in edges]),
+                             "T": Relation.from_ints("T", 1, [[z] for z in range(1, 2 * n + 2)])})
+
+        def count(fa, gd):
+            return len(oracle_answers(q, db(lambda a: 2 * a + fa, lambda d: 2 * d + gd), p))
+
+        paths = len(oracle_answers(path, db(lambda a: a, lambda d: d)))
+        above, below = count(0, 1) - count(0, 0), count(1, 0) - count(0, 0)
+        triangles = sum((a, b) in edges and (b, c) in edges and (c, a) in edges
+                        for a in range(1, n + 1) for b in range(1, n + 1) for c in range(1, n + 1))
+        assert paths - above - below == triangles
+        with_triangles += triangles > 0
+    assert with_triangles >= 5, with_triangles
 
 
 FOLD_SITE_TASKS = {Task.ELIMINATION, Task.COUNTING, Task.UNRANKED_DA_PRED, Task.ENUM_PRED}
