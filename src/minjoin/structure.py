@@ -436,12 +436,10 @@ class Witness:
 class Fold(NamedTuple):
     """A fold site: restriction keeps the rows of atom `atom` (an index)
     whose x0 passes, by kind: row, the threshold of min(xs) through the
-    row, at the branch atom of xs, or, when that branch shares no free
-    variable, at the first atom holding x0, whose rows in some answer all
-    see the branch's one best value; pair, the row's xs[0]. An x0 site is
-    an existential x0 whose branch shares no free variable and holds no
-    member: its best value, its least cell over `atom`'s rows in some
-    answer, takes x0's place at the sites after it."""
+    row, at the branch atom of xs (`_fold_sites`); pair, the row's xs[0].
+    An x0 site is an existential x0 whose component has no free interface
+    and holds no member: its best value, its least cell over `atom`'s
+    rows in some answer, takes x0's place at the sites after it."""
 
     kind: str
     atom: int
@@ -451,15 +449,12 @@ class Fold(NamedTuple):
 @dataclass(frozen=True)
 class Plan:
     """What `classify` built for a tractable verdict, for its task to carry
-    out: the query's GYO join tree (node i is atom i); but for the Boolean
-    and ranking tasks, the variables of each branch of the free-connex
-    tree rooted at its free-variables node, by branch atom; the fold
-    sites, in restriction's order; and the orders that the task enforces,
-    each as (x, an order-tree pair whose tree is rooted at x), or None
+    out: the query's GYO join tree (node i is atom i); the fold sites, in
+    restriction's order; and the orders that the task enforces, each as
+    (x, an order-tree pair whose tree is rooted at x), or None
     (`elim.plan_orders`)."""
 
     tree: RootedJoinTree
-    branches: dict[int, frozenset[str]] | None = None
     folds: tuple[Fold, ...] = ()
     orders: tuple | None = None
 
@@ -516,35 +511,42 @@ class Verdict:
         return f"{self.task.value}: {self.status} ({self.reason()})"
 
 
-def _fold_sites(q: ConjunctiveQuery, p: MinPredicate, branches) -> tuple[Fold, ...] | Witness:
+def _fold_sites(q: ConjunctiveQuery, p: MinPredicate) -> tuple[Fold, ...] | Witness:
     """p's fold sites (`Fold`) in restriction's order, or the witness of
-    the first inequality with none. Members group by branch, in
-    declaration order; with x0 existential, pair sites need every member
-    to share an atom with x0."""
+    the first inequality with none. Existential members group by their
+    component's branch atom, in declaration order: the first atom that
+    holds x0 and the interface (the free variables of the atoms that touch
+    the component), else the first that holds the interface. With x0
+    existential, pair sites need every member to share an atom with x0."""
     free = set(q.free_vars)
     xs = [x for x in p.xs if x != p.x0]
-    host = {v: b for b, vs in branches.items() for v in vs - free}
-    groups: dict[int, list[str]] = {}  # branch atom -> its existential members
-    for x in (x for x in xs if x not in free):
-        groups.setdefault(host[x], []).append(x)
+    comp = {v: {v} for v in q.variables if v not in free}  # existential variable -> its component
+    for a in q.atoms:
+        c = set().union(*(comp[v] for v in a.vars if v in comp))
+        comp.update(dict.fromkeys(c, c))
 
     def first(*vs) -> int:
         return next(i for i, a in enumerate(q.atoms) if set(vs) <= set(a.vars))
 
+    def branch(x: str) -> tuple[set[str], int]:  # the interface of x's component, and its branch atom
+        interface = free & {v for a in q.atoms if comp[x] & set(a.vars) for v in a.vars}
+        holds = [i for i, a in enumerate(q.atoms) if interface <= set(a.vars)]
+        return interface, min(holds, key=lambda i: p.x0 not in q.atoms[i].vars)
+
+    groups: dict[int, list[str]] = {}  # branch atom -> its existential members
+    for x in (x for x in xs if x not in free):
+        groups.setdefault(branch(x)[1], []).append(x)
     if p.x0 in free:
-        folds = []
         for b, group in groups.items():
-            symbol, reaches = q.atoms[b].symbol, p.x0 in q.atoms[b].vars
-            if not reaches and branches[b] & free:
-                return Witness("no_fold_site", members=tuple(group), atom=symbol, detail=(
+            if p.x0 not in (atom := q.atoms[b]).vars:
+                return Witness("no_fold_site", members=tuple(group), atom=atom.symbol, detail=(
                     f"{p.x0} <= min({','.join(group)}): {p.x0!r} does not reach "
-                    f"branch atom {symbol}, and the branch is not independent"))
-            folds.append(Fold("row", b if reaches else first(p.x0), tuple(group)))
-        return tuple(folds)
+                    f"branch atom {atom.symbol}, and the branch is not independent"))
+        return tuple(Fold("row", b, tuple(group)) for b, group in groups.items())
     if all(any({p.x0, x} <= set(a.vars) for a in q.atoms) for x in xs):
         return tuple(Fold("pair", first(p.x0, x), (x,)) for x in xs)
-    b0 = host[p.x0]
-    if branches[b0] & free or any(x in branches[b0] for x in xs):
+    interface, b0 = branch(p.x0)
+    if interface or comp[p.x0] & set(xs):
         return Witness("no_fold_site", members=(p.x0,), atom=q.atoms[b0].symbol, detail=(
             f"{p}: existential {p.x0!r} is coupled to the rest of the query; "
             "no sound tuple-removal rewrite exists"))
@@ -569,9 +571,11 @@ def classify(task: Task, q: ConjunctiveQuery, spec) -> Verdict:
       ranked_da                    acyclic free-connex, and no chordless
                                    >=3-path between two ranking variables
 
-    Fold sites: one per inequality through an existential member (`Fold`),
-    save for a Boolean head, cut at x0. If one lacks a site once the path
-    test passes, the verdict is "unsupported", a limit, not a lower bound.
+    Fold sites: one per branch atom with existential members (`Fold`),
+    save for a Boolean head, cut at x0. An existential component's branch
+    atom is the first atom holding its free interface and x0, else the
+    first holding the interface. If one lacks a site once the path test
+    passes, the verdict is "unsupported", a limit, not a lower bound.
 
     A predicate task with spec None (no predicate) gets the structural
     verdict, without the path condition.
@@ -588,7 +592,7 @@ def classify(task: Task, q: ConjunctiveQuery, spec) -> Verdict:
     if tree2 is None:
         return Verdict(task, False, Witness("not_free_connex", core=core2), self_joins=joins)
 
-    free, path, folds, branches = set(q.free_vars), None, (), None
+    free, path, folds = set(q.free_vars), None, ()
     if task in RANKING_TASKS:
         if isinstance(spec, MinPredicate):
             raise EngineError("ranking task classified with a predicate spec")
@@ -597,26 +601,22 @@ def classify(task: Task, q: ConjunctiveQuery, spec) -> Verdict:
             raise EngineError(f"{task.value}: ranking variables must be free")
         if task is Task.RANKED_DA:
             path = find_bad_path(h, xs, xs)
-    else:
-        tree2 = tree2.reroot(len(q.atoms))  # at the node of the free-variables edge
-        branches = {c: frozenset().union(*map(tree2.vars_of.get, tree2.subtree_ids(c)))
-                    for c in tree2.children()[tree2.root]}
-        if spec is not None:
-            if not isinstance(spec, MinPredicate):
-                raise EngineError(f"{task.value}: needs a MinPredicate spec")
-            spec.check_vars(q)
-            if task is not Task.ENUM_PRED and spec.x0 in free:
-                near, members = h.adjacency()[spec.x0] | {spec.x0}, (set(spec.xs) & free) - {spec.x0}
-                far = Hypergraph(h.vertices - near, tuple(e - near for e in h.edges))  # x0's neighbours removed
-                path = find_bad_path(h, {spec.x0}, members) or find_bad_path(far, members - near, members - near)
-            if path is None and not q.is_boolean:
-                folds = _fold_sites(q, spec, branches)
-                if isinstance(folds, Witness):
-                    return Verdict(task, False, folds, self_joins=joins)
+    elif spec is not None:
+        if not isinstance(spec, MinPredicate):
+            raise EngineError(f"{task.value}: needs a MinPredicate spec")
+        spec.check_vars(q)
+        if task is not Task.ENUM_PRED and spec.x0 in free:
+            near, members = h.adjacency()[spec.x0] | {spec.x0}, (set(spec.xs) & free) - {spec.x0}
+            far = Hypergraph(h.vertices - near, tuple(e - near for e in h.edges))  # x0's neighbours removed
+            path = find_bad_path(h, {spec.x0}, members) or find_bad_path(far, members - near, members - near)
+        if path is None and not q.is_boolean:
+            folds = _fold_sites(q, spec)
+            if isinstance(folds, Witness):
+                return Verdict(task, False, folds, self_joins=joins)
     if path is not None:
         return Verdict(task, False, Witness("bad_path", path=path), self_joins=joins)
     from . import elim  # elim imports this module
-    return Verdict(task, True, plan=Plan(tree, branches, folds, elim.plan_orders(task, q, spec, tree)))
+    return Verdict(task, True, plan=Plan(tree, folds, elim.plan_orders(task, q, spec, tree)))
 
 
 def classify_all(q: ConjunctiveQuery, p: MinPredicate | None, r: MinRanking | None) -> list[Verdict]:

@@ -383,5 +383,5 @@ def test_eliminate_parts_pinned():
         run(q, rand_predicate(rng, q), rand_database(rng, q, dom=8, max_rows=10))
     for q, db in edge_instances(rng):
         run(q, rand_predicate(rng, q), db)
-    assert counts == {"instances": 824, "refused": 108, "parts": 758, "forked": 297, "rows": 8908}
-    assert digest.hexdigest() == "684a3381098cfd4abd2f31fc10a66405af9383d71ce7905b8ecd0cfc6e0252da"
+    assert counts == {"instances": 824, "refused": 86, "parts": 780, "forked": 298, "rows": 8943}
+    assert digest.hexdigest() == "7a6ee2cb3135c36a806d62592876d6995598261d092b235e7fc0ac87c5087296"

@@ -313,8 +313,8 @@ def test_stream_figures_after_every_advance_pinned():
         streams(q, rand_database(rng, q, dom=5, max_rows=8))
     for q, db in edge_instances(rng):
         streams(q, db)
-    assert counts == {"streams": 1468, "refused": 78, "emissions": 9002, "opens": 4495}
-    assert digest.hexdigest() == "ca71496b861ad36c97faf38a6ffe54ec738ecd6f358e61e5644b136178ccbd9c"
+    assert counts == {"streams": 1468, "refused": 68, "emissions": 9033, "opens": 4499}
+    assert digest.hexdigest() == "067ab7acd1f36c167fe753069abb696b1405c9c281eb3cbd3157808fa5fb4a4b"
 
 
 def test_stream_delays_with_no_one_or_a_boolean_answer():

@@ -272,8 +272,8 @@ def test_restriction_and_boolean_cut_pinned():
                 counts["cuts"] += 1
                 counts["nonempty"] += holds
                 digest.update(b"1" if holds else b"0")
-    assert counts == {"restrictions": 3092, "rows": 19791, "cuts": 4000, "nonempty": 2305}
-    assert digest.hexdigest() == "7a6f37a9dcc5c5e030bd63b626e77bd183e2df047621dd78e288c981c2231080"
+    assert counts == {"restrictions": 3241, "rows": 20279, "cuts": 4000, "nonempty": 2305}
+    assert digest.hexdigest() == "058d30de2395fc7c33a579ca98c1556b9af8baf1ecdf4977cb243708743f2172"
 
 
 # -- restrict_predicate_to_free ----------------------------------------------

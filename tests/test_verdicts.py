@@ -49,10 +49,11 @@ def _refusal(run, verdict):
 
 
 def test_verdicts_match_behaviour_on_the_seed_7_sample():
-    # counting answers exactly when its verdict is tractable, with the
-    # oracle's count, and predicate enumeration refuses exactly when its
-    # verdict does; the 561 instances with no fold site were called
-    # tractable and then refused by restriction
+    # each of the four fold-site tasks answers exactly when its verdict is
+    # tractable, as the oracle does: counting its count, predicate
+    # enumeration and unranked access (at every index) its answers, and
+    # elimination its answers projected from the parts; and each refuses
+    # with its verdict otherwise
     rng = random.Random(7)
     seen = Counter()
     for _ in range(3000):
@@ -73,8 +74,28 @@ def test_verdicts_match_behaviour_on_the_seed_7_sample():
         else:
             seen[f"enum_pred {enum.witness.kind}"] += 1
             _refusal(lambda: enumerate_with_predicate(q, p, db), enum)
-    assert seen == {"tractable": 2311, "no_fold_site": 561, "bad_path": 7, "not_free_connex": 121,
-                    "enum_pred no_fold_site": 561, "enum_pred not_free_connex": 121}
+        access = classify(Task.UNRANKED_DA_PRED, q, p)
+        if access.tractable:
+            da = build_unranked_da_pred(q, p, db)
+            got = [da.access(k) for k in range(da.total)]
+            assert len(got) == len(want) and set(got) == want, (q.to_text(), str(p))
+        else:
+            seen[f"unranked_da_pred {access.witness.kind}"] += 1
+            _refusal(lambda: build_unranked_da_pred(q, p, db), access)
+        elimination = classify(Task.ELIMINATION, q, p)
+        if elimination.tractable:
+            res = eliminate_min_predicate(q, p, db)
+            parts = [{a.project(res.source_vars) for a in oracle_answers(part.query, part.database)}
+                     for part in res.parts]
+            assert sum(map(len, parts)) == len(want) and set().union(*parts) == want, (q.to_text(), str(p))
+        else:
+            seen[f"elimination {elimination.witness.kind}"] += 1
+            _refusal(lambda: eliminate_min_predicate(q, p, db), elimination)
+    assert seen == {"tractable": 2420, "no_fold_site": 452, "bad_path": 7, "not_free_connex": 121,
+                    "enum_pred no_fold_site": 452, "enum_pred not_free_connex": 121,
+                    "unranked_da_pred no_fold_site": 452, "unranked_da_pred not_free_connex": 121,
+                    "unranked_da_pred bad_path": 7, "elimination no_fold_site": 452,
+                    "elimination not_free_connex": 121, "elimination bad_path": 7}
 
 
 def test_no_fold_site_is_refused_by_the_verdict():
@@ -112,9 +133,6 @@ def test_the_plan_holds_the_join_tree_that_restriction_reads():
             assert v.plan is None
             continue
         assert v.plan.tree.parent == structure.tree_for_query(q).parent
-        assert set().union(*v.plan.branches.values()) == set(q.variables)
-        for x in set(q.variables) - set(q.free_vars):
-            assert sum(x in vs for vs in v.plan.branches.values()) == 1
 
 
 def _same_orders(got, want):
@@ -157,7 +175,7 @@ def test_the_plan_holds_the_orders_of_the_restricted_query_on_the_seed_7_sample(
                                          for x in xs for otp in elim.min_orders(q1, x, [y for y in xs if y != x])])
             seen["ranked_da"] += 1
             seen["ranked_da orders"] += len(v.plan.orders)
-    assert seen == {"counting": 1038, "unranked_da_pred": 1038, "ranked_da": 2554, "ranked_da orders": 4465}
+    assert seen == {"counting": 1048, "unranked_da_pred": 1048, "ranked_da": 2554, "ranked_da orders": 4465}
 
 
 STAR = "Q(r1,r2,r3,s) :- W1(r1,s), W2(r2,s), W3(r3,s).\n"
@@ -293,9 +311,6 @@ def test_counting_with_a_member_path_counts_triangles():
     assert with_triangles >= 5, with_triangles
 
 
-FOLD_SITE_TASKS = {Task.ELIMINATION, Task.COUNTING, Task.UNRANKED_DA_PRED, Task.ENUM_PRED}
-
-
 def _kinds(q, p, r):
     return {v.task: v.witness.kind if v.witness else "tractable" for v in classify_all(q, p, r)}
 
@@ -315,28 +330,20 @@ def _scrambled(rng, q, p, r):
 
 def test_verdicts_do_not_depend_on_names_or_order():
     # a verdict reads the query's shape alone, so renaming variables and
-    # reordering atoms, columns, head and members moves no verdict kind;
-    # the one exception, ROADMAP item 5's, is pinned: the fold sites
-    # depend on the join tree that GYO builds in atom order, and the four
-    # fold-site tasks move together between tractable and no_fold_site
-    rng = random.Random(11)
-    flips = Counter()
-    for _ in range(3000):
-        q = rand_acyclic_query(rng, max_atoms=4)
-        p = rand_predicate(rng, q)
-        r = MinRanking(tuple(rng.sample(q.free_vars, rng.randint(1, len(q.free_vars)))))
-        before, after = _kinds(q, p, r), _kinds(*_scrambled(rng, q, p, r))
-        moved = {t for t in Task if before[t] != after[t]}
-        if moved:
-            assert moved == FOLD_SITE_TASKS, (q.to_text(), str(p))
-            assert {before[t] for t in moved} | {after[t] for t in moved} == {"tractable", "no_fold_site"}
-            flips[before[Task.COUNTING], after[Task.COUNTING]] += 1
-    assert flips == {("tractable", "no_fold_site"): 53, ("no_fold_site", "tractable"): 42}
+    # reordering atoms, columns, head and members moves no verdict kind of
+    # any task, on queries of up to four atoms and of up to six
+    for seed, atoms, n in ((11, 4, 3000), (12, 6, 600)):
+        rng = random.Random(seed)
+        for _ in range(n):
+            q = rand_acyclic_query(rng, max_atoms=atoms)
+            p = rand_predicate(rng, q)
+            r = MinRanking(tuple(rng.sample(q.free_vars, rng.randint(1, len(q.free_vars)))))
+            assert _kinds(q, p, r) == _kinds(*_scrambled(rng, q, p, r)), (q.to_text(), str(p))
 
 
-@pytest.mark.xfail(strict=True, raises=UnsupportedPredicateError,
-                   reason="ROADMAP item 5: GYO glues the independent R4(v7) under R2 in the second atom order")
 def test_fold_sites_do_not_depend_on_atom_order():
+    # R4(v7) shares no variable with the rest, so its branch atom is
+    # v5's first atom in either order
     body = {"R0": "R0(v3,v1,v2)", "R1": "R1(v4)", "R2": "R2(v4)", "R3": "R3(v5,v6)", "R4": "R4(v7)"}
     rows = {"R0": [[0, 1, 2], [1, 1, 5]], "R1": [[1], [2]], "R2": [[2], [3]],
             "R3": [[1, 4], [3, 2], [5, 6], [2, 2]], "R4": [[0], [3]]}
