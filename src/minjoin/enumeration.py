@@ -4,10 +4,10 @@ min-ranked via a parallel merge of per-variable sorted streams.
 Every stream is one odometer over join buckets. The full and ranked
 streams read the buckets of the count pass (`semiring.count_buckets`),
 as LexDA does; the predicate stream orders its buckets by threshold.
-Each stream is a generator of answers that adds its work to one
-StepCounter and keeps its delays in a record (`_Run`) that it updates
-once per run of answers. So delay properties are assertable without
-clocks, and taking an answer costs no bookkeeping beyond a count.
+Each stream is a generator of answers that adds every step but its
+yields to one StepCounter: the taker of an answer (the stream, or the
+ranked merge) counts its step. Delays go to a record (`_Run`) updated
+once per run, so they need no clock, and an answer costs no bookkeeping.
 
 The task functions, `enumerate_with_predicate` (p None: the plain
 stream) and `enumerate_ranked_min`, take the query as declared, check
@@ -69,11 +69,12 @@ class AnswerStream:
     instrumentation.
 
     `advance` only checks the buffer, counts the emission and fetches the
-    next answer. `steps` reads the StepCounter that the generator adds
-    its work to. `max_delay`, the largest step gap between consecutive
-    emissions, and `avg_delay` are computed when read, from `emitted` and
-    the `run` record that the generator updates; a stream over an
-    iterator that keeps no counter and no record reads every figure as 0.
+    next answer, as iterating does. `steps` reads the generator's
+    StepCounter plus one step per answer taken: `emitted` and the buffer.
+    `max_delay`, the largest step gap between consecutive emissions, and
+    `avg_delay` are computed when read, from `emitted` and the `run`
+    record that the generator updates; a stream over an iterator that
+    keeps no counter and no record reads every figure as 0.
 
     No stream runs a semijoin pass, so `build_steps` counts every input
     row that preprocessing reads, dangling ones included; a predicate
@@ -90,7 +91,7 @@ class AnswerStream:
         run: _Run | None = None,
     ):
         self._answers = answers
-        self._counter = counter if counter is not None else StepCounter()
+        self._counter = counter
         self._skipped = skipped
         self._run = run if run is not None else _Run()
         self.build_steps = build_steps
@@ -99,7 +100,7 @@ class AnswerStream:
 
     @property
     def steps(self) -> int:
-        return self._counter.steps
+        return self._counter.steps + self.emitted + (self._buffer is not None) if self._counter else 0
 
     @property
     def skips(self) -> int:
@@ -142,9 +143,10 @@ class AnswerStream:
         self._buffer = next(self._answers, None)
 
     def __iter__(self):
-        while self.has_next():
-            out = self.peek()
-            self.advance()
+        answers = self._answers
+        while (out := self._buffer) is not None:
+            self.emitted += 1
+            self._buffer = next(answers, None)
             yield out
 
     def drain(self) -> list[Answer]:
@@ -170,11 +172,12 @@ def _descend(plan: TreePlan, buckets, counter: StepCounter, run: _Run, cut=None)
     The upper levels step through their rows one at a time. The last node
     of `plan.order` emits its bucket's first `stop` rows as one run: the
     answer's cells from the upper levels are filled once per visit, and
-    each row fills only the leaf's own variables. Every test of a row
-    costs one step, as in a plain odometer: one per emission, and one for
-    the test that fails (or finds the bucket's end) and closes a run.
-    Each emission after a run's first is one step after the one before,
-    so `run` is opened once per run that emits.
+    each row fills only the leaf's own variables (a leaf with none keys
+    on them all: one row, filled from above). Every test of a row costs
+    one step, as in a plain odometer: one per emission, counted by its
+    taker, and one for the test that fails (or finds the bucket's end)
+    and closes a run. Each emission after a run's first is one step
+    after the one before, so `run` is opened once per run that emits.
     """
     order = plan.order  # any topological order works for the odometer
     pos = {n: i for i, n in enumerate(order)}
@@ -190,6 +193,7 @@ def _descend(plan: TreePlan, buckets, counter: StepCounter, run: _Run, cut=None)
     where = [(p, v, *first[v]) for p, v in enumerate(sorted(first))]
     upper = [(p, v, j, c) for p, v, j, c in where if j < last]
     leaf = [(p, v, c) for p, v, j, c in where if j == last]
+    (p0, v0, c0), *rest = leaf or [(0, "", 0)]  # read only when leaf is not empty
     items: list = [None] * len(where)
     if cut is not None:
         bound_col, keys, search = cut
@@ -215,22 +219,25 @@ def _descend(plan: TreePlan, buckets, counter: StepCounter, run: _Run, cut=None)
                 idx[i] = -1
                 continue
         else:
-            # the leaf run: one step per emission, and one to close it
+            # the leaf run: one step to close it, and one per emission, which the taker counts
             lst, stop = lists[i], stops[i]
             counter.add(steps)
             steps = 1
             if stop:
                 for p, v, j, c in upper:
                     items[p] = (v, cur[j][c])
-                run.open(emitted + 1, counter.steps + 1)
+                run.open(emitted + 1, counter.steps + emitted + 1)
                 emitted += stop
-                for row in (lst if stop == len(lst) else lst[:stop]):
-                    counter.steps += 1
-                    for p, v, c in leaf:
-                        items[p] = (v, row[c])
-                    a = new(Answer)
-                    a._items = tuple(items)
-                    yield a
+                if leaf:
+                    for row in (lst if stop == len(lst) else lst[:stop]):
+                        items[p0] = (v0, row[c0])
+                        for p, v, c in rest:
+                            items[p] = (v, row[c])
+                        a = new(Answer)
+                        a._items = tuple(items)
+                        yield a
+                else:  # no own variable: one row, filled from above
+                    yield Answer._of_sorted(tuple(items))
         i -= 1
         if i < 0:
             counter.add(steps)
@@ -321,13 +328,15 @@ def _ranked_merge(subs, take, counter: StepCounter, skipped: StepCounter, run: _
     they give its key in its own stream and whether that stream is
     responsible for it. The heads sit in a heap by (key, stream index).
     A pick costs one step, and so does the probe that finds every stream
-    exhausted. Each emission is a run of its own.
+    exhausted; an emitted pick is the stream's to count, and a pulled
+    answer the merge's. Each emission is a run of its own.
     """
 
     def pull(i):
         a = next(subs[i], None)
         if a is None:
             return None
+        counter.steps += 1
         items = a._items
         cells = [items[p][1] for p in take]
         return cells[i], i, a, cells.index(min(cells)) == i
@@ -336,7 +345,6 @@ def _ranked_merge(subs, take, counter: StepCounter, skipped: StepCounter, run: _
     heapify(heap)
     emitted = 0
     while heap:
-        counter.steps += 1
         _, r, a, mine = heap[0]
         h = pull(r)
         if h is None:
@@ -345,9 +353,10 @@ def _ranked_merge(subs, take, counter: StepCounter, skipped: StepCounter, run: _
             heapreplace(heap, h)
         if mine:
             emitted += 1
-            run.open(emitted, counter.steps)
+            run.open(emitted, counter.steps + emitted)
             yield a
         else:
+            counter.steps += 1
             skipped.steps += 1
     counter.steps += 1
 

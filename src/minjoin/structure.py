@@ -517,7 +517,8 @@ def _fold_sites(q: ConjunctiveQuery, p: MinPredicate) -> tuple[Fold, ...] | Witn
     component's branch atom, in declaration order: the first atom that
     holds x0 and the interface (the free variables of the atoms that touch
     the component), else the first that holds the interface. With x0
-    existential, pair sites need every member to share an atom with x0."""
+    existential, pair sites need every member to share an atom with x0, and
+    a refusal names the first atom that holds x0."""
     free = set(q.free_vars)
     xs = [x for x in p.xs if x != p.x0]
     comp = {v: {v} for v in q.variables if v not in free}  # existential variable -> its component
@@ -545,9 +546,8 @@ def _fold_sites(q: ConjunctiveQuery, p: MinPredicate) -> tuple[Fold, ...] | Witn
         return tuple(Fold("row", b, tuple(group)) for b, group in groups.items())
     if all(any({p.x0, x} <= set(a.vars) for a in q.atoms) for x in xs):
         return tuple(Fold("pair", first(p.x0, x), (x,)) for x in xs)
-    interface, b0 = branch(p.x0)
-    if interface or comp[p.x0] & set(xs):
-        return Witness("no_fold_site", members=(p.x0,), atom=q.atoms[b0].symbol, detail=(
+    if branch(p.x0)[0] or comp[p.x0] & set(xs):
+        return Witness("no_fold_site", members=(p.x0,), atom=q.atoms[first(p.x0)].symbol, detail=(
             f"{p}: existential {p.x0!r} is coupled to the rest of the query; "
             "no sound tuple-removal rewrite exists"))
     return (Fold("x0", first(p.x0)), *(Fold("pair", first(x), (x,)) for x in xs if x in free),

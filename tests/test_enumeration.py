@@ -368,6 +368,77 @@ def test_stream_delays_with_no_one_or_a_boolean_answer():
     assert _figures(hand) == (0, 2, 0, 0.0, 0)
 
 
+def test_leaf_shapes_steps_after_every_advance_pinned():
+    # the descent's last node with no own variable (S(x) under R(x,y), as
+    # the predicate and ranked streams root the first query; R(x) under
+    # S in the second's plain stream) and with two (S(x,y,z) under R(x));
+    # (steps, max_delay, skips) before the first advance and after each;
+    # a drain ends on the same figures
+    q1, _, _ = parse_query("Q(x,y) :- R(x,y), S(x).")
+    q2, _, _ = parse_query("Q(x,y,z) :- R(x), S(x,y,z).")
+    db1 = Database({
+        "R": Relation.from_ints("R", 2, [[1, 1], [1, 3], [3, 2], [2, 2], [4, 1], [4, 6], [5, 5], [2, 0]]),
+        "S": Relation.from_ints("S", 1, [[1], [2], [4], [5], [6]]),
+    })
+    db2 = Database({
+        "R": Relation.from_ints("R", 1, [[1], [2], [3], [4]]),
+        "S": Relation.from_ints(
+            "S", 3, [[1, 2, 3], [1, 0, 5], [2, 2, 2], [2, 7, 1], [4, 1, 1], [1, 4, 0], [1, 2, 2], [5, 5, 5]]
+        ),
+    })
+    cases = {
+        "no_own": (q1, db1, MinPredicate("y", ("x",)), ("x", "y")),
+        "two_own": (q2, db2, MinPredicate("x", ("y", "z")), ("x", "z")),
+    }
+    seen = {}
+    for name, (q, db, p, xs) in cases.items():
+        streams = {
+            "plain": (lambda: enumerate_with_predicate(q, None, db), None),
+            "predicate": (lambda: enumerate_with_predicate(q, p, db), p),
+            "ranked_min": (lambda: enumerate_ranked_min(q, xs, db), None),
+            "ranked_max": (lambda: enumerate_ranked_min(q, MinRanking(xs, maximize=True), db), None),
+        }
+        for kind, (make, pred) in streams.items():
+            s = make()
+            figures, got = [(s.steps, s.max_delay, s.skips)], []
+            while s.has_next():
+                got.append(s.peek())
+                s.advance()
+                figures.append((s.steps, s.max_delay, s.skips))
+            assert len(got) == len(set(got)) and set(got) == oracle_answers(q, db, pred), (name, kind)
+            # iterating takes the same answers and leaves the same figures
+            drained = make()
+            assert drained.drain() == got and _figures(drained) == _figures(s), (name, kind)
+            keys = [min(a[x].base for x in xs) if kind == "ranked_min" else max(a[x].base for x in xs) for a in got]
+            if kind == "ranked_min":
+                assert keys == sorted(keys), name
+            elif kind == "ranked_max":
+                assert keys == sorted(keys, reverse=True), name
+            seen[name, kind] = figures
+    assert seen == {
+        ("no_own", "plain"): [
+            (2, 0, 0), (3, 2, 0), (6, 2, 0), (7, 3, 0), (10, 3, 0), (11, 3, 0), (14, 3, 0), (16, 3, 0),
+        ],
+        ("no_own", "predicate"): [(2, 0, 0), (5, 2, 0), (8, 3, 0), (11, 3, 0), (14, 3, 0), (16, 3, 0)],
+        ("no_own", "ranked_min"): [
+            (8, 0, 0), (12, 8, 0), (16, 8, 0), (24, 8, 1), (32, 8, 2), (48, 8, 5), (51, 16, 5), (59, 16, 7),
+        ],
+        ("no_own", "ranked_max"): [
+            (8, 0, 0), (12, 8, 0), (24, 8, 2), (28, 12, 2), (32, 12, 2), (36, 12, 2), (47, 12, 4), (59, 12, 7),
+        ],
+        ("two_own", "plain"): [
+            (2, 0, 0), (5, 2, 0), (8, 3, 0), (11, 3, 0), (14, 3, 0), (17, 3, 0), (20, 3, 0), (22, 3, 0),
+        ],
+        ("two_own", "predicate"): [(2, 0, 0), (3, 2, 0), (6, 2, 0), (8, 3, 0)],
+        ("two_own", "ranked_min"): [
+            (8, 0, 0), (10, 8, 0), (12, 8, 0), (14, 8, 0), (22, 8, 1), (26, 8, 1), (28, 8, 1), (51, 8, 7),
+        ],
+        ("two_own", "ranked_max"): [
+            (8, 0, 0), (12, 8, 0), (16, 8, 0), (18, 8, 0), (22, 8, 0), (30, 8, 1), (32, 8, 1), (51, 8, 7),
+        ],
+    }
+
+
 def test_enumerate_with_predicate_random(rng):
     done = 0
     while done < 50:

@@ -112,6 +112,17 @@ def test_no_fold_site_is_refused_by_the_verdict():
     assert classify(Task.BOOLEAN, q, p).tractable
 
 
+def test_an_existential_x0_refusal_names_an_atom_that_holds_x0():
+    # x0 = v2 is existential and coupled to the free v4 through v3; the
+    # branch atom of its component is R2, which does not hold v2, so the
+    # witness names v2's first atom
+    q, p, _ = parse_query("Q(v4) :- R0(v1,v3,v2), R1(v3,v2), R2(v3,v4), R3(v4).\nPREDICATE v2 <= MIN(v4).\n")
+    for task in (Task.ELIMINATION, Task.COUNTING, Task.UNRANKED_DA_PRED, Task.ENUM_PRED):
+        v = classify(task, q, p)
+        assert v.to_json()["witness"] == {"kind": "no_fold_site", "members": ["v2"], "atom": "R0"}
+        assert str(v) == f"{task.value}: unsupported (no fold site for v2 in R0; an implementation limit, not a lower bound)"
+
+
 def test_a_self_join_refusal_says_what_the_lower_bound_covers():
     text = "Q(x,u,v,y) :- {}(x,u), {}(u,v), {}(v,y).\nORDER BY MIN(x,y).\n"
     q, _, r = parse_query(text.format("R", "R", "R"))
